@@ -118,8 +118,12 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     verified_to = 0
     if args.verify:
         verdict = injectivity.debruijn_injective(rt)
-        periodic_ok = all(
-            injectivity.periodic_bijective(rt, n) for n in range(1, args.max_period + 1))
+        try:
+            periodic_ok = all(
+                injectivity.periodic_bijective(rt, n) for n in range(1, args.max_period + 1))
+        except engine.ExhaustiveBoundError as exc:
+            print(f"error: --max-period {args.max_period}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if not verdict.injective or not periodic_ok:
             print(f"INTERNAL ERROR: induced rule for {texts} failed verification "
                   f"(debruijn={verdict.injective}, periodic={periodic_ok}); "
@@ -177,15 +181,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = injectivity.debruijn_injective(rt)
+    try:
+        periodic_ok = all(injectivity.periodic_bijective(rt, n)
+                          for n in range(1, args.max_period + 1))
+    except engine.ExhaustiveBoundError as exc:
+        print(f"error: --max-period {args.max_period}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print("Injective" if verdict.injective else "NotInjective")
     if verdict.witness:
         print(f"witness: {verdict.witness[0]} {verdict.witness[1]}")
     print(f"trivial: {rules.classify_trivial(rt)}")
     print(f"balanced: {str(rules.is_balanced(rt)).lower()}")
     if args.max_period:
-        ok = all(injectivity.periodic_bijective(rt, n)
-                 for n in range(1, args.max_period + 1))
-        print(f"periodic_bijective_to_{args.max_period}: {str(ok).lower()}")
+        print(f"periodic_bijective_to_{args.max_period}: {str(periodic_ok).lower()}")
     return EXIT_OK if verdict.injective else 1
 
 
@@ -202,6 +210,9 @@ def _sweep_units(diameter: int):
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.diameter
+    if d < 1:
+        print(f"error: enumerate needs diameter >= 1, got {d}", file=sys.stderr)
+        return EXIT_USAGE
     if d > injectivity.MAX_SWEEP_DIAMETER:
         print(f"error: enumerate refuses diameter {d} (search space 2^(2^{d}))",
               file=sys.stderr)

@@ -1,13 +1,19 @@
 """Independent injectivity decision for the global map, with witnesses.
 
-The decision builds the pair graph of the rule's de Bruijn automaton: nodes
+The decision works on the pair graph of the rule's de Bruijn automaton: nodes
 are ordered pairs of (D-1)-bit window prefixes, and an edge joins two pairs
 when each side can be advanced by one input bit while producing the same
 output bit.  The global map fails to be injective exactly when some cycle of
-this graph passes through an off-diagonal node; walking such a cycle yields
-two distinct periodic configurations with equal images, which is returned as
-the witness.  The construction is quadratic in the number of window prefixes,
-so diameters through 8 are cheap.
+this graph passes through an off-diagonal node (Amoroso & Patt 1972; Sutner
+1991).  :func:`decide` tests this for a whole batch of tables at once by
+peeling: it strips every node without a live in-edge or without a live
+out-edge until nothing changes, and a table is injective iff only diagonal
+nodes survive.  Every node on a cycle survives, and the diagonal is a
+strongly connected copy of the de Bruijn graph, so a surviving off-diagonal
+node always lies on a cycle through an off-diagonal node; the test is exact.
+For a rejected table, a shortest cycle through a chosen surviving node yields
+two distinct periodic configurations with equal images, returned as the
+witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap.
 
 Exhaustive rule-space sweeps provide ground truth: every table of a diameter
 is scanned at D <= 4; D = 5 is gated behind an explicit flag and prunes the
@@ -44,16 +50,24 @@ class InjectivityVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Pair-graph construction and cycle detection.
+# Pair-graph construction and the peeling decision.
 
-_EDGE_TEMPLATES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+# Pair-graph nodes peeled together in one slice of a batch.  The working
+# arrays of a pass scale with this, not with the batch size, which keeps the
+# peak memory of a 4096-table sweep chunk flat.
+_SLICE_NODES = 1 << 12
+
+_EDGE_TEMPLATES: dict[int, tuple[np.ndarray, ...]] = {}
 
 
 def _edge_template(d: int):
     """Rule-independent edge skeleton of the pair graph for one diameter.
 
-    Arrays (src, dst, wa, wb) over all node/bit combinations: filtering rows
-    by equal rule output at window values wa and wb yields the graph.
+    Arrays (wa, wb, succ, pred_edge, pred): edge 4z + 2b1 + b2 leaves node
+    z = u1 * 2^(D-1) + u2 on input bits (b1, b2) and is present exactly when
+    the rule gives equal outputs at window values wa and wb.  succ (n, 4)
+    holds each node's edge targets in edge order; pred_edge (n, 4) and
+    pred (n, 4) hold the indices and sources of the four edges entering it.
     """
     if d not in _EDGE_TEMPLATES:
         v = 1 << (d - 1)
@@ -63,119 +77,94 @@ def _edge_template(d: int):
         u1, u2, b1, b2 = (x.ravel() for x in (u1, u2, b1, b2))
         wa = (u1 << 1) | b1
         wb = (u2 << 1) | b2
-        src = u1 * v + u2
         dst = ((u1 << 1 | b1) & mask) * v + ((u2 << 1 | b2) & mask)
+        pred_edge = np.argsort(dst, kind="stable").reshape(-1, 4)
         _EDGE_TEMPLATES[d] = tuple(
-            np.ascontiguousarray(x, dtype=np.int64) for x in (src, dst, wa, wb))
+            np.ascontiguousarray(x, dtype=np.intp)
+            for x in (wa, wb, dst.reshape(-1, 4), pred_edge, pred_edge >> 2))
     return _EDGE_TEMPLATES[d]
 
 
-def _equal_output_graph(d: int, bits: Sequence[int]):
-    """CSR adjacency (indptr, targets) of the equal-output pair graph."""
-    src, dst, wa, wb = _edge_template(d)
-    table = np.fromiter(bits, dtype=np.uint8, count=len(bits))
-    keep = table[wa] == table[wb]
-    s, t = src[keep], dst[keep]
-    n = (1 << (d - 1)) ** 2
-    order = np.argsort(s, kind="stable")
-    counts = np.bincount(s, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, t[order]
+def _any4(x: np.ndarray) -> np.ndarray:
+    """Any over the last axis, of length 4, of a C-contiguous bool array:
+    the four adjacent bytes are read as one uint32."""
+    return x.view(np.uint32)[..., 0] != 0
 
 
-def _cyclic_offdiagonal_node(d: int, indptr, targets) -> int | None:
-    """Some off-diagonal pair-graph node lying on a cycle, or None.
+def _peel(d: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, alive) of the equal-output pair graphs of a (T, 2^d) batch.
 
-    Iterative Tarjan; a strongly connected component is cyclic when it has
-    more than one node or a self-loop.
+    edges (T, n, 4) marks the template edges present in each table's graph,
+    by source node; alive (T, n) marks the nodes left after repeatedly
+    stripping every node without a live in-edge or without a live out-edge.
+    Tables drop out of the loop once a pass leaves them unchanged.
     """
-    v_count = 1 << (d - 1)
-    n = v_count * v_count
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    counter = 0
-    ip = indptr.tolist()
-    tg = targets.tolist()
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, ip[root])]
-        while work:
-            v, ptr = work[-1]
-            if ptr == ip[v]:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            while ptr < ip[v + 1]:
-                w = tg[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, ip[w]))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    scc.append(w)
-                    if w == v:
-                        break
-                cyclic = len(scc) > 1 or v in tg[ip[v]:ip[v + 1]]
-                if cyclic:
-                    for w in scc:
-                        if w // v_count != w % v_count:
-                            return w
-    return None
+    wa, wb, succ, pred_edge, pred = _edge_template(d)
+    edges = bits[:, wa] == bits[:, wb]
+    entering = edges.take(pred_edge, axis=1)
+    edges = edges.reshape(len(bits), -1, 4)
+    alive = np.ones(edges.shape[:2], dtype=bool)
+    rows = np.arange(len(bits))
+    while rows.size:
+        a = alive[rows]
+        peeled = (_any4(edges[rows] & a.take(succ, axis=1))
+                  & _any4(entering[rows] & a.take(pred, axis=1)))
+        changed = (peeled != a).any(axis=1)
+        alive[rows] = peeled
+        rows = rows[changed]
+    return edges, alive
 
 
-def _offdiagonal_self_loop(d: int, indptr, targets) -> int | None:
-    """Off-diagonal node with a self-loop; such a node yields a length-1 witness."""
-    v_count = 1 << (d - 1)
-    for z in range(v_count * v_count):
-        if z // v_count == z % v_count:
-            continue
-        lo, hi = int(indptr[z]), int(indptr[z + 1])
-        for ptr in range(lo, hi):
-            if int(targets[ptr]) == z:
-                return z
-    return None
+def _off_diagonal(d: int) -> np.ndarray:
+    v = 1 << (d - 1)
+    return np.arange(v * v) // v != np.arange(v * v) % v
 
 
-def _witness_from_node(d: int, indptr, targets, z: int) -> tuple[str, str]:
-    """Two distinct equal-image periodic words from a shortest cycle through z."""
+def decide(d: int, tables) -> np.ndarray:
+    """Injectivity of the global map of each row of a (T, 2^d) 0/1 array.
+
+    A 1-D array of 2^d bits is a batch of one.  At d = 1 the map is
+    injective iff the two outputs differ.  From d = 2 on, a rule is
+    injective iff peeling its equal-output pair graph leaves only diagonal
+    nodes (see :func:`debruijn_injective`).  The batch is peeled in slices of
+    at most ``_SLICE_NODES`` pair-graph nodes.
+    """
+    bits = np.asarray(tables, dtype=np.uint8)
+    if bits.ndim == 1:
+        bits = bits[None]
+    if bits.ndim != 2 or bits.shape[1] != 1 << d:
+        raise ValueError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
+    if d == 1:
+        return bits[:, 0] != bits[:, 1]
+    off = _off_diagonal(d)
+    step = max(1, _SLICE_NODES >> (2 * (d - 1)))
+    out = np.empty(len(bits), dtype=bool)
+    for lo in range(0, len(bits), step):
+        _, alive = _peel(d, bits[lo:lo + step])
+        out[lo:lo + step] = ~(alive & off).any(axis=1)
+    return out
+
+
+def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
+    """(T, 2^d) output bits of an array of Wolfram numbers (d <= 6)."""
+    shifts = np.arange(1 << d, dtype=np.uint64)
+    return ((tables.astype(np.uint64)[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def _shortest_cycle(d: int, indptr: list[int], targets: list[int], z: int):
+    """Two distinct equal-image periodic words from a shortest cycle through
+    z, or None when no cycle passes through z."""
     v_count = 1 << (d - 1)
     parent: dict[int, int] = {}
-    frontier = deque()
-    for ptr in range(indptr[z], indptr[z + 1]):
-        w = int(targets[ptr])
-        if w not in parent:
-            parent[w] = z
-            frontier.append(w)
-    while frontier:
+    frontier = deque([z])
+    while frontier and z not in parent:
         u = frontier.popleft()
-        if u == z:
-            break
-        for ptr in range(indptr[u], indptr[u + 1]):
-            w = int(targets[ptr])
+        for w in targets[indptr[u]:indptr[u + 1]]:
             if w not in parent:
                 parent[w] = u
                 frontier.append(w)
+    if z not in parent:
+        return None
     # reconstruct z -> ... -> z
     path = [z]
     u = parent[z]
@@ -190,26 +179,60 @@ def _witness_from_node(d: int, indptr, targets, z: int) -> tuple[str, str]:
     return c1, c2
 
 
+def _witness(d: int, bits: np.ndarray) -> tuple[str, str]:
+    """Witness of a rejected table, built from its surviving edges.
+
+    The cycle runs through the smallest off-diagonal node with a self-loop
+    if there is one (a length-1 witness), else through the smallest surviving
+    off-diagonal node that lies on a cycle.
+    """
+    _, _, succ, _, _ = _edge_template(d)
+    edges, alive = _peel(d, bits.reshape(1, -1))
+    live = edges[0] & alive[0][succ] & alive[0][:, None]
+    nodes = np.arange(len(succ))
+    off = _off_diagonal(d)
+    looped = nodes[off & (live & (succ == nodes[:, None])).any(axis=1)]
+    candidates = looped[:1] if looped.size else nodes[off & alive[0]]
+    indptr = np.zeros(len(succ) + 1, dtype=np.intp)
+    np.cumsum(live.sum(axis=1), out=indptr[1:])
+    indptr, targets = indptr.tolist(), succ[live].tolist()
+    for z in candidates.tolist():
+        witness = _shortest_cycle(d, indptr, targets, z)
+        if witness is not None:
+            return witness
+    raise AssertionError("rejected table without a cycle through an off-diagonal node")
+
+
 def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """Decide injectivity of the global map; witnesses accompany rejections.
 
-    The verdict covers periodic configurations of every length at once, and
-    by the standard periodic/unbounded correspondence the unbounded lattice
-    as well.  Witness length never exceeds the pair-graph node count plus the
-    diameter.
+    The decision is :func:`decide` on a batch of one.  It peels the
+    equal-output pair graph: nodes without a live in-edge or out-edge are
+    stripped until none is left, and the rule is injective iff only diagonal
+    nodes survive.  This is exact.  A rule fails to be injective iff some
+    cycle passes through an off-diagonal node, and every node on a cycle
+    survives.  Conversely, the diagonal is a copy of the de Bruijn graph and
+    strongly connected, so from a surviving off-diagonal node, walking live
+    edges forward and backward reaches cycles, and either one of them holds
+    an off-diagonal node or both lie in the diagonal, which closes a cycle
+    through the starting node.
+
+    Only a rejection builds a witness, from the surviving edges: a shortest
+    cycle through the smallest off-diagonal node with a self-loop, else
+    through the smallest surviving off-diagonal node on a cycle.  Its two
+    words are distinct and have equal images.  The verdict covers periodic
+    configurations of every length at once, and by the standard
+    periodic/unbounded correspondence the unbounded lattice as well.  Witness
+    length never exceeds the pair-graph node count.  At diameter 1 the pair
+    graph has a single node and the rule is injective iff its two outputs
+    differ.
     """
-    if rt.diameter == 1:
-        if rt.bits[0] != rt.bits[1]:
-            return InjectivityVerdict(True)
-        return InjectivityVerdict(False, ("0", "1"))
-    indptr, targets = _equal_output_graph(rt.diameter, rt.bits)
-    z = _cyclic_offdiagonal_node(rt.diameter, indptr, targets)
-    if z is None:
+    bits = np.asarray(rt.bits, dtype=np.uint8)
+    if decide(rt.diameter, bits)[0]:
         return InjectivityVerdict(True)
-    looped = _offdiagonal_self_loop(rt.diameter, indptr, targets)
-    if looped is not None:
-        z = looped
-    return InjectivityVerdict(False, _witness_from_node(rt.diameter, indptr, targets, z))
+    if rt.diameter == 1:
+        return InjectivityVerdict(False, ("0", "1"))
+    return InjectivityVerdict(False, _witness(rt.diameter, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +289,9 @@ def scan_chunk(diameter: int, lo: int, hi: int,
                exclude_trivial: bool = False) -> list[int]:
     """Wolfram numbers in [lo, hi) whose global map is injective, ascending."""
     skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
-    size = 1 << diameter
-    found = []
-    for w in range(lo, hi):
-        if w in skip:
-            continue
-        bits = [(w >> v) & 1 for v in range(size)]
-        if diameter == 1:
-            if bits[0] != bits[1]:
-                found.append(w)
-            continue
-        indptr, targets = _equal_output_graph(diameter, bits)
-        if _cyclic_offdiagonal_node(diameter, indptr, targets) is None:
-            found.append(w)
-    return found
+    tables = np.arange(lo, hi, dtype=np.uint64)
+    found = tables[decide(diameter, _wolfram_bits(diameter, tables))]
+    return [w for w in map(int, found) if w not in skip]
 
 
 _MASK_CACHE: dict[int, list[np.ndarray]] = {}
@@ -370,14 +382,8 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int],
         if not tables.size:
             break
         tables = tables[_permutes_period(tables, diameter, n)]
-    size = 1 << diameter
-    found = []
-    for w in sorted(int(t) for t in tables):
-        bits = [(w >> v) & 1 for v in range(size)]
-        indptr, targets = _equal_output_graph(diameter, bits)
-        if _cyclic_offdiagonal_node(diameter, indptr, targets) is None:
-            found.append(w)
-    return found
+    tables = np.sort(tables)
+    return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
 
 
 def scan_unit(diameter: int, unit) -> list[int]:

@@ -1,8 +1,9 @@
 """Independent brute-force reference implementations.
 
 Everything here is deliberately written from first principles (template
-expansion, direct window matching, doubled-string stepping) so it shares no
-code path with the package and can serve as an oracle for it.
+expansion, direct window matching, doubled-string stepping, strongly
+connected components of a dict-based pair graph) so it shares no code path
+with the package and can serve as an oracle for it.
 """
 
 from __future__ import annotations
@@ -100,3 +101,82 @@ def is_permutation(bits, diameter: int, anchor: int, n: int) -> bool:
     images = {naive_step(bits, diameter, anchor, format(ci, f"0{n}b"))
               for ci in range(1 << n)}
     return len(images) == 1 << n
+
+
+
+def pair_graph(bits, diameter: int) -> dict[int, list[int]]:
+    """Equal-output pair graph as a dict from node to successor list.
+
+    A node is a pair of (diameter-1)-cell words p, q, numbered p * 2^(D-1) + q.
+    Appending one cell to each word completes two windows; when the rule
+    gives them equal outputs, an edge leads to the pair of their last
+    (diameter-1) cells.
+    """
+    size = 1 << (diameter - 1)
+    # (next word, output) for each one-cell extension of each word
+    ext = [[(w % size, bits[w]) for w in (2 * p, 2 * p + 1)] for p in range(size)]
+    graph = {}
+    for p, ep in enumerate(ext):
+        for q, eq in enumerate(ext):
+            graph[p * size + q] = [np_ * size + nq for np_, op in ep
+                                   for nq, oq in eq if op == oq]
+    return graph
+
+
+def tarjan_injective(bits, diameter: int) -> bool:
+    """Injectivity by strongly connected components (iterative Tarjan).
+
+    The map is injective iff no cycle of the pair graph passes through a
+    pair p != q, that is, iff every component holding such a pair has one
+    node and no self-loop.  At diameter 1 the words are empty, the graph has
+    a single node, and the test does not apply: the map is injective iff the
+    two outputs differ.
+    """
+    if diameter == 1:
+        return bits[0] != bits[1]
+    size = 1 << (diameter - 1)
+    graph = pair_graph(bits, diameter)
+    index = [-1] * len(graph)
+    low = [0] * len(graph)
+    on_stack = [False] * len(graph)
+    stack = []
+    counter = 0
+    for root in graph:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, succ = work[-1]
+            for nxt in succ:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(graph[nxt])))
+                    break
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] != index[node]:
+                    continue
+                if stack[-1] == node:   # one-node component
+                    stack.pop()
+                    on_stack[node] = False
+                    if node in graph[node] and node // size != node % size:
+                        return False
+                    continue
+                component = stack[stack.index(node):]
+                del stack[len(stack) - len(component):]
+                for member in component:
+                    on_stack[member] = False
+                if any(m // size != m % size for m in component):
+                    return False
+    return True

@@ -100,6 +100,11 @@ class TestInduce:
         _, out, _ = run(capsys, "induce", "0X011")
         assert "created_at" not in json.loads(out)
 
+    def test_max_period_over_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "induce", "0X011", "--verify", "--max-period", "25")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_mixture_file(self, capsys, tmp_path):
         f = tmp_path / "mix.txt"
         f.write_text("10X111\na0X10a\n")
@@ -129,6 +134,12 @@ class TestVerify:
         assert out.splitlines()[0] == "NotInjective"
         assert any(line.startswith("witness: ") for line in out.splitlines())
 
+    def test_max_period_over_bound_exits_2(self, capsys):
+        # a crash here used to end with exit 1, the NotInjective code
+        code, out, err = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "25")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "-d", "3", "-w", "256")[0] == 2
         assert run(capsys, "verify", "-d", "3", "-w", "porridge")[0] == 2
@@ -157,6 +168,8 @@ class TestEnumerate:
     def test_refuses_big_diameters(self, capsys):
         assert run(capsys, "enumerate", "-d", "6")[0] == 2
         assert run(capsys, "enumerate", "-d", "5")[0] == 2  # without --allow-long
+        assert run(capsys, "enumerate", "-d", "0")[0] == 2
+        assert run(capsys, "enumerate", "-d", "-1")[0] == 2
 
     def test_checkpoint_resume(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

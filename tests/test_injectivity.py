@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import brute
@@ -7,6 +8,7 @@ from revca.engine import step
 from revca.injectivity import (
     cross_validate,
     debruijn_injective,
+    decide,
     exhaustive_injective,
     periodic_bijective,
 )
@@ -53,7 +55,7 @@ class TestVerdicts:
         rng = random.Random(404)
         checked = 0
         while checked < 200:
-            d = rng.randint(2, 4)
+            d = rng.randint(2, 8)
             rt = from_wolfram(d, rng.getrandbits(1 << d))
             v = debruijn_injective(rt)
             if v.injective:
@@ -62,6 +64,10 @@ class TestVerdicts:
             assert w1 != w2 and len(w1) == len(w2)
             assert step(rt, w1) == step(rt, w2)
             checked += 1
+        # f(0...0) == f(1...1) puts a self-loop on the off-diagonal node
+        # (0...0, 1...1), the smallest one that can carry one: length-1 witness
+        v = debruijn_injective(from_wolfram(3, 90))
+        assert v.witness == ("0", "1")
 
     def test_anchor_invariance(self):
         rng = random.Random(405)
@@ -89,6 +95,50 @@ class TestVerdicts:
             conj = [1 - rt.bits[(~v) & ((1 << d) - 1)] for v in range(1 << d)]
             assert debruijn_injective(
                 from_wolfram(d, sum(b << v for v, b in enumerate(conj)))).injective == base
+
+
+class TestDecide:
+    def test_matches_tarjan_oracle(self):
+        """decide against the SCC oracle of tests/brute.py on every table of
+        diameter <= 4, on the 1,364 induced tables of diameters 3..8 and on
+        one-swap perturbations of them; accepted tables must also permute
+        all short periodic words, and a mixed batch must be decided as each
+        of its tables alone."""
+        for d in range(1, 5):
+            tables = [[(w >> v) & 1 for v in range(1 << d)] for w in range(1 << (1 << d))]
+            got = decide(d, np.array(tables)).tolist()
+            assert got == [brute.tarjan_injective(t, d) for t in tables]
+        assert sum(got) == len(INJECTIVE_D4)
+
+        induced = {d: [list(induce(build_mixture([p])).bits)
+                       for p in list(generate_all_patterns(d)) + list(enumerate_extended(d))]
+                   for d in range(3, 9)}
+        assert sum(map(len, induced.values())) == 1364
+        rng = random.Random(1364)
+        perturbed = {d: [] for d in induced}
+        for _ in range(1000):
+            d = rng.randint(5, 8)
+            bits = list(rng.choice(induced[d]))
+            i = rng.choice([v for v, b in enumerate(bits) if b == 0])
+            j = rng.choice([v for v, b in enumerate(bits) if b == 1])
+            bits[i], bits[j] = 1, 0
+            perturbed[d].append(bits)
+
+        for d, tables in induced.items():
+            mixed = [(bits, True) for bits in tables] + [(bits, False) for bits in perturbed[d]]
+            rng.shuffle(mixed)
+            batch = np.array([bits for bits, _ in mixed], dtype=np.uint8).reshape(-1, 1 << d)
+            verdicts = decide(d, batch).tolist()
+            assert verdicts == [bool(decide(d, row)[0]) for row in batch]
+            n_max = 12 if d <= 4 else 8
+            for (bits, is_induced), injective in zip(mixed, verdicts):
+                assert injective == brute.tarjan_injective(bits, d), (d, bits)
+                assert injective or not is_induced, (d, bits)
+                if injective:
+                    assert all(brute.is_permutation(bits, d, 0, n)
+                               for n in range(1, n_max + 1)), (d, bits)
+        with pytest.raises(ValueError):
+            decide(3, np.zeros((2, 16), dtype=np.uint8))
 
 
 class TestPeriodic:

@@ -147,7 +147,7 @@ def test_witness_validity_500_random_noninjective_tables():
     rng = random.Random(500500)
     seen = 0
     while seen < 500:
-        d = rng.randint(2, 4)
+        d = rng.randint(2, 8)
         rt = from_wolfram(d, rng.getrandbits(1 << d))
         verdict = debruijn_injective(rt)
         if verdict.injective:
