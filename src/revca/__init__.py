@@ -43,14 +43,12 @@ from .rules import (
 from .engine import (
     ExhaustiveBoundError,
     check_involution,
-    orbit_period,
     shift,
     space_time,
     step,
 )
 from .injectivity import (
     InjectivityVerdict,
-    cross_validate,
     debruijn_injective,
     exhaustive_injective,
     periodic_bijective,

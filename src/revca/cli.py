@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,13 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("REVCA_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(obj: dict) -> None:
@@ -118,12 +110,8 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     verified_to = 0
     if args.verify:
         verdict = injectivity.debruijn_injective(rt)
-        try:
-            periodic_ok = all(
-                injectivity.periodic_bijective(rt, n) for n in range(1, args.max_period + 1))
-        except engine.ExhaustiveBoundError as exc:
-            print(f"error: --max-period {args.max_period}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        periodic_ok = all(
+            injectivity.periodic_bijective(rt, n) for n in range(1, args.max_period + 1))
         if not verdict.injective or not periodic_ok:
             print(f"INTERNAL ERROR: induced rule for {texts} failed verification "
                   f"(debruijn={verdict.injective}, periodic={periodic_ok}); "
@@ -139,7 +127,18 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _max_period_error(max_period: int) -> bool:
+    """Report a --max-period outside 0..DEFAULT_EXHAUSTIVE_BOUND; True if so."""
+    if 0 <= max_period <= engine.DEFAULT_EXHAUSTIVE_BOUND:
+        return False
+    print(f"error: --max-period {max_period}: must be between 0 and "
+          f"{engine.DEFAULT_EXHAUSTIVE_BOUND}, the exhaustive bound", file=sys.stderr)
+    return True
+
+
 def _cmd_induce(args: argparse.Namespace) -> int:
+    if args.verify and _max_period_error(args.max_period):
+        return EXIT_USAGE
     groups: list[list[str]] = []
     if args.stdin:
         # each input line is induced on its own (pipe-friendly)
@@ -174,6 +173,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if _max_period_error(args.max_period):
+        return EXIT_USAGE
     try:
         w = int(args.wolfram, 0)
         rt = rules.from_wolfram(args.diameter, w)
@@ -181,12 +182,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     verdict = injectivity.debruijn_injective(rt)
-    try:
-        periodic_ok = all(injectivity.periodic_bijective(rt, n)
-                          for n in range(1, args.max_period + 1))
-    except engine.ExhaustiveBoundError as exc:
-        print(f"error: --max-period {args.max_period}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    periodic_ok = all(injectivity.periodic_bijective(rt, n)
+                      for n in range(1, args.max_period + 1))
     print("Injective" if verdict.injective else "NotInjective")
     if verdict.witness:
         print(f"witness: {verdict.witness[0]} {verdict.witness[1]}")
@@ -197,55 +194,36 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.injective else 1
 
 
-def _sweep_units(diameter: int):
-    """(scan callable, unit list) for the checkpointable sweep of a diameter."""
-    import functools
-
-    if diameter < injectivity.LONG_SWEEP_DIAMETER:
-        units = injectivity.sweep_chunks(diameter)
-    else:
-        units = injectivity.balanced_sweep_blocks(diameter)
-    return functools.partial(injectivity.scan_unit, diameter), units
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.diameter
-    if d < 1:
-        print(f"error: enumerate needs diameter >= 1, got {d}", file=sys.stderr)
+    try:
+        sweep = injectivity.Sweep(d, args.exclude_trivial, args.allow_long)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if d > injectivity.MAX_SWEEP_DIAMETER:
-        print(f"error: enumerate refuses diameter {d} (search space 2^(2^{d}))",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if d >= injectivity.LONG_SWEEP_DIAMETER and not args.allow_long:
-        print(f"error: diameter {d} sweep is long-running; pass --allow-long",
-              file=sys.stderr)
-        return EXIT_USAGE
-    skip = frozenset(
-        rules.to_wolfram(t) for t in rules.trivial_tables(d)) if args.exclude_trivial \
-        else frozenset()
-
-    scan, units = _sweep_units(d)
+    total = len(sweep.units)
     start = 0
     if args.checkpoint:
         cp = catalog.load_checkpoint(args.checkpoint)
-        if cp is not None:
-            if cp.diameter != d or cp.exclude_trivial != args.exclude_trivial:
-                print("error: checkpoint was written for different sweep parameters",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            start = cp.next_unit
-        else:
+        if cp is None:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
-                d, args.exclude_trivial, 0, len(units)))
+                d, args.exclude_trivial, 0, total))
+        elif cp.diameter != d or cp.exclude_trivial != args.exclude_trivial:
+            print("error: checkpoint was written for different sweep parameters",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        elif cp.total_units != total:
+            print(f"error: checkpoint was written for {cp.total_units} work units, "
+                  f"this sweep has {total}", file=sys.stderr)
+            return EXIT_USAGE
+        else:
+            start = cp.next_unit
 
-    def handle(found: list[int], unit_index: int) -> None:
+    for i, found in enumerate(sweep.run(start), start):
         entries = []
         for w in found:
-            if w in skip:
-                continue
-            rt = rules.from_wolfram(d, w)
-            entry = catalog.entry_for_rule(rt, (), verified_debruijn=True,
+            entry = catalog.entry_for_rule(rules.from_wolfram(d, w), (),
+                                           verified_debruijn=True,
                                            timestamp=bool(args.catalog))
             print(json.dumps(catalog.entry_to_dict(entry, with_timestamp=False),
                              sort_keys=True))
@@ -254,21 +232,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             catalog.append_entries(args.catalog, entries)
         if args.checkpoint:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
-                d, args.exclude_trivial, unit_index + 1, len(units)))
-
-    pending = list(range(start, len(units)))
-    workers = _workers()
-    if workers > 1 and len(pending) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            for i, found in zip(pending, pool.imap(scan, [units[i] for i in pending],
-                                                   chunksize=1)):
-                handle(found, i)
-    else:
-        for i in pending:
-            handle(scan(units[i]), i)
-    if start >= len(units):
+                d, args.exclude_trivial, i + 1, total))
+    if start >= total:
         print("sweep already complete per checkpoint; results are in the catalog",
               file=sys.stderr)
     return EXIT_OK

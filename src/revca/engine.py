@@ -1,9 +1,11 @@
-"""Periodic-boundary global map: single steps, orbits, involution checks.
+"""Periodic-boundary global map: single steps, trajectories, involution checks.
 
 Configurations are cyclic binary words written as strings, leftmost character
 at index 0.  The window feeding cell i spans cells i-anchor .. i-anchor+D-1,
 indices wrapped modulo the word length, so words shorter than the diameter
-simply wrap multiple times.
+simply wrap multiple times.  Every application of a rule goes through one
+vectorized kernel: the window values of a cell matrix, then a gather from the
+output bits.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ import numpy as np
 from .rules import RuleTable
 
 DEFAULT_EXHAUSTIVE_BOUND = 20
+
+# Cells handled together in one slice: a periodic check steps this many cells
+# of its configurations at a time, and the sweeps' period filter gathers this
+# many table-cells at a time.  Working memory scales with this constant, not
+# with the period or the number of tables, which keeps peak memory flat.
+_SLICE_CELLS = 1 << 16
 
 
 class ExhaustiveBoundError(ValueError):
@@ -25,18 +33,35 @@ def _check_word(c: str) -> str:
     return c
 
 
+def _window_values(cells: np.ndarray, d: int, anchor: int) -> np.ndarray:
+    """Window value of every cell of a (configs, n) 0/1 matrix.
+
+    Cell i reads cells i-anchor .. i-anchor+d-1 of its row cyclically, the
+    leftmost one as the most significant bit.  Indexing a rule's output bits
+    with the result applies the rule; indexing a (T, 2^d) batch of tables
+    along its second axis applies every table of the batch.
+    """
+    n = cells.shape[1]
+    # one row per cell position, so that each shift is a contiguous block;
+    # doubling stands in for a left shift, which numpy runs far slower
+    columns = cells.T[(np.arange(n + d - 1) - anchor) % n]
+    values = np.zeros((n, len(cells)), dtype=np.min_scalar_type((1 << d) - 1))
+    for t in range(d):
+        values += values
+        values |= columns[t:t + n]
+    return values.T
+
+
+def batch_step(rt: RuleTable, cells: np.ndarray) -> np.ndarray:
+    """Global map applied to a (configs, n) uint8 cell matrix row-wise."""
+    bits = np.array(rt.bits, dtype=np.uint8)
+    return bits[_window_values(cells, rt.diameter, rt.anchor)]
+
+
 def step(rt: RuleTable, c: str) -> str:
     """Apply the global map once."""
-    _check_word(c)
-    n = len(c)
-    d, j, bits = rt.diameter, rt.anchor, rt.bits
-    out = []
-    for i in range(n):
-        v = 0
-        for t in range(d):
-            v = (v << 1) | (c[(i - j + t) % n] == "1")
-        out.append("01"[bits[v]])
-    return "".join(out)
+    cells = np.frombuffer(_check_word(c).encode("ascii"), dtype=np.uint8) - ord("0")
+    return (batch_step(rt, cells[None])[0] + ord("0")).tobytes().decode("ascii")
 
 
 def shift(c: str, k: int) -> str:
@@ -44,18 +69,6 @@ def shift(c: str, k: int) -> str:
     _check_word(c)
     k %= len(c)
     return c[-k:] + c[:-k] if k else c
-
-
-def orbit_period(rt: RuleTable, c: str, max_steps: int) -> int | None:
-    """Smallest t <= max_steps with step^t(c) == c, else None (exhausted)."""
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    cur = c
-    for t in range(1, max_steps + 1):
-        cur = step(rt, cur)
-        if cur == c:
-            return t
-    return None
 
 
 def space_time(rt: RuleTable, init: str, steps: int) -> list[str]:
@@ -68,24 +81,6 @@ def space_time(rt: RuleTable, init: str, steps: int) -> list[str]:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Vectorized batch evaluation over many configurations at once.
-
-def _window_index(n: int, d: int, j: int) -> np.ndarray:
-    return (np.arange(n)[:, None] - j + np.arange(d)[None, :]) % n
-
-
-def batch_step(rt: RuleTable, cells: np.ndarray) -> np.ndarray:
-    """Global map applied to a (configs, n) uint8 cell matrix row-wise."""
-    n = cells.shape[1]
-    d = rt.diameter
-    idx = _window_index(n, d, rt.anchor)
-    weights = (1 << np.arange(d - 1, -1, -1)).astype(np.int64)
-    values = cells[:, idx].astype(np.int64) @ weights
-    table = np.fromiter(rt.bits, dtype=np.uint8, count=len(rt.bits))
-    return table[values]
-
-
 def all_configs(n: int) -> np.ndarray:
     """Cell matrix of every length-n configuration; row index encodes the word."""
     ints = np.arange(1 << n, dtype=np.int64)
@@ -93,13 +88,18 @@ def all_configs(n: int) -> np.ndarray:
 
 
 def pack_configs(cells: np.ndarray) -> np.ndarray:
-    n = cells.shape[1]
-    return (cells.astype(np.int64) << np.arange(n)).sum(axis=1)
+    """Code of each configuration along the last axis: bit i is cell i."""
+    n = cells.shape[-1]
+    codes = np.zeros(cells.shape[:-1], dtype=np.min_scalar_type((1 << n) - 1))
+    for i in reversed(range(n)):
+        codes += codes
+        codes |= cells[..., i]
+    return codes
 
 
-def check_involution(rt: RuleTable, n: int,
-                     bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> bool:
-    """True iff applying the map twice fixes every length-n configuration."""
+def periodic_images(rt: RuleTable, n: int,
+                    bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> np.ndarray:
+    """Packed image of every length-n configuration, indexed by its code."""
     if n < 1:
         raise ValueError("period must be >= 1")
     if n > bound:
@@ -107,8 +107,13 @@ def check_involution(rt: RuleTable, n: int,
             f"2^{n} configurations exceed the exhaustive bound {bound}; "
             "use random sampling for long periods")
     cells = all_configs(n)
-    for lo in range(0, len(cells), 1 << 14):
-        chunk = cells[lo:lo + (1 << 14)]
-        if not np.array_equal(batch_step(rt, batch_step(rt, chunk)), chunk):
-            return False
-    return True
+    per = max(1, _SLICE_CELLS // n)
+    return np.concatenate([pack_configs(batch_step(rt, cells[lo:lo + per]))
+                           for lo in range(0, len(cells), per)])
+
+
+def check_involution(rt: RuleTable, n: int,
+                     bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> bool:
+    """True iff applying the map twice fixes every length-n configuration."""
+    images = periodic_images(rt, n, bound)
+    return bool((images[images] == np.arange(len(images))).all())

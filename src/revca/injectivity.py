@@ -19,14 +19,21 @@ Exhaustive rule-space sweeps provide ground truth: every table of a diameter
 is scanned at D <= 4; D = 5 is gated behind an explicit flag and prunes the
 2^32 tables to the balanced ones (a necessary condition for injectivity) and
 then through vectorized small-period permutation filters before the exact
-pair-graph decision.  D >= 6 is refused outright.
+pair-graph decision.  D >= 6 is refused outright.  :class:`Sweep` is the one
+driver for both the library and the command line: it checks the request,
+lists the work units and scans them in order, on ``REVCA_THREADS`` worker
+processes when that is above 1.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import multiprocessing
+import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -147,8 +154,8 @@ def decide(d: int, tables) -> np.ndarray:
 
 def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
     """(T, 2^d) output bits of an array of Wolfram numbers (d <= 6)."""
-    shifts = np.arange(1 << d, dtype=np.uint64)
-    return ((tables.astype(np.uint64)[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    octets = tables.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << d]
 
 
 def _shortest_cycle(d: int, indptr: list[int], targets: list[int], z: int):
@@ -179,20 +186,19 @@ def _shortest_cycle(d: int, indptr: list[int], targets: list[int], z: int):
     return c1, c2
 
 
-def _witness(d: int, bits: np.ndarray) -> tuple[str, str]:
-    """Witness of a rejected table, built from its surviving edges.
+def _witness(d: int, edges: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
+    """Witness of a rejected table, from its peeled pair graph (edges, alive).
 
     The cycle runs through the smallest off-diagonal node with a self-loop
     if there is one (a length-1 witness), else through the smallest surviving
     off-diagonal node that lies on a cycle.
     """
     _, _, succ, _, _ = _edge_template(d)
-    edges, alive = _peel(d, bits.reshape(1, -1))
-    live = edges[0] & alive[0][succ] & alive[0][:, None]
+    live = edges & alive[succ] & alive[:, None]
     nodes = np.arange(len(succ))
     off = _off_diagonal(d)
     looped = nodes[off & (live & (succ == nodes[:, None])).any(axis=1)]
-    candidates = looped[:1] if looped.size else nodes[off & alive[0]]
+    candidates = looped[:1] if looped.size else nodes[off & alive]
     indptr = np.zeros(len(succ) + 1, dtype=np.intp)
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     indptr, targets = indptr.tolist(), succ[live].tolist()
@@ -206,7 +212,7 @@ def _witness(d: int, bits: np.ndarray) -> tuple[str, str]:
 def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """Decide injectivity of the global map; witnesses accompany rejections.
 
-    The decision is :func:`decide` on a batch of one.  It peels the
+    The decision is that of :func:`decide`, on a batch of one.  It peels the
     equal-output pair graph: nodes without a live in-edge or out-edge are
     stripped until none is left, and the rule is injective iff only diagonal
     nodes survive.  This is exact.  A rule fails to be injective iff some
@@ -227,12 +233,14 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     graph has a single node and the rule is injective iff its two outputs
     differ.
     """
-    bits = np.asarray(rt.bits, dtype=np.uint8)
-    if decide(rt.diameter, bits)[0]:
+    d = rt.diameter
+    if d == 1:
+        return InjectivityVerdict(True) if rt.bits[0] != rt.bits[1] \
+            else InjectivityVerdict(False, ("0", "1"))
+    edges, alive = _peel(d, np.asarray(rt.bits, dtype=np.uint8)[None])
+    if not (alive[0] & _off_diagonal(d)).any():
         return InjectivityVerdict(True)
-    if rt.diameter == 1:
-        return InjectivityVerdict(False, ("0", "1"))
-    return InjectivityVerdict(False, _witness(rt.diameter, bits))
+    return InjectivityVerdict(False, _witness(d, edges[0], alive[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +249,10 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
 def periodic_bijective(rt: RuleTable, n: int,
                        bound: int = engine.DEFAULT_EXHAUSTIVE_BOUND) -> bool:
     """True iff the map permutes all 2^n configurations of length n."""
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    if n > bound:
-        raise engine.ExhaustiveBoundError(
-            f"2^{n} configurations exceed the exhaustive bound {bound}")
-    seen = np.zeros(1 << n, dtype=bool)
-    cells = engine.all_configs(n)
-    for lo in range(0, len(cells), 1 << 14):
-        images = engine.pack_configs(engine.batch_step(rt, cells[lo:lo + (1 << 14)]))
-        seen[images] = True
+    images = engine.periodic_images(rt, n, bound)
+    seen = np.zeros(len(images), dtype=bool)
+    seen[images] = True
     return bool(seen.all())
-
-
-def cross_validate(rt: RuleTable, n_max: int) -> bool:
-    """Consistency of the pair-graph verdict with direct periodic checks.
-
-    Injective rules must permute every period up to n_max; rejected rules
-    must carry a witness pair that genuinely collides, and when the witness
-    length is within reach the permutation check at that length must fail.
-    """
-    verdict = debruijn_injective(rt)
-    if verdict.injective:
-        return all(periodic_bijective(rt, n) for n in range(1, n_max + 1))
-    w1, w2 = verdict.witness
-    if w1 == w2 or len(w1) != len(w2) or engine.step(rt, w1) != engine.step(rt, w2):
-        return False
-    if len(w1) <= n_max:
-        return not periodic_bijective(rt, len(w1))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +268,10 @@ def sweep_chunks(diameter: int, chunk_size: int = 1 << 12) -> list[tuple[int, in
     return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
 
 
-def scan_chunk(diameter: int, lo: int, hi: int,
-               exclude_trivial: bool = False) -> list[int]:
+def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
     """Wolfram numbers in [lo, hi) whose global map is injective, ascending."""
-    skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
     tables = np.arange(lo, hi, dtype=np.uint64)
-    found = tables[decide(diameter, _wolfram_bits(diameter, tables))]
-    return [w for w in map(int, found) if w not in skip]
+    return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
 
 
 _MASK_CACHE: dict[int, list[np.ndarray]] = {}
@@ -306,19 +286,6 @@ def _masks_by_popcount(width: int) -> list[np.ndarray]:
     return _MASK_CACHE[width]
 
 
-def _cyclic_window_values(d: int, n: int) -> np.ndarray:
-    """Window value of each cell of each length-n configuration (anchor 0)."""
-    out = np.empty((1 << n, n), dtype=np.uint8)
-    for c in range(1 << n):
-        cells = [(c >> i) & 1 for i in range(n)]
-        for i in range(n):
-            v = 0
-            for t in range(d):
-                v = (v << 1) | cells[(i + t) % n]
-            out[c, i] = v
-    return out
-
-
 _WV_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -326,23 +293,25 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
     """Boolean mask of tables that permute all length-n configurations.
 
     Vectorized over a whole batch of table integers; used as a cheap
-    necessary-condition filter ahead of the exact decision.
+    necessary-condition filter ahead of the exact decision.  The anchor does
+    not matter here, so the window values are those of anchor 0.
     """
     if n > 8:
         raise ValueError("vectorized permutation filter supports periods <= 8")
     key = (d, n)
     if key not in _WV_CACHE:
-        _WV_CACHE[key] = _cyclic_window_values(d, n)
+        _WV_CACHE[key] = engine._window_values(engine.all_configs(n), d, 0)
     wv = _WV_CACHE[key]
-    m = 1 << n
-    images = np.zeros((tables.size, m), dtype=np.uint8)
-    for c in range(m):
-        img = np.zeros(tables.size, dtype=np.uint8)
-        for i in range(n):
-            img |= (((tables >> np.uint64(wv[c, i])) & np.uint64(1)) << np.uint64(i)).astype(np.uint8)
-        images[:, c] = img
-    images.sort(axis=1)
-    return np.all(images == np.arange(m, dtype=np.uint8), axis=1)
+    per = max(1, engine._SLICE_CELLS // wv.size)
+    out = np.empty(len(tables), dtype=bool)
+    for lo in range(0, len(tables), per):
+        # tables on the last axis, so that each step runs on contiguous rows
+        bits = np.ascontiguousarray(_wolfram_bits(d, tables[lo:lo + per]).T)
+        images = engine.pack_configs(np.moveaxis(bits[wv.T], 0, -1))
+        seen = np.zeros(images.shape, dtype=bool)
+        seen[images, np.arange(images.shape[1])] = True
+        out[lo:lo + per] = seen.all(axis=0)
+    return out
 
 
 def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
@@ -394,38 +363,75 @@ def scan_unit(diameter: int, unit) -> list[int]:
     return scan_balanced_block(diameter, unit)
 
 
+def _sweep_workers() -> int:
+    """Worker processes for a sweep: ``REVCA_THREADS`` (default 1), capped at
+    the number of cores this process may run on."""
+    text = os.environ.get("REVCA_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"REVCA_THREADS must be a positive integer, got {text!r}")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(workers, cores)
+
+
+class Sweep:
+    """The exhaustive sweep of one diameter, as an ordered list of work units.
+
+    Construction checks the request and raises ``ValueError`` for a diameter
+    below 1 or above ``MAX_SWEEP_DIAMETER``, for a long sweep (diameter
+    ``LONG_SWEEP_DIAMETER`` and up) without ``allow_long``, and for a bad
+    ``REVCA_THREADS``.  Units are the index ranges of :func:`sweep_chunks`
+    below the long diameter and the blocks of :func:`balanced_sweep_blocks`
+    from it on.
+    """
+
+    def __init__(self, diameter: int, exclude_trivial: bool = False,
+                 allow_long: bool = False) -> None:
+        if diameter < 1:
+            raise ValueError(f"exhaustive sweep needs diameter >= 1, got {diameter}")
+        if diameter > MAX_SWEEP_DIAMETER:
+            raise ValueError(
+                f"exhaustive sweep refused for diameter {diameter}: "
+                f"2^(2^{diameter}) tables are out of reach")
+        if diameter >= LONG_SWEEP_DIAMETER and not allow_long:
+            raise ValueError(
+                f"diameter {diameter} sweep is long-running; pass --allow-long "
+                "(allow_long=True)")
+        self.diameter = diameter
+        self.units = (sweep_chunks(diameter) if diameter < LONG_SWEEP_DIAMETER
+                      else balanced_sweep_blocks(diameter))
+        self.workers = _sweep_workers()
+        self._skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
+
+    def run(self, start: int = 0) -> Iterator[list[int]]:
+        """Injective Wolfram numbers of each unit from ``start`` on, in unit
+        order: one ascending list per unit, trivial tables left out if asked."""
+        scan = functools.partial(scan_unit, self.diameter)
+        pending = self.units[start:]
+        with contextlib.ExitStack() as stack:
+            results = map(scan, pending)
+            if self.workers > 1 and len(pending) > 1:
+                pool = stack.enter_context(
+                    multiprocessing.get_context("spawn").Pool(self.workers))
+                results = pool.imap(scan, pending, chunksize=1)
+            for found in results:
+                yield [w for w in found if w not in self._skip]
+
+
 def exhaustive_injective(diameter: int, exclude_trivial: bool = False,
-                         allow_long: bool = False,
-                         progress: Callable[[int, int], None] | None = None,
-                         ) -> Iterator[RuleTable]:
+                         allow_long: bool = False) -> Iterator[RuleTable]:
     """Every rule table of one diameter whose global map is injective.
 
     Tables stream in ascending Wolfram order.  Diameter 5 scans the 601M
     balanced tables and must be requested explicitly with ``allow_long``;
-    diameters above 5 are refused as infeasible.
+    diameters above 5 are refused as infeasible (see :class:`Sweep`).
     """
-    if diameter > MAX_SWEEP_DIAMETER:
-        raise ValueError(
-            f"exhaustive sweep refused for diameter {diameter}: "
-            f"2^(2^{diameter}) tables are out of reach")
-    if diameter >= LONG_SWEEP_DIAMETER and not allow_long:
-        raise ValueError(
-            f"diameter {diameter} sweep is long-running; pass allow_long=True")
-    if diameter < LONG_SWEEP_DIAMETER:
-        chunks = sweep_chunks(diameter)
-        for i, (lo, hi) in enumerate(chunks):
-            for w in scan_chunk(diameter, lo, hi, exclude_trivial):
-                yield from_wolfram(diameter, w)
-            if progress:
-                progress(i + 1, len(chunks))
-    else:
-        skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
-        blocks = balanced_sweep_blocks(diameter)
-        found: list[int] = []
-        for i, block in enumerate(blocks):
-            found.extend(scan_balanced_block(diameter, block))
-            if progress:
-                progress(i + 1, len(blocks))
-        for w in sorted(found):
-            if w not in skip:
-                yield from_wolfram(diameter, w)
+    found = (w for unit in Sweep(diameter, exclude_trivial, allow_long).run() for w in unit)
+    if diameter >= LONG_SWEEP_DIAMETER:
+        found = sorted(found)   # balanced blocks do not follow Wolfram order
+    for w in found:
+        yield from_wolfram(diameter, w)

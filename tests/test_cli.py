@@ -5,8 +5,13 @@ import sys
 import pytest
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
+from revca import injectivity
 from revca.cli import main
 from revca.patterns import enumerate_extended
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a bad --max-period must be rejected before any check runs")
 
 
 def run(capsys, *argv):
@@ -105,6 +110,17 @@ class TestInduce:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "21"])
+    def test_max_period_out_of_range_exits_2_up_front(self, capsys, tmp_path, monkeypatch,
+                                                      value):
+        monkeypatch.setattr(injectivity, "debruijn_injective", _no_work)
+        monkeypatch.setattr(injectivity, "periodic_bijective", _no_work)
+        path = tmp_path / "cat.jsonl"
+        code, out, err = run(capsys, "induce", "0X011", "--verify", "--max-period", value,
+                             "--catalog", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_mixture_file(self, capsys, tmp_path):
         f = tmp_path / "mix.txt"
         f.write_text("10X111\na0X10a\n")
@@ -139,6 +155,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "25")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["-3", "-1", "21", "25"])
+    def test_max_period_out_of_range_exits_2_up_front(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(injectivity, "debruijn_injective", _no_work)
+        monkeypatch.setattr(injectivity, "periodic_bijective", _no_work)
+        code, out, err = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_max_period_bounds_accepted(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "0")
+        assert code == 0 and "periodic_bijective" not in out
+        periods = []
+        monkeypatch.setattr(injectivity, "periodic_bijective",
+                            lambda rt, n: periods.append(n) or True)
+        code, out, _ = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "20")
+        assert code == 0 and out.splitlines()[-1] == "periodic_bijective_to_20: true"
+        assert periods == list(range(1, 21))
 
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "-d", "3", "-w", "256")[0] == 2
@@ -199,6 +233,22 @@ class TestEnumerate:
         save_checkpoint(ckpt, SweepCheckpoint(3, True, 0, 1))
         code, _, err = run(capsys, "enumerate", "-d", "4", "--checkpoint", str(ckpt))
         assert code == 2 and "checkpoint" in err
+
+    def test_checkpoint_partition_mismatch(self, capsys, tmp_path):
+        # a D=3 sweep has one work unit; a checkpoint claiming seven came
+        # from another partition and must not be resumed
+        ckpt = tmp_path / "sweep.ckpt"
+        save_checkpoint(ckpt, SweepCheckpoint(3, False, 0, 7))
+        before = ckpt.read_bytes()
+        code, out, err = run(capsys, "enumerate", "-d", "3", "--checkpoint", str(ckpt))
+        assert code == 2 and out == "" and "checkpoint" in err
+        assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_exits_2(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("REVCA_THREADS", threads)
+        code, out, err = run(capsys, "enumerate", "-d", "3")
+        assert code == 2 and out == "" and "REVCA_THREADS" in err
 
     def test_parallel_workers_match_sequential(self):
         import os

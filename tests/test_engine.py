@@ -7,7 +7,6 @@ from revca.engine import (
     all_configs,
     batch_step,
     check_involution,
-    orbit_period,
     pack_configs,
     shift,
     space_time,
@@ -82,21 +81,23 @@ class TestShift:
 
 
 class TestOrbit:
+    """Orbits of single words, read off trajectories."""
+
     def test_identity_period_one(self):
-        assert orbit_period(rule(3, 204, anchor=1), "0110", 5) == 1
+        assert space_time(rule(3, 204, anchor=1), "0110", 1) == ["0110", "0110"]
 
     def test_induced_rule_period_two(self):
         rt = induce(build_mixture(["0X011"]))
-        assert orbit_period(rt, "00011", 5) == 2
-        assert orbit_period(rt, "00000", 5) == 1
+        assert space_time(rt, "00011", 2) == ["00011", "01011", "00011"]
+        assert space_time(rt, "00000", 1) == ["00000", "00000"]
 
     def test_exhausted(self):
-        assert orbit_period(rule(3, 240, anchor=1), "0011", 3) is None
-        assert orbit_period(rule(3, 240, anchor=1), "0011", 4) == 4
+        rows = space_time(rule(3, 240, anchor=1), "0011", 4)
+        assert "0011" not in rows[1:4] and rows[4] == "0011"
 
     def test_max_steps_contract(self):
         with pytest.raises(ValueError):
-            orbit_period(rule(3, 204), "01", 0)
+            space_time(rule(3, 204), "01", -1)
 
 
 class TestInvolution:
@@ -142,7 +143,7 @@ class TestBatch:
             packed = pack_configs(out)
             for ci in range(1 << n):
                 c = "".join(str((ci >> i) & 1) for i in range(n))
-                expect = step(rt, c)
+                expect = brute.naive_step(rt.bits, d, anchor, c)
                 got = int(packed[ci])
                 # bit i of the packed image is cell i
                 assert all(((got >> i) & 1) == int(expect[i]) for i in range(n))

@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import brute
 from revca.engine import step
 from revca.injectivity import (
-    cross_validate,
+    Sweep,
+    _sweep_workers,
     debruijn_injective,
     decide,
     exhaustive_injective,
@@ -168,17 +170,6 @@ class TestPeriodic:
 
 
 class TestCrossValidation:
-    def test_examples(self):
-        assert cross_validate(from_wolfram(3, 240), 10)
-        assert cross_validate(from_wolfram(3, 90), 3)
-
-    def test_random_sample(self):
-        rng = random.Random(2024)
-        for _ in range(300):
-            d = rng.randint(1, 4)
-            rt = from_wolfram(d, rng.getrandbits(1 << d))
-            assert cross_validate(rt, 7)
-
     def test_full_diameter_4_self_test(self):
         """Every diameter-4 table: the pair-graph verdict must coincide with
         direct permutation checks over all periods 1..8 (no borderline cases
@@ -233,6 +224,32 @@ class TestExhaustive:
             list(exhaustive_injective(6))
         with pytest.raises(ValueError):
             list(exhaustive_injective(5))  # needs allow_long
+        with pytest.raises(ValueError):
+            list(exhaustive_injective(0))
+
+
+class TestSweepWorkers:
+    """REVCA_THREADS resolution; no pool is started here."""
+
+    def test_default_and_clamp(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        monkeypatch.delenv("REVCA_THREADS", raising=False)
+        assert _sweep_workers() == 1
+        monkeypatch.setenv("REVCA_THREADS", "1")
+        assert _sweep_workers() == 1
+        monkeypatch.setenv("REVCA_THREADS", str(cores))
+        assert _sweep_workers() == cores
+        monkeypatch.setenv("REVCA_THREADS", "100000")
+        assert _sweep_workers() == cores
+        assert Sweep(3).workers == cores
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+    def test_rejects_bad_values(self, monkeypatch, threads):
+        monkeypatch.setenv("REVCA_THREADS", threads)
+        with pytest.raises(ValueError, match="REVCA_THREADS"):
+            _sweep_workers()
+        with pytest.raises(ValueError, match="REVCA_THREADS"):
+            list(exhaustive_injective(3))
 
 
 @pytest.mark.slow
