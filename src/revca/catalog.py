@@ -2,106 +2,50 @@
 
 Catalog files hold one JSON object per line so that long sweeps can append as
 they go and parallel workers' outputs merge by concatenation.  A checkpoint
-file records the next pending work unit of a sweep; both formats carry a
-version field and are considered stable.
+file records the next pending work unit of a sweep and carries a version
+field.  Both formats are considered stable.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .rules import RuleTable, rule_from_json, rule_to_json
+from .rules import rule_from_json
 
-CATALOG_VERSION = 1
 CHECKPOINT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One verified-or-pending rule: encodings, provenance, verification flags."""
-
-    diameter: int
-    anchor: int
-    wolfram_decimal: str
-    table_hex: str
-    provenance: tuple[str, ...] = ()
-    verified_debruijn: bool = False
-    verified_periodic_to: int = 0
-    created_at: str | None = None
-
-
-def entry_for_rule(rt: RuleTable, provenance: tuple[str, ...] = (),
-                   verified_debruijn: bool = False, verified_periodic_to: int = 0,
-                   timestamp: bool = True) -> CatalogEntry:
-    base = rule_to_json(rt, provenance)
-    return CatalogEntry(
-        diameter=base["diameter"],
-        anchor=base["anchor"],
-        wolfram_decimal=base["wolfram_decimal"],
-        table_hex=base["table_hex"],
-        provenance=tuple(provenance),
-        verified_debruijn=verified_debruijn,
-        verified_periodic_to=verified_periodic_to,
-        created_at=datetime.now(timezone.utc).isoformat() if timestamp else None,
-    )
-
-
-def entry_to_dict(entry: CatalogEntry, with_timestamp: bool = True) -> dict:
-    d = {
-        "diameter": entry.diameter,
-        "anchor": entry.anchor,
-        "wolfram_decimal": entry.wolfram_decimal,
-        "table_hex": entry.table_hex,
-        "provenance": list(entry.provenance),
-        "verified_debruijn": entry.verified_debruijn,
-        "verified_periodic_to": entry.verified_periodic_to,
-    }
-    if with_timestamp and entry.created_at is not None:
-        d["created_at"] = entry.created_at
-    return d
-
-
-def entry_from_dict(d: dict) -> CatalogEntry:
-    rt, provenance = rule_from_json(d)  # validates the two encodings agree
-    return CatalogEntry(
-        diameter=rt.diameter,
-        anchor=rt.anchor,
-        wolfram_decimal=d["wolfram_decimal"],
-        table_hex=d["table_hex"],
-        provenance=provenance,
-        verified_debruijn=bool(d.get("verified_debruijn", False)),
-        verified_periodic_to=int(d.get("verified_periodic_to", 0)),
-        created_at=d.get("created_at"),
-    )
-
-
-def entry_rule(entry: CatalogEntry) -> RuleTable:
-    rt, _ = rule_from_json(entry_to_dict(entry))
-    return rt
-
-
-def append_entries(path: str | Path, entries: list[CatalogEntry]) -> None:
-    """Serialize appends through one writer; one JSON object per line."""
+def append_entries(path: str | Path, records: list[dict]) -> None:
+    """Append rule records (see :func:`revca.rules.rule_to_json`) through one
+    writer, one JSON object per line, each stamped with ``created_at``."""
+    created_at = datetime.now(timezone.utc).isoformat()
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("a", encoding="utf-8") as f:
-        for e in entries:
-            f.write(json.dumps(entry_to_dict(e), sort_keys=True) + "\n")
+        for record in records:
+            f.write(json.dumps({**record, "created_at": created_at}, sort_keys=True) + "\n")
         f.flush()
         os.fsync(f.fileno())
 
 
-def read_catalog(path: str | Path) -> list[CatalogEntry]:
+def read_catalog(path: str | Path) -> list[dict]:
+    """The records of a catalog file, each checked by
+    :func:`revca.rules.rule_from_json`."""
     out = []
     with Path(path).open(encoding="utf-8") as f:
         for line in f:
             line = line.strip()
             if line:
-                out.append(entry_from_dict(json.loads(line)))
+                # interned keys are shared by every record; decoded anew for
+                # each line, they would take about 40% of a record's memory
+                record = {sys.intern(k): v for k, v in json.loads(line).items()}
+                rule_from_json(record)  # validates the two encodings agree
+                out.append(record)
     return out
 
 
@@ -117,10 +61,6 @@ class SweepCheckpoint:
     exclude_trivial: bool
     next_unit: int = 0
     total_units: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.total_units > 0 and self.next_unit >= self.total_units
 
 
 def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:
@@ -139,15 +79,26 @@ def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
+    """The checkpoint in ``path``, or None if there is no such file.
+
+    Content that is not a checkpoint of this version raises ``ValueError``.
+    """
     p = Path(path)
     if not p.exists():
         return None
-    d = json.loads(p.read_text(encoding="utf-8"))
-    if d.get("version") != CHECKPOINT_VERSION or d.get("kind") != "sweep":
-        raise ValueError(f"unrecognized checkpoint format in {p}")
-    return SweepCheckpoint(
-        diameter=int(d["diameter"]),
-        exclude_trivial=bool(d["exclude_trivial"]),
-        next_unit=int(d["next_unit"]),
-        total_units=int(d["total_units"]),
-    )
+    try:
+        d = json.loads(p.read_text(encoding="utf-8"))
+        if d.get("version") != CHECKPOINT_VERSION or d.get("kind") != "sweep":
+            raise ValueError(f"version {d.get('version')!r}, kind {d.get('kind')!r}")
+        cp = SweepCheckpoint(
+            diameter=int(d["diameter"]),
+            exclude_trivial=bool(d["exclude_trivial"]),
+            next_unit=int(d["next_unit"]),
+            total_units=int(d["total_units"]),
+        )
+        if not 0 <= cp.next_unit <= cp.total_units:
+            raise ValueError(f"next_unit {cp.next_unit} outside 0..{cp.total_units}")
+        return cp
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{p} is not a version-{CHECKPOINT_VERSION} sweep checkpoint: {exc!r}") from exc

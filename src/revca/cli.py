@@ -26,17 +26,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _rule_payload(rt: rules.RuleTable, provenance: tuple[str, ...],
-                  verified_debruijn: bool = False,
-                  verified_periodic_to: int = 0) -> dict:
-    payload = rules.rule_to_json(rt, provenance)
-    payload["trivial"] = str(rules.classify_trivial(rt))
-    payload["balanced"] = rules.is_balanced(rt)
-    payload["verified_debruijn"] = verified_debruijn
-    payload["verified_periodic_to"] = verified_periodic_to
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -106,8 +95,7 @@ def _read_pattern_lines(text: str) -> list[str]:
 def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     mixture = patterns.build_mixture(texts)
     rt = rules.induce(mixture)
-    verified_db = False
-    verified_to = 0
+    record = rules.rule_to_json(rt, [str(m) for m in mixture.members])
     if args.verify:
         verdict = injectivity.debruijn_injective(rt)
         periodic_ok = all(
@@ -117,22 +105,21 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
                   f"(debruijn={verdict.injective}, periodic={periodic_ok}); "
                   "this indicates a bug, please report it", file=sys.stderr)
             return EXIT_INTERNAL
-        verified_db = True
-        verified_to = args.max_period
-    provenance = tuple(str(m) for m in mixture.members)
-    _emit(_rule_payload(rt, provenance, verified_db, verified_to))
+        record["verified_debruijn"] = True
+        record["verified_periodic_to"] = args.max_period
+    _emit({**record, "trivial": rules.classify_trivial(rt),
+           "balanced": rules.is_balanced(rt)})
     if args.catalog:
-        catalog.append_entries(args.catalog, [catalog.entry_for_rule(
-            rt, provenance, verified_db, verified_to)])
+        catalog.append_entries(args.catalog, [record])
     return EXIT_OK
 
 
 def _max_period_error(max_period: int) -> bool:
-    """Report a --max-period outside 0..DEFAULT_EXHAUSTIVE_BOUND; True if so."""
-    if 0 <= max_period <= engine.DEFAULT_EXHAUSTIVE_BOUND:
+    """Report a --max-period outside 0..EXHAUSTIVE_BOUND; True if so."""
+    if 0 <= max_period <= engine.EXHAUSTIVE_BOUND:
         return False
     print(f"error: --max-period {max_period}: must be between 0 and "
-          f"{engine.DEFAULT_EXHAUSTIVE_BOUND}, the exhaustive bound", file=sys.stderr)
+          f"{engine.EXHAUSTIVE_BOUND}, the exhaustive bound", file=sys.stderr)
     return True
 
 
@@ -204,7 +191,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     total = len(sweep.units)
     start = 0
     if args.checkpoint:
-        cp = catalog.load_checkpoint(args.checkpoint)
+        try:
+            cp = catalog.load_checkpoint(args.checkpoint)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if cp is None:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, 0, total))
@@ -220,16 +211,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             start = cp.next_unit
 
     for i, found in enumerate(sweep.run(start), start):
-        entries = []
+        records = []
         for w in found:
-            entry = catalog.entry_for_rule(rules.from_wolfram(d, w), (),
-                                           verified_debruijn=True,
-                                           timestamp=bool(args.catalog))
-            print(json.dumps(catalog.entry_to_dict(entry, with_timestamp=False),
-                             sort_keys=True))
-            entries.append(entry)
-        if args.catalog and entries:
-            catalog.append_entries(args.catalog, entries)
+            record = rules.rule_to_json(rules.from_wolfram(d, w))
+            record["verified_debruijn"] = True
+            _emit(record)
+            records.append(record)
+        if args.catalog and records:
+            catalog.append_entries(args.catalog, records)
         if args.checkpoint:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, i + 1, total))

@@ -14,7 +14,8 @@ import numpy as np
 
 from .rules import RuleTable
 
-DEFAULT_EXHAUSTIVE_BOUND = 20
+# Longest period whose 2^n configurations the periodic checks enumerate.
+EXHAUSTIVE_BOUND = 20
 
 # Cells handled together in one slice: a periodic check steps this many cells
 # of its configurations at a time, and the sweeps' period filter gathers this
@@ -83,8 +84,11 @@ def space_time(rt: RuleTable, init: str, steps: int) -> list[str]:
 
 def all_configs(n: int) -> np.ndarray:
     """Cell matrix of every length-n configuration; row index encodes the word."""
-    ints = np.arange(1 << n, dtype=np.int64)
-    return ((ints[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    ints = np.arange(1 << n, dtype=np.uint32)
+    cells = np.empty((1 << n, n), dtype=np.uint8)
+    for i in range(n):  # one column at a time keeps the temporaries at 2^n words
+        cells[:, i] = (ints >> i) & 1
+    return cells
 
 
 def pack_configs(cells: np.ndarray) -> np.ndarray:
@@ -97,14 +101,13 @@ def pack_configs(cells: np.ndarray) -> np.ndarray:
     return codes
 
 
-def periodic_images(rt: RuleTable, n: int,
-                    bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> np.ndarray:
+def periodic_images(rt: RuleTable, n: int) -> np.ndarray:
     """Packed image of every length-n configuration, indexed by its code."""
     if n < 1:
         raise ValueError("period must be >= 1")
-    if n > bound:
+    if n > EXHAUSTIVE_BOUND:
         raise ExhaustiveBoundError(
-            f"2^{n} configurations exceed the exhaustive bound {bound}; "
+            f"2^{n} configurations exceed the exhaustive bound {EXHAUSTIVE_BOUND}; "
             "use random sampling for long periods")
     cells = all_configs(n)
     per = max(1, _SLICE_CELLS // n)
@@ -112,8 +115,7 @@ def periodic_images(rt: RuleTable, n: int,
                            for lo in range(0, len(cells), per)])
 
 
-def check_involution(rt: RuleTable, n: int,
-                     bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> bool:
+def check_involution(rt: RuleTable, n: int) -> bool:
     """True iff applying the map twice fixes every length-n configuration."""
-    images = periodic_images(rt, n, bound)
+    images = periodic_images(rt, n)
     return bool((images[images] == np.arange(len(images))).all())

@@ -33,7 +33,7 @@ import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -246,10 +246,9 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
 # ---------------------------------------------------------------------------
 # Periodic permutation checks.
 
-def periodic_bijective(rt: RuleTable, n: int,
-                       bound: int = engine.DEFAULT_EXHAUSTIVE_BOUND) -> bool:
+def periodic_bijective(rt: RuleTable, n: int) -> bool:
     """True iff the map permutes all 2^n configurations of length n."""
-    images = engine.periodic_images(rt, n, bound)
+    images = engine.periodic_images(rt, n)
     seen = np.zeros(len(images), dtype=bool)
     seen[images] = True
     return bool(seen.all())
@@ -258,14 +257,23 @@ def periodic_bijective(rt: RuleTable, n: int,
 # ---------------------------------------------------------------------------
 # Exhaustive rule-space sweeps.
 
+# Tables in one work unit of a full-table sweep (D <= 4).
+_CHUNK_TABLES = 1 << 12
+
+# Periods of the permutation filters a balanced table must pass before the
+# exact decision (D = 5).
+_FILTER_PERIODS = (4, 5, 6)
+
+
 def _trivial_wolframs(d: int) -> frozenset[int]:
     return frozenset(to_wolfram(t) for t in trivial_tables(d))
 
 
-def sweep_chunks(diameter: int, chunk_size: int = 1 << 12) -> list[tuple[int, int]]:
-    """Ordered [lo, hi) index ranges partitioning the full-table scan."""
+def sweep_chunks(diameter: int) -> list[tuple[int, int]]:
+    """Ordered [lo, hi) index ranges of ``_CHUNK_TABLES`` tables partitioning
+    the full-table scan."""
     total = 1 << (1 << diameter)
-    return [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
+    return [(lo, min(lo + _CHUNK_TABLES, total)) for lo in range(0, total, _CHUNK_TABLES)]
 
 
 def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
@@ -318,23 +326,17 @@ def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
     """Ordered work blocks (ones_in_upper_half, slice_start, slice_stop) for
     the balanced-table sweep of one diameter."""
     width = 1 << (diameter - 1)
-    half = 1 << (diameter - 1)
     by = _masks_by_popcount(width)
     blocks = []
-    for j in range(half + 1):
-        if j > width or half - j > width:
-            continue
-        ups, los = by[j], by[half - j]
-        if not ups.size or not los.size:
-            continue
+    for j in range(width + 1):
+        ups, los = by[j], by[width - j]
         step_u = max(1, (4 << 20) // los.size)
         for s in range(0, ups.size, step_u):
             blocks.append((j, s, min(s + step_u, ups.size)))
     return blocks
 
 
-def scan_balanced_block(diameter: int, block: tuple[int, int, int],
-                        filter_periods: Sequence[int] = (4, 5, 6)) -> list[int]:
+def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
     """Injective Wolfram numbers within one balanced-sweep block.
 
     Balance and small-period permutation are necessary conditions, so the
@@ -345,9 +347,9 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int],
     j, s, e = block
     by = _masks_by_popcount(width)
     ups = by[j][s:e]
-    los = by[(1 << (diameter - 1)) - j]
+    los = by[width - j]
     tables = ((ups[:, None] << np.uint64(width)) | los[None, :]).ravel()
-    for n in filter_periods:
+    for n in _FILTER_PERIODS:
         if not tables.size:
             break
         tables = tables[_permutes_period(tables, diameter, n)]

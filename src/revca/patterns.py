@@ -82,63 +82,12 @@ class PatternString:
         return self.symbols.index(FLIP)
 
     @property
-    def wild_left(self) -> int:
-        return len(self.symbols) - len(self.symbols.lstrip(WILD))
-
-    @property
-    def wild_right(self) -> int:
-        return len(self.symbols) - len(self.symbols.rstrip(WILD))
-
-    @property
     def core(self) -> str:
         return self.symbols.strip(WILD)
-
-    @property
-    def core_span(self) -> tuple[int, int]:
-        """Inclusive (start, end) indices of the core within the template."""
-        return (self.wild_left, self.diameter - 1 - self.wild_right)
-
-    @property
-    def left_radius(self) -> int:
-        """Concrete cells left of the flip cell inside the core."""
-        return self.core.index(FLIP)
-
-    @property
-    def right_radius(self) -> int:
-        return len(self.core) - 1 - self.core.index(FLIP)
-
-    @property
-    def is_core(self) -> bool:
-        return WILD not in self.symbols
-
-
-def parse_pattern(text: str) -> PatternString:
-    """Parse pattern text over ``0``, ``1``, ``X``, ``a`` (wildcard)."""
-    return PatternString(text)
-
-
-def format_pattern(p: PatternString) -> str:
-    return p.symbols
 
 
 def _symbols(p: PatternString | str) -> str:
     return p.symbols if isinstance(p, PatternString) else p
-
-
-def prefix_substring(p: PatternString | str, length: int) -> str:
-    """First ``length`` symbols; proper sub-strings only (1 <= length < D)."""
-    s = _symbols(p)
-    if not 1 <= length <= len(s) - 1:
-        raise PatternError(f"prefix length {length} out of range for {s!r}")
-    return s[:length]
-
-
-def suffix_substring(p: PatternString | str, length: int) -> str:
-    """Last ``length`` symbols; proper sub-strings only (1 <= length < D)."""
-    s = _symbols(p)
-    if not 1 <= length <= len(s) - 1:
-        raise PatternError(f"suffix length {length} out of range for {s!r}")
-    return s[-length:]
 
 
 def compatible(s: str, t: str) -> bool:

@@ -111,31 +111,15 @@ def is_balanced(rt: RuleTable) -> bool:
     return sum(rt.bits) == 1 << (rt.diameter - 1)
 
 
-@dataclass(frozen=True)
-class Triviality:
-    """Classification result: projection(j), complement(j), or nontrivial."""
-
-    kind: str  # "projection" | "complement" | "nontrivial"
-    cell: int | None = None
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind != "nontrivial"
-
-    def __str__(self) -> str:
-        if self.kind == "nontrivial":
-            return "nontrivial"
-        return f"{self.kind}({self.cell})"
-
-
-def classify_trivial(rt: RuleTable) -> Triviality:
-    """Compare against the 2*diameter shift/complement tables."""
+def classify_trivial(rt: RuleTable) -> str:
+    """``projection(j)`` or ``complement(j)`` when the table equals one of
+    the 2*diameter shift/complement tables, else ``nontrivial``."""
     for j in range(rt.diameter):
         if rt.bits == projection_table(rt.diameter, j).bits:
-            return Triviality("projection", j)
+            return f"projection({j})"
         if rt.bits == complement_table(rt.diameter, j).bits:
-            return Triviality("complement", j)
-    return Triviality("nontrivial")
+            return f"complement({j})"
+    return "nontrivial"
 
 
 def induce(mixture: MixtureSet) -> RuleTable:
@@ -167,18 +151,21 @@ def table_hex(rt: RuleTable) -> str:
 
 
 def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
-    """Wire form: both decimal and hex encodings plus the inducing patterns."""
+    """The record of a rule: both encodings, the inducing patterns, and the
+    verification flags, which start unset for the caller to fill in."""
     return {
         "diameter": rt.diameter,
         "anchor": rt.anchor,
         "wolfram_decimal": str(to_wolfram(rt)),
         "table_hex": table_hex(rt),
         "provenance": list(provenance),
+        "verified_debruijn": False,
+        "verified_periodic_to": 0,
     }
 
 
 def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
-    """Decode the wire form; the two encodings must agree bit for bit."""
+    """Decode a record; the two encodings must agree bit for bit."""
     d = int(obj["diameter"])
     w = int(obj["wolfram_decimal"])
     rt = from_wolfram(d, w, anchor=int(obj["anchor"]))

@@ -78,7 +78,7 @@ def _mixture_pool(diameter: int, anchor: int):
     pool = []
     for d in range(2, diameter + 1):
         for core in generate_all_patterns(d):
-            k = anchor - core.left_radius
+            k = anchor - core.anchor
             h = diameter - d - k
             if k >= 0 and h >= 0:
                 pool.append(extend(core, k, h))
@@ -257,7 +257,7 @@ def test_criterion_9_example_reconciliation():
         outcomes.append((text, computed, reported, verdict.injective and periodic
                          and involution))
         assert verdict.injective and periodic and involution, text
-        assert is_balanced(rt) and not classify_trivial(rt).is_trivial
+        assert is_balanced(rt) and classify_trivial(rt) == "nontrivial"
     detail = "; ".join(
         f"{t}: computed {c}" + (" == " if c == r else " != ") + f"reported {r}"
         for t, c, r, _ in outcomes)

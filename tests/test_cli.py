@@ -95,11 +95,16 @@ class TestInduce:
 
     def test_catalog_append(self, capsys, tmp_path):
         path = tmp_path / "cat.jsonl"
-        code, _, _ = run(capsys, "induce", "0X011", "--verify", "--catalog", str(path))
+        code, out, _ = run(capsys, "induce", "0X011", "--verify", "--catalog", str(path))
         assert code == 0
         entries = read_catalog(path)
-        assert len(entries) == 1 and entries[0].verified_debruijn
-        assert entries[0].created_at is not None
+        assert len(entries) == 1 and entries[0]["verified_debruijn"] is True
+        created_at = entries[0].pop("created_at")
+        assert created_at is not None
+        # the catalog line is the printed record without the two report fields
+        printed = json.loads(out)
+        assert (printed.pop("trivial"), printed.pop("balanced")) == ("nontrivial", True)
+        assert entries[0] == printed
 
     def test_no_timestamp_on_stdout(self, capsys):
         _, out, _ = run(capsys, "induce", "0X011")
@@ -212,8 +217,10 @@ class TestEnumerate:
                            "--checkpoint", str(ckpt), "--catalog", str(cat))
         assert code == 0 and len(out.splitlines()) == 6
         cp = load_checkpoint(ckpt)
-        assert cp.done
-        assert len(read_catalog(cat)) == 6
+        assert cp.next_unit == cp.total_units == 1
+        entries = read_catalog(cat)
+        assert all(e.pop("created_at") for e in entries)
+        assert entries == [json.loads(line) for line in out.splitlines()]
         # a second run resumes past the end and appends nothing
         code, out, err = run(capsys, "enumerate", "-d", "3",
                              "--checkpoint", str(ckpt), "--catalog", str(cat))
@@ -243,6 +250,31 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "-d", "3", "--checkpoint", str(ckpt))
         assert code == 2 and out == "" and "checkpoint" in err
         assert ckpt.read_bytes() == before
+
+    @pytest.mark.parametrize("text", [
+        "garbage",                           # JSONDecodeError
+        '{"version": 1, "kind": "sweep"}',   # KeyError
+        '{"version": 2, "kind": "sweep"}',   # unknown version
+        "[1]",                               # AttributeError
+        '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
+        '"next_unit": -1, "total_units": 1}',   # would rerun the sweep
+    ], ids=["garbage", "no-fields", "version-2", "list", "negative-next-unit"])
+    def test_unreadable_checkpoint_exits_2(self, capsys, tmp_path, text):
+        # a crash would end with exit 1, which reads as the NotInjective code
+        ckpt = tmp_path / "sweep.ckpt"
+        cat = tmp_path / "found.jsonl"
+        ckpt.write_text(text)
+        code, out, err = run(capsys, "enumerate", "-d", "3",
+                             "--checkpoint", str(ckpt), "--catalog", str(cat))
+        assert code == 2 and out == "" and not cat.exists()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "checkpoint" in err
+        assert ckpt.read_text() == text
+
+    def test_checkpoint_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "enumerate", "-d", "3", "--checkpoint", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
     def test_bad_thread_count_exits_2(self, capsys, monkeypatch, threads):

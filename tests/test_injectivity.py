@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -8,7 +9,9 @@ import brute
 from revca.engine import step
 from revca.injectivity import (
     Sweep,
+    _masks_by_popcount,
     _sweep_workers,
+    balanced_sweep_blocks,
     debruijn_injective,
     decide,
     exhaustive_injective,
@@ -226,6 +229,31 @@ class TestExhaustive:
             list(exhaustive_injective(5))  # needs allow_long
         with pytest.raises(ValueError):
             list(exhaustive_injective(0))
+
+
+class TestBalancedBlocks:
+    """The partition of the balanced tables that D=5 checkpoints count in."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_blocks_cover_the_balanced_tables(self, d):
+        width = 1 << (d - 1)
+        blocks = balanced_sweep_blocks(d)
+        covered = sum((e - s) * math.comb(width, width - j) for j, s, e in blocks)
+        assert covered == math.comb(2 * width, width)
+        if d <= 4:
+            # materialize each block as scan_balanced_block does
+            by = _masks_by_popcount(width)
+            tables = [int(t) for j, s, e in blocks
+                      for t in ((by[j][s:e, None] << np.uint64(width))
+                                | by[width - j][None, :]).ravel()]
+            assert len(set(tables)) == len(tables) == covered
+            assert set(tables) == {w for w in range(1 << (2 * width))
+                                   if bin(w).count("1") == width}
+
+    def test_diameter_5(self):
+        blocks = balanced_sweep_blocks(5)
+        assert len(blocks) == 156
+        assert sum((e - s) * math.comb(16, 16 - j) for j, s, e in blocks) == 601_080_390
 
 
 class TestSweepWorkers:

@@ -4,6 +4,7 @@ import brute
 from revca.patterns import (
     MixtureError,
     PatternError,
+    PatternString,
     build_mixture,
     compatible,
     enumerate_concretizations,
@@ -13,9 +14,6 @@ from revca.patterns import (
     generate_injective_patterns,
     independent,
     is_injective_pattern,
-    parse_pattern,
-    prefix_substring,
-    suffix_substring,
     unstable_overlap,
 )
 
@@ -25,45 +23,25 @@ EXTENDED_COUNTS = {3: 0, 4: 0, 5: 8, 6: 40, 7: 162, 8: 528, 9: 1562, 10: 4268}
 
 class TestParse:
     def test_plain_core(self):
-        p = parse_pattern("0X011")
-        assert (p.diameter, p.anchor, p.wild_left, p.wild_right) == (5, 1, 0, 0)
-        assert p.core == "0X011" and p.is_core
-        assert p.core_span == (0, 4)
+        p = PatternString("0X011")
+        assert (p.diameter, p.anchor, p.core) == (5, 1, "0X011")
 
     def test_single_flip(self):
-        p = parse_pattern("X")
-        assert (p.diameter, p.anchor) == (1, 0)
-        assert (p.left_radius, p.right_radius) == (0, 0)
+        p = PatternString("X")
+        assert (p.diameter, p.anchor, p.core) == (1, 0, "X")
 
     def test_extended(self):
-        p = parse_pattern("a0X011aa")
-        assert (p.diameter, p.anchor, p.wild_left, p.wild_right) == (8, 2, 1, 2)
-        assert p.core == "0X011"
-        assert p.core_span == (1, 5)
-        assert (p.left_radius, p.right_radius) == (1, 3)
+        p = PatternString("a0X011aa")
+        assert (p.diameter, p.anchor, p.core) == (8, 2, "0X011")
 
     def test_roundtrip(self):
         for text in ("X", "0X011", "a0X011aa", "aaX", "Xa"):
-            assert str(parse_pattern(text)) == text
+            assert str(PatternString(text)) == text
 
     @pytest.mark.parametrize("text", ["", "0011", "0XX1", "0Xa1", "a0aX", "0X2"])
     def test_rejects(self, text):
         with pytest.raises(PatternError):
-            parse_pattern(text)
-
-
-class TestSubstrings:
-    def test_examples(self):
-        assert prefix_substring("0X011", 2) == "0X"
-        assert suffix_substring("0X011", 3) == "011"
-        assert prefix_substring("0X011", 4) == "0X01"
-
-    def test_range(self):
-        for bad in (0, 5, 6, -1):
-            with pytest.raises(PatternError):
-                prefix_substring("0X011", bad)
-            with pytest.raises(PatternError):
-                suffix_substring("0X011", bad)
+            PatternString(text)
 
 
 class TestCompatible:
@@ -159,7 +137,7 @@ class TestExtend:
     def test_examples(self):
         assert str(extend("10X1", 0, 1)) == "10X1a"
         assert str(extend("0X011", 1, 2)) == "a0X011aa"
-        p = parse_pattern("0X011")
+        p = PatternString("0X011")
         assert extend(p, 0, 0) == p
 
     def test_anchor_shift(self):

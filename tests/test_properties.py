@@ -10,11 +10,10 @@ from revca.patterns import (
     build_mixture,
     compatible,
     enumerate_concretizations,
-    format_pattern,
     generate_all_patterns,
     independent,
     is_injective_pattern,
-    parse_pattern,
+    PatternString,
 )
 from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json, to_wolfram
 
@@ -51,7 +50,7 @@ words = st.text(alphabet="01", min_size=1, max_size=12)
 
 @given(pattern_texts())
 def test_pattern_parse_format_round_trip(text):
-    assert format_pattern(parse_pattern(text)) == text
+    assert str(PatternString(text)) == text
 
 
 @given(rule_tables())
@@ -76,15 +75,15 @@ def test_compatible_matches_enumeration(n, data):
 
 @given(pattern_texts(max_core=8, max_pad=0))
 def test_injectivity_matches_interference_search(text):
-    core = parse_pattern(text).core
+    core = PatternString(text).core
     assert is_injective_pattern(core) == (not brute.interference_offsets(core, core))
 
 
 @given(pattern_texts(max_core=6, max_pad=2))
 def test_concretization_cardinality(text):
-    p = parse_pattern(text)
+    p = PatternString(text)
     ws = enumerate_concretizations(p)
-    assert len(ws) == 1 << (p.wild_left + p.wild_right + 1)
+    assert len(ws) == 1 << (p.diameter - len(p.core) + 1)
     assert len(set(ws)) == len(ws)
     assert all(brute.matches(w, text) for w in ws)
 
