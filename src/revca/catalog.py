@@ -35,17 +35,22 @@ def append_entries(path: str | Path, records: list[dict]) -> None:
 
 def read_catalog(path: str | Path) -> list[dict]:
     """The records of a catalog file, each checked by
-    :func:`revca.rules.rule_from_json`."""
+    :func:`revca.rules.rule_from_json`.  A line that is not a rule record
+    raises ``ValueError`` naming its line number."""
     out = []
     with Path(path).open(encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
-            if line:
-                # interned keys are shared by every record; decoded anew for
-                # each line, they would take about 40% of a record's memory
-                record = {sys.intern(k): v for k, v in json.loads(line).items()}
-                rule_from_json(record)  # validates the two encodings agree
-                out.append(record)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                rule_from_json(record)  # validates the record and its encodings
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
+            # interned keys are shared by every record; decoded anew for each
+            # line, they would take about 40% of a record's memory
+            out.append({sys.intern(k): v for k, v in record.items()})
     return out
 
 

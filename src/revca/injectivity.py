@@ -15,14 +15,18 @@ For a rejected table, a shortest cycle through a chosen surviving node yields
 two distinct periodic configurations with equal images, returned as the
 witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap.
 
-Exhaustive rule-space sweeps provide ground truth: every table of a diameter
-is scanned at D <= 4; D = 5 is gated behind an explicit flag and prunes the
-2^32 tables to the balanced ones (a necessary condition for injectivity) and
-then through vectorized small-period permutation filters before the exact
-pair-graph decision.  D >= 6 is refused outright.  :class:`Sweep` is the one
-driver for both the library and the command line: it checks the request,
-lists the work units and scans them in order, on ``REVCA_THREADS`` worker
-processes when that is above 1.
+Exhaustive rule-space sweeps provide ground truth.  Three necessary
+conditions for injectivity are bit tests on a Wolfram number: balance (equal
+0/1 output counts), f(0^D) != f(1^D) (the map permutes the words of period 1)
+and f(A) != f(~A) for the D-cell word A = 0101... (with the first, the map
+permutes the words of period 2).  At D <= 4 every table of a diameter is
+scanned, and only those passing the three tests are decided.  D = 5 is gated
+behind an explicit flag; it builds only the balanced tables that pass the
+period 1 and 2 tests, runs them through vectorized permutation filters at
+periods 4..6 and decides the survivors.  D >= 6 is refused outright.
+:class:`Sweep` is the one driver for both the library and the command line:
+it checks the request, lists the work units and scans them in order, on
+``REVCA_THREADS`` worker processes when that is above 1.
 """
 
 from __future__ import annotations
@@ -276,9 +280,46 @@ def sweep_chunks(diameter: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_TABLES, total)) for lo in range(0, total, _CHUNK_TABLES)]
 
 
+def _bit(tables: np.ndarray, v: int) -> np.ndarray:
+    """Output bit at window value v of each Wolfram number in a uint64 array."""
+    return (tables >> np.uint64(v)) & np.uint64(1)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each element of a uint64 array (SWAR; np.bitwise_count
+    needs numpy 2)."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def _period_words(diameter: int) -> tuple[int, int, int, int]:
+    """Window values of 0^D, 1^D, A = 0101... and ~A = 1010...: a table
+    permutes the words of period 1 iff its outputs at the first two differ,
+    and those of period 2 iff, in addition, its outputs at the last two do."""
+    ones = (1 << diameter) - 1
+    alt = ones // 3
+    return 0, ones, alt, ones ^ alt
+
+
+def _passes_bit_tests(diameter: int, tables: np.ndarray) -> np.ndarray:
+    """Mask of the Wolfram numbers (uint64, D <= 5) that are balanced and
+    permute the words of periods 1 and 2."""
+    zeros, ones, alt, alt_c = _period_words(diameter)
+    return ((_popcount(tables) == 1 << (diameter - 1))
+            & (_bit(tables, zeros) != _bit(tables, ones))
+            & (_bit(tables, alt) != _bit(tables, alt_c)))
+
+
 def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
-    """Wolfram numbers in [lo, hi) whose global map is injective, ascending."""
+    """Wolfram numbers in [lo, hi) whose global map is injective, ascending.
+
+    Only the tables that pass the bit tests of balance and periods 1 and 2
+    (all necessary for injectivity) reach the exact decision.
+    """
     tables = np.arange(lo, hi, dtype=np.uint64)
+    tables = tables[_passes_bit_tests(diameter, tables)]
     return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
 
 
@@ -336,19 +377,40 @@ def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
     return blocks
 
 
-def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
-    """Injective Wolfram numbers within one balanced-sweep block.
+def _block_tables(diameter: int, block: tuple[int, int, int]) -> np.ndarray:
+    """The tables of one balanced-sweep block that permute the words of
+    periods 1 and 2, unordered.
 
-    Balance and small-period permutation are necessary conditions, so the
-    prefilters cannot drop an injective table; survivors get the exact
-    pair-graph decision.
+    A block's tables are the products of its upper halves (window values
+    with a leading 1) and the lower halves of the complementary popcount.
+    f(0^D) and f(A) lie in the lower half and f(1^D) and f(~A) in the upper
+    one, so both halves are classed by their two bits and only the products
+    of classes whose bits differ pairwise are built: about a quarter.
     """
     width = 1 << (diameter - 1)
     j, s, e = block
     by = _masks_by_popcount(width)
     ups = by[j][s:e]
     los = by[width - j]
-    tables = ((ups[:, None] << np.uint64(width)) | los[None, :]).ravel()
+    zeros, ones, alt, alt_c = _period_words(diameter)
+    up_class = 2 * _bit(ups, ones - width) + _bit(ups, alt_c - width)
+    lo_class = 2 * _bit(los, zeros) + _bit(los, alt)
+    parts = [((ups[up_class == c, None] << np.uint64(width))
+              | los[lo_class == 3 - c][None, :]).ravel() for c in range(4)]
+    return np.concatenate(parts)
+
+
+def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
+    """Injective Wolfram numbers within one balanced-sweep block, ascending.
+
+    Balance and permutation of the words of periods 1, 2 and 4..6 are
+    necessary conditions, so the prefilters cannot drop an injective table;
+    survivors get the exact pair-graph decision.  Balance holds by
+    construction of the block and periods 1 and 2 are bit tests on the
+    block's halves (see :func:`_block_tables`); the other periods run
+    vectorized over the tables that are left.
+    """
+    tables = _block_tables(diameter, block)
     for n in _FILTER_PERIODS:
         if not tables.size:
             break

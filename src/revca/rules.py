@@ -111,15 +111,20 @@ def is_balanced(rt: RuleTable) -> bool:
     return sum(rt.bits) == 1 << (rt.diameter - 1)
 
 
+_TRIVIAL_LABELS: dict[int, dict[tuple[int, ...], str]] = {}
+
+
 def classify_trivial(rt: RuleTable) -> str:
     """``projection(j)`` or ``complement(j)`` when the table equals one of
     the 2*diameter shift/complement tables, else ``nontrivial``."""
-    for j in range(rt.diameter):
-        if rt.bits == projection_table(rt.diameter, j).bits:
-            return f"projection({j})"
-        if rt.bits == complement_table(rt.diameter, j).bits:
-            return f"complement({j})"
-    return "nontrivial"
+    d = rt.diameter
+    if d not in _TRIVIAL_LABELS:
+        labels: dict[tuple[int, ...], str] = {}
+        for j in range(d):
+            labels.setdefault(projection_table(d, j).bits, f"projection({j})")
+            labels.setdefault(complement_table(d, j).bits, f"complement({j})")
+        _TRIVIAL_LABELS[d] = labels
+    return _TRIVIAL_LABELS[d].get(tuple(rt.bits), "nontrivial")
 
 
 def induce(mixture: MixtureSet) -> RuleTable:
@@ -165,11 +170,25 @@ def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
 
 
 def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
-    """Decode a record; the two encodings must agree bit for bit."""
-    d = int(obj["diameter"])
-    w = int(obj["wolfram_decimal"])
-    rt = from_wolfram(d, w, anchor=int(obj["anchor"]))
-    if int(obj["table_hex"], 16) != w:
+    """Decode a record; the two encodings must agree bit for bit.
+
+    Raises ``ValueError`` for anything that is not a rule record: not a JSON
+    object, a field missing or of the wrong type, or disagreeing encodings.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a rule record is a JSON object, got {type(obj).__name__}")
+    try:
+        d = int(obj["diameter"])
+        w = int(obj["wolfram_decimal"])
+        anchor = int(obj["anchor"])
+        hex_value = int(obj["table_hex"], 16)
+        provenance = tuple(obj.get("provenance", ()))
+    except KeyError as exc:
+        raise ValueError(f"rule record lacks {exc}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed rule record: {exc}") from None
+    rt = from_wolfram(d, w, anchor=anchor)
+    if hex_value != w:
         raise ValueError(
             f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal {w}")
-    return rt, tuple(obj.get("provenance", ()))
+    return rt, provenance

@@ -50,6 +50,20 @@ def test_corrupt_entry_rejected(tmp_path):
         read_catalog(path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"diameter": 3}',
+    "[1]",
+    '"x"',
+    '{"diameter": 3, "anchor": 0, "wolfram_decimal": "240", "table_hex": 240}',
+], ids=["missing-fields", "list", "string", "numeric-table-hex"])
+def test_non_record_line_raises_value_error(tmp_path, line):
+    # valid JSON that is not a rule record, after one good line
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(json.dumps(rule_to_json(from_wolfram(3, 240))) + "\n" + line + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_catalog(path)
+
+
 def test_timestamp_optional(tmp_path):
     # the record printed on stdout has no timestamp; the catalog line gains
     # one, and a line without one still reads back

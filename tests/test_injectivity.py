@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,18 +11,23 @@ import brute
 from revca.engine import step
 from revca.injectivity import (
     Sweep,
+    _block_tables,
     _masks_by_popcount,
+    _passes_bit_tests,
+    _permutes_period,
     _sweep_workers,
     balanced_sweep_blocks,
     debruijn_injective,
     decide,
     exhaustive_injective,
     periodic_bijective,
+    scan_unit,
 )
 from revca.patterns import build_mixture, enumerate_extended, generate_all_patterns
 from revca.rules import (
     from_wolfram,
     induce,
+    is_balanced,
     to_wolfram,
     trivial_tables,
 )
@@ -241,11 +248,15 @@ class TestBalancedBlocks:
         covered = sum((e - s) * math.comb(width, width - j) for j, s, e in blocks)
         assert covered == math.comb(2 * width, width)
         if d <= 4:
-            # materialize each block as scan_balanced_block does
+            # materialize each block whole, as the product of its halves
             by = _masks_by_popcount(width)
-            tables = [int(t) for j, s, e in blocks
-                      for t in ((by[j][s:e, None] << np.uint64(width))
-                                | by[width - j][None, :]).ravel()]
+            tables = []
+            for j, s, e in blocks:
+                block = ((by[j][s:e, None] << np.uint64(width)) | by[width - j][None, :]).ravel()
+                # the class-wise build keeps exactly the tables passing the bit tests
+                assert np.array_equal(np.sort(_block_tables(d, (j, s, e))),
+                                      np.sort(block[_passes_bit_tests(d, block)]))
+                tables += block.tolist()
             assert len(set(tables)) == len(tables) == covered
             assert set(tables) == {w for w in range(1 << (2 * width))
                                    if bin(w).count("1") == width}
@@ -254,6 +265,53 @@ class TestBalancedBlocks:
         blocks = balanced_sweep_blocks(5)
         assert len(blocks) == 156
         assert sum((e - s) * math.comb(16, 16 - j) for j, s, e in blocks) == 601_080_390
+
+
+class TestBitTests:
+    """Balance and periods 1 and 2 as bit tests on Wolfram numbers."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equal_to_the_generic_checks(self, d):
+        tables = np.arange(1 << (1 << d), dtype=np.uint64)
+        balanced = np.array([is_balanced(from_wolfram(d, w)) for w in range(tables.size)])
+        expected = balanced & _permutes_period(tables, d, 1) & _permutes_period(tables, d, 2)
+        assert np.array_equal(_passes_bit_tests(d, tables), expected)
+
+    def test_diameter_5_blocks_find_the_reference_tables(self):
+        """scan_unit on 2^18-table D=5 blocks, shaped like the benchmark's:
+        one around each of the 62 injective tables of perfbench/reference.json
+        and three that hold none of them."""
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                / "reference.json").read_text())["d5_injective"]
+        assert len(reference) == 62
+
+        def place(w):
+            # stratum and rank of the upper half among the 16-bit values of
+            # its popcount, in ascending order (combinatorial number system)
+            ones = [p for p in range(16) if (w >> 16) >> p & 1]
+            return len(ones), sum(math.comb(p, k) for k, p in enumerate(ones, 1))
+
+        def block_at(j, start):
+            size = math.comb(16, j)
+            width = max(1, (1 << 18) // size)
+            s = max(0, min(start, size - width))
+            return j, s, min(s + width, size)
+
+        def inside(block):
+            j, s, e = block
+            return sorted(w for w in reference if place(w)[0] == j and s <= place(w)[1] < e)
+
+        for w in reference:
+            j, rank = place(w)
+            block = block_at(j, rank - (1 << 18) // math.comb(16, j) // 2)
+            found = scan_unit(5, block)
+            assert w in found and found == inside(block), (w, block)
+        empty = []
+        for j in (6, 8, 10):
+            block = next(b for b in (block_at(j, s) for s in range(0, math.comb(16, j), 64))
+                         if not inside(b))
+            empty.append(scan_unit(5, block))
+        assert empty == [[], [], []]
 
 
 class TestSweepWorkers:
