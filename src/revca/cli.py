@@ -1,8 +1,9 @@
 """Command-line front end: pattern generation, rule induction, verification,
 exhaustive enumeration, and simulation.
 
-Exit codes: 0 success (and "injective" for verify), 2 usage or malformed
-input, 3 validation failure such as an independence violation, 4 internal
+Exit codes: 0 success (and "injective" for verify), 1 not injective (verify),
+2 usage, malformed input or a file that cannot be read or written, 3
+validation failure such as an independence violation, 4 internal
 invariant breach.  Stdout is byte-deterministic for fixed inputs; progress and
 summaries go to stderr, timestamps only into catalog files.
 """
@@ -107,10 +108,10 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
             return EXIT_INTERNAL
         record["verified_debruijn"] = True
         record["verified_periodic_to"] = args.max_period
-    _emit({**record, "trivial": rules.classify_trivial(rt),
-           "balanced": rules.is_balanced(rt)})
     if args.catalog:
         catalog.append_entries(args.catalog, [record])
+    _emit({**record, "trivial": rules.classify_trivial(rt),
+           "balanced": rules.is_balanced(rt)})
     return EXIT_OK
 
 
@@ -131,12 +132,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         # each input line is induced on its own (pipe-friendly)
         groups = [[t] for t in _read_pattern_lines(sys.stdin.read())]
     elif args.mixture_file:
-        try:
-            text = Path(args.mixture_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        groups = [_read_pattern_lines(text)]
+        groups = [_read_pattern_lines(Path(args.mixture_file).read_text(encoding="utf-8"))]
     if args.pattern:
         groups.append(list(args.pattern))
     if not groups or not any(groups):
@@ -193,7 +189,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.checkpoint:
         try:
             cp = catalog.load_checkpoint(args.checkpoint)
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if cp is None:
@@ -215,10 +211,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for w in found:
             record = rules.rule_to_json(rules.from_wolfram(d, w))
             record["verified_debruijn"] = True
-            _emit(record)
             records.append(record)
         if args.catalog and records:
             catalog.append_entries(args.catalog, records)
+        for record in records:
+            _emit(record)
         if args.checkpoint:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, i + 1, total))
@@ -329,7 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

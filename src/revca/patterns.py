@@ -7,16 +7,27 @@ contiguous padding at the two ends.  The wildcard-free stretch around ``X`` is
 the *core*; its cell counts left and right of ``X`` are the radii ``L`` and
 ``R``.
 
-A core is an *injective pattern* when no shifted copy of it can coexist with
-it in a configuration while one copy's flip cell sits on a concrete cell of
-the other.  Two cores are *independent* when the same holds across the pair at
-every relative offset.  A set of equal-diameter, equal-anchor patterns that is
+All the calculus runs on window values, with the leftmost cell as the most
+significant bit.  A template is the pair ``(value, care)``: ``care`` has a bit
+for each ``0``/``1`` cell and ``value`` the bits of its ``1`` cells, so a
+window ``w`` matches iff ``w & care == value``.  Placing core ``b`` with its
+flip cell ``k`` cells right of core ``a``'s, the two clash iff
+``(va ^ vb) & ca & cb != 0`` once both are shifted into one frame.
+
+A core is an *injective pattern* (stable) when every placement of a copy of
+it at shifts ``k = 1..max(L, R)``, the ones that put a flip cell on the other
+copy, clashes.  Two cores are *independent* when every placement at
+``k = -max(L_a, R_b) .. max(R_a, L_b)`` clashes; ``k = 0`` is a single window
+matching both.  A set of equal-diameter, equal-anchor patterns that is
 pairwise independent is a *mixture*; the rule induced from it flips exactly
 the anchor cell of every window matching a member, which makes the global map
 an involution and therefore injective.
 
-All values here are immutable and all functions are pure, so enumerations can
-be partitioned freely across workers and merged.
+``generate_injective_patterns`` tests all ``2^(L+R)`` fillings of one split at
+once on a numpy array; the per-core checks stay on Python integers.
+Enumeration is limited to diameters up to :data:`MAX_DIAMETER`.  All values
+here are immutable and all functions are pure, so enumerations can be
+partitioned freely across workers and merged.
 """
 
 from __future__ import annotations
@@ -25,12 +36,19 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 ZERO = "0"
 ONE = "1"
 FLIP = "X"
 WILD = "a"
 
+# gen-extended at this diameter peaks at about 260 MB
+MAX_DIAMETER = 16
+
 _ALPHABET = frozenset((ZERO, ONE, FLIP, WILD))
+_VALUE = str.maketrans("01Xa", "0100")
+_CARE = str.maketrans("01Xa", "1100")
 
 
 class PatternError(ValueError):
@@ -41,7 +59,9 @@ class MixtureError(ValueError):
     """A candidate pattern set failed mixture validation.
 
     Carries the violated clause, the offending pair (when pairwise), and a
-    human-readable detail such as the witnessing overlap length or offset.
+    human-readable detail naming the shift at which the pair fits together:
+    at shift ``k`` the second core's flip cell sits ``k`` cells right of the
+    first's.
     """
 
     def __init__(self, clause: str, message: str,
@@ -85,105 +105,70 @@ class PatternString:
     def core(self) -> str:
         return self.symbols.strip(WILD)
 
-
-def _symbols(p: PatternString | str) -> str:
-    return p.symbols if isinstance(p, PatternString) else p
-
-
-def compatible(s: str, t: str) -> bool:
-    """True when two equal-length templates admit a common concrete window.
-
-    ``X`` and ``a`` match anything, so the templates are incompatible exactly
-    when some position pins ``0`` against ``1``.
-    """
-    s, t = _symbols(s), _symbols(t)
-    if len(s) != len(t):
-        raise PatternError(f"length mismatch: {s!r} vs {t!r}")
-    return all(a == b or a in "Xa" or b in "Xa" for a, b in zip(s, t))
+    @property
+    def template(self) -> tuple[int, int]:
+        """``(value, care)``: window ``w`` matches iff ``w & care == value``."""
+        s = self.symbols
+        return int(s.translate(_VALUE), 2), int(s.translate(_CARE), 2)
 
 
-def _require_core(p: PatternString | str) -> str:
-    s = _symbols(p)
+def _check_diameter(diameter: int) -> None:
+    if not 1 <= diameter <= MAX_DIAMETER:
+        raise PatternError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
+
+
+def _core(p: PatternString | str) -> tuple[int, int, int, int]:
+    """``(value, care, L, R)`` of a wildcard-free core."""
+    s = str(p)
     if WILD in s:
         raise PatternError(f"operation requires a wildcard-free core: {s!r}")
-    if s.count(FLIP) != 1:
-        raise PatternError(f"not a pattern core: {s!r}")
-    return s
-
-
-def unstable_overlap(p: PatternString | str) -> int | None:
-    """Shortest self-overlap length that breaks stability, or None.
-
-    A core with radii (L, R) is stable iff every end-overlap of two copies
-    whose overlap region contains a flip cell is contradictory.  Those are
-    exactly the overlap lengths min(L, R)+1 .. L+R.  Length-1 cores are
-    vacuously stable.
-    """
-    s = _require_core(p)
+    value, care = PatternString(s).template
     left = s.index(FLIP)
-    right = len(s) - 1 - left
-    for n in range(min(left, right) + 1, left + right + 1):
-        if compatible(s[:n], s[-n:]):
-            return n
+    return value, care, left, len(s) - 1 - left
+
+
+def _first_fit(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
+               shifts: range) -> int | None:
+    """The first shift ``k`` at which core ``b``, its flip cell ``k`` cells
+    right of core ``a``'s, pins no cell against ``a``; None if all clash."""
+    va, ca, _, ra = a
+    vb, cb, _, rb = b
+    for k in shifts:
+        sa, sb = max(0, k + rb - ra), max(0, ra - rb - k)
+        if not ((va << sa) ^ (vb << sb)) & (ca << sa) & (cb << sb):
+            return k
     return None
+
+
+def _unstable_shift(c: tuple[int, int, int, int]) -> int | None:
+    return _first_fit(c, c, range(1, max(c[2], c[3]) + 1))
+
+
+def _interfering_shift(a: tuple[int, int, int, int],
+                       b: tuple[int, int, int, int]) -> int | None:
+    return _first_fit(a, b, range(-max(a[2], b[3]), max(a[3], b[2]) + 1))
 
 
 def is_injective_pattern(p: PatternString | str) -> bool:
     """True when the core is stable under all self-overlaps (see module doc)."""
-    return unstable_overlap(p) is None
+    return _unstable_shift(_core(p)) is None
 
 
-def _core_conflict(a: str, b: str) -> tuple[str, int] | None:
-    """First interfering placement of one core against another, or None.
-
-    Scans every relative offset at which either core's flip cell lies inside
-    the other core's span:
-
-    * partial end-overlaps, both arrangements, at overlap lengths from
-      min(R_left, L_right)+1 up to the shorter core (the lengths whose overlap
-      region contains at least one flip cell);
-    * every alignment of the shorter core inside the longer one's span,
-      including the flip-aligned one, which would let a single window match
-      both cores.
-
-    Returns ("overlap", length) or ("containment", offset) naming the witness.
-    """
-    for left, right in ((a, b), (b, a)):
-        r_left = len(left) - 1 - left.index(FLIP)
-        l_right = right.index(FLIP)
-        for n in range(min(r_left, l_right) + 1, min(len(left), len(right))):
-            if compatible(left[-n:], right[:n]):
-                return ("overlap", n)
-    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-    for off in range(len(longer) - len(shorter) + 1):
-        if compatible(shorter, longer[off:off + len(shorter)]):
-            return ("containment", off)
-    return None
-
-
-def independent(p_short: PatternString | str, p_long: PatternString | str) -> bool:
-    """Pairwise non-interference of two cores (self-pair reduces to stability).
-
-    For distinct cores this requires a guaranteed symbol clash at every
-    placement where one core's flip cell falls on the other core's span: all
-    end-overlaps containing a flip cell, in both directions, and all
-    alignments of the shorter core within the longer one.
-    """
-    a = _require_core(p_short)
-    b = _require_core(p_long)
-    if len(a) > len(b):
-        raise PatternError("first argument must not be longer than the second")
+def independent(p: PatternString | str, q: PatternString | str) -> bool:
+    """Pairwise non-interference of two cores (self-pair reduces to stability):
+    every placement that puts one flip cell on the other core clashes."""
+    a, b = _core(p), _core(q)
     if a == b:
-        return is_injective_pattern(a)
-    return _core_conflict(a, b) is None
+        return _unstable_shift(a) is None
+    return _interfering_shift(a, b) is None
 
 
 def extend(p: PatternString | str, k: int, h: int) -> PatternString:
     """Pad a core with k leading and h trailing wildcards."""
-    s = _require_core(p)
+    _core(p)  # rejects anything but a core
     if k < 0 or h < 0:
         raise PatternError("wildcard counts must be >= 0")
-    return PatternString(WILD * k + s + WILD * h)
+    return PatternString(WILD * k + str(p) + WILD * h)
 
 
 def _order_key(p: PatternString) -> tuple[int, int, int]:
@@ -194,30 +179,34 @@ def _order_key(p: PatternString) -> tuple[int, int, int]:
 def generate_injective_patterns(left: int, right: int) -> tuple[PatternString, ...]:
     """All stable cores with the given radii, ascending by window value.
 
-    Enumerates the 2^(left+right) fillings of the concrete cells (the flip
-    cell is not free) and keeps the stable ones; cost is O(2^(L+R) (L+R)^2).
+    Tests the 2^(left+right) fillings of the concrete cells (the flip cell is
+    not free) at once: filling ``v`` is stable iff
+    ``(v ^ (v >> k)) & care & (care >> k) != 0`` for every ``k`` in
+    ``1..max(left, right)``.
     """
     if left < 0 or right < 0:
         raise PatternError("radii must be >= 0")
+    n = left + right
+    _check_diameter(n + 1)
+    fill = np.arange(1 << n)
+    value = ((fill >> right) << (right + 1)) | (fill & ((1 << right) - 1))
+    care = ((1 << (n + 1)) - 1) ^ (1 << right)
+    stable = np.ones(fill.shape, bool)
+    for k in range(1, max(left, right) + 1):
+        stable &= ((value ^ (value >> k)) & (care & (care >> k))) != 0
     out = []
-    for lv in range(1 << left):
-        lpart = format(lv, f"0{left}b") if left else ""
-        for rv in range(1 << right):
-            rpart = format(rv, f"0{right}b") if right else ""
-            core = lpart + FLIP + rpart
-            if unstable_overlap(core) is None:
-                out.append(PatternString(core))
+    for f in fill[stable].tolist():
+        cells = format(f | 1 << n, "b")[1:]
+        out.append(PatternString(cells[:left] + FLIP + cells[left:]))
     return tuple(out)
 
 
 def generate_all_patterns(diameter: int) -> tuple[PatternString, ...]:
-    """All stable cores of one diameter, over every (L, R) split of it."""
-    if diameter < 1:
-        raise PatternError("diameter must be >= 1")
-    out: list[PatternString] = []
-    for left in range(diameter):
-        out.extend(generate_injective_patterns(left, diameter - 1 - left))
-    return tuple(sorted(out, key=_order_key))
+    """All stable cores of one diameter, over every (L, R) split of it, by
+    anchor and then by value."""
+    _check_diameter(diameter)
+    return tuple(p for left in range(diameter)
+                 for p in generate_injective_patterns(left, diameter - 1 - left))
 
 
 def enumerate_extended(diameter: int) -> tuple[PatternString, ...]:
@@ -228,27 +217,13 @@ def enumerate_extended(diameter: int) -> tuple[PatternString, ...]:
     every window, so it induces a plain complement rule rather than anything
     new, and including it would double-count the trivial family.
     """
-    if diameter < 1:
-        raise PatternError("diameter must be >= 1")
+    _check_diameter(diameter)
     out: list[PatternString] = []
     for d in range(2, diameter):
-        for core in generate_all_patterns(d):
+        for core in generate_all_patterns(d):  # stable cores: no need to re-check
             for k in range(diameter - d + 1):
-                out.append(extend(core, k, diameter - d - k))
+                out.append(PatternString(WILD * k + core.symbols + WILD * (diameter - d - k)))
     return tuple(sorted(out, key=_order_key))
-
-
-def enumerate_concretizations(p: PatternString | str) -> tuple[str, ...]:
-    """All 2^(k+h+1) concrete windows matching the template (flip and wilds free)."""
-    s = _symbols(p)
-    free = [i for i, ch in enumerate(s) if ch in (FLIP, WILD)]
-    out = []
-    for combo in itertools.product((ZERO, ONE), repeat=len(free)):
-        w = list(s)
-        for i, bit in zip(free, combo):
-            w[i] = bit
-        out.append("".join(w))
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -269,9 +244,9 @@ def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
 
     Rejections carry the violated clause and the first offending pair:
     diameter or anchor mismatch, an unstable member core, or a pairwise
-    interference (overlap length / containment offset named in the message).
+    interference (the shift at which the pair fits is named in the message).
     """
-    pats = [PatternString(t) for t in sorted({_symbols(c) for c in candidates})]
+    pats = [PatternString(t) for t in sorted({str(c) for c in candidates})]
     if not pats:
         raise MixtureError("empty", "mixture needs at least one pattern")
     first = pats[0]
@@ -286,20 +261,20 @@ def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
                 "anchor",
                 f"anchor mismatch: {first} flips cell {first.anchor}, {p} flips cell {p.anchor}",
                 pair=(first, p))
+    cores = {p: _core(p.core) for p in pats}
     for p in pats:
-        n = unstable_overlap(p.core)
-        if n is not None:
+        k = _unstable_shift(cores[p])
+        if k is not None:
             raise MixtureError(
                 "self-stability",
-                f"{p} is not an injective pattern: self-overlap of length {n} is realizable",
+                f"{p} is not an injective pattern: its core fits a copy of itself "
+                f"at shift {k}",
                 pair=(p, p))
     for p, q in itertools.combinations(pats, 2):
-        conflict = _core_conflict(p.core, q.core)
-        if conflict is not None:
-            kind, at = conflict
-            where = f"overlap length {at}" if kind == "overlap" else f"offset {at}"
+        k = _interfering_shift(cores[p], cores[q])
+        if k is not None:
             raise MixtureError(
                 "independence",
-                f"patterns {p} and {q} are not independent ({kind} at {where})",
+                f"patterns {p} and {q} are not independent: their cores fit at shift {k}",
                 pair=(p, q))
     return MixtureSet(tuple(sorted(pats, key=_order_key)), first.diameter, first.anchor)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .patterns import MixtureSet, PatternString, enumerate_concretizations
+from .patterns import MixtureSet, PatternString
 
 WolframNumber = int
 
@@ -129,7 +129,8 @@ def classify_trivial(rt: RuleTable) -> str:
 
 def induce(mixture: MixtureSet) -> RuleTable:
     """Rule induced by a mixture: start from the anchor projection and flip
-    the entry of every window matching a member.
+    the entry of every window ``w`` with ``w & care == value`` for a member's
+    template ``(value, care)``.
 
     Members of a valid mixture control disjoint window sets; a collision
     aborts with :class:`FlipCollisionError` since it would mean the mixture
@@ -139,13 +140,19 @@ def induce(mixture: MixtureSet) -> RuleTable:
     bits = list(projection_table(d, j).bits)
     owner: dict[int, PatternString] = {}
     for member in mixture.members:
-        for window in enumerate_concretizations(member):
-            v = int(window, 2)
-            if v in owner:
+        value, care = member.template
+        free = ((1 << d) - 1) ^ care
+        sub = free
+        while True:  # every submask of the free cells, down to 0
+            w = value | sub
+            if w in owner:
                 raise FlipCollisionError(
-                    f"window {window} claimed by both {owner[v]} and {member}")
-            owner[v] = member
-            bits[v] ^= 1
+                    f"window {w:0{d}b} claimed by both {owner[w]} and {member}")
+            owner[w] = member
+            bits[w] ^= 1
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return RuleTable(d, tuple(bits), anchor=j)
 
 

@@ -26,10 +26,6 @@ def matches(window: str, template: str) -> bool:
         t in "Xa" or t == w for w, t in zip(window, template))
 
 
-def compatible(s: str, t: str) -> bool:
-    return any(matches(w, t) for w in expand(s))
-
-
 def interference_offsets(c1: str, c2: str) -> list[int]:
     """Nonzero anchor offsets at which both cores can appear in one
     configuration while one core's flip cell sits on a cell the other core

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
-from revca import injectivity
+from revca import injectivity, patterns
 from revca.cli import main
 from revca.patterns import enumerate_extended
 
@@ -46,6 +46,24 @@ class TestGenPatterns:
     def test_gen_extended(self, capsys):
         code, out, err = run(capsys, "gen-extended", "--diameter", "5")
         assert code == 0 and len(out.splitlines()) == 8 and "count: 8" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-patterns", "-d", "17"],
+        ["gen-patterns", "-d", "40"],       # was a 4 TiB allocation
+        ["gen-patterns", "-d", "64"],       # was an OverflowError
+        ["gen-patterns", "--left", "40", "--right", "40"],
+        ["gen-extended", "-d", "17"],
+        ["gen-extended", "-d", "40"],
+    ], ids=" ".join)
+    def test_diameter_limit_exits_2_before_any_work(self, capsys, monkeypatch, argv):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the diameter limit must be checked before any allocation")
+
+        monkeypatch.setattr(patterns.np, "arange", no_allocation)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: diameter ") and len(err.splitlines()) == 1
+        assert f"outside 1..{patterns.MAX_DIAMETER}" in err
 
 
 class TestCounts:
@@ -293,6 +311,37 @@ class TestEnumerate:
                 capture_output=True, text=True, env=env, check=True)
             runs[threads] = proc.stdout
         assert runs["1"] == runs["3"] and len(runs["1"].splitlines()) == 8
+
+
+class TestUnwritablePaths:
+    """A file used as a directory: each command ends with exit 2 and one
+    error line, never a traceback with exit 1, the NotInjective code."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path):
+        (tmp_path / "F").write_text("")
+        return tmp_path / "F"
+
+    def _assert_error(self, code, out, err):
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_simulate_pbm(self, capsys, blocked):
+        self._assert_error(*run(capsys, "simulate", "-d", "2", "-w", "6", "--init", "0101",
+                                "--pbm", str(blocked / "x.pbm")))
+
+    def test_induce_catalog(self, capsys, blocked):
+        self._assert_error(*run(capsys, "induce", "0X011", "--catalog",
+                                str(blocked / "x.jsonl")))
+
+    def test_enumerate_catalog(self, capsys, blocked):
+        self._assert_error(*run(capsys, "enumerate", "-d", "3", "--catalog",
+                                str(blocked / "x.jsonl")))
+
+    def test_enumerate_checkpoint(self, capsys, blocked):
+        self._assert_error(*run(capsys, "enumerate", "-d", "3", "--checkpoint",
+                                str(blocked / "x.ckpt")))
+        assert blocked.read_text() == ""
 
 
 class TestSimulate:

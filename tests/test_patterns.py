@@ -1,20 +1,22 @@
+import itertools
+import json
+from pathlib import Path
+
 import pytest
 
 import brute
 from revca.patterns import (
+    MAX_DIAMETER,
     MixtureError,
     PatternError,
     PatternString,
     build_mixture,
-    compatible,
-    enumerate_concretizations,
     enumerate_extended,
     extend,
     generate_all_patterns,
     generate_injective_patterns,
     independent,
     is_injective_pattern,
-    unstable_overlap,
 )
 
 PATTERN_COUNTS = {3: 0, 4: 4, 5: 14, 6: 52, 7: 148, 8: 408, 9: 1040, 10: 2556}
@@ -44,24 +46,20 @@ class TestParse:
             PatternString(text)
 
 
-class TestCompatible:
-    def test_examples(self):
-        assert not compatible("0X", "11")
-        assert compatible("0X", "X0")
-        assert not compatible("0X01", "X011")
-
-    def test_length_mismatch(self):
-        with pytest.raises(PatternError):
-            compatible("0X", "011")
-
-    def test_agrees_with_enumeration(self):
-        import itertools
-        alphabet = "01Xa"
-        for n in (1, 2, 3):
-            for s in itertools.product(alphabet, repeat=n):
-                for t in itertools.product(alphabet, repeat=n):
-                    s2, t2 = "".join(s), "".join(t)
-                    assert compatible(s2, t2) == brute.compatible(s2, t2)
+class TestTemplate:
+    def test_matching_windows_are_the_expansion(self):
+        texts = ["".join(t) for n in range(1, 5) for t in itertools.product("01Xa", repeat=n)]
+        checked = 0
+        for text in texts + ["a0X011aa", "10X1a", "aXa"]:
+            try:
+                value, care = PatternString(text).template
+            except PatternError:
+                continue
+            windows = {format(w, f"0{len(text)}b")
+                       for w in range(1 << len(text)) if w & care == value}
+            assert windows == set(brute.expand(text)), text
+            checked += 1
+        assert checked == 1 + 6 + 23 + 72 + 3  # patterns of length 1..4, then the three
 
 
 class TestInjectivePattern:
@@ -70,11 +68,11 @@ class TestInjectivePattern:
             assert is_injective_pattern(core)
 
     def test_counterexample_with_witness(self):
-        n = unstable_overlap("0X0")
-        assert n == 2
-        # the witness overlap is genuinely realizable
-        assert brute.compatible("0X0"[:n], "0X0"[-n:])
         assert not is_injective_pattern("0X0")
+        with pytest.raises(MixtureError, match="at shift 1$"):
+            build_mixture(["0X0"])
+        # the witness shift is genuinely realizable
+        assert 1 in brute.interference_offsets("0X0", "0X0")
 
     def test_vacuous_single_flip(self):
         assert is_injective_pattern("X")
@@ -109,6 +107,23 @@ class TestGeneration:
     def test_counts(self):
         for d, n in PATTERN_COUNTS.items():
             assert len(generate_all_patterns(d)) == n
+
+    def test_counts_match_the_reference(self):
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                / "reference.json").read_text())
+        for d in range(11, 15):
+            assert len(generate_all_patterns(d)) == reference["pattern_counts"][str(d)]
+        for d in (11, 12):
+            assert len(enumerate_extended(d)) == reference["extended_counts"][str(d)]
+
+    def test_diameter_limit(self):
+        assert generate_injective_patterns(0, MAX_DIAMETER - 1) == ()
+        for call in (lambda: generate_all_patterns(MAX_DIAMETER + 1),
+                     lambda: generate_injective_patterns(8, MAX_DIAMETER - 8),
+                     lambda: enumerate_extended(MAX_DIAMETER + 1),
+                     lambda: generate_all_patterns(0)):
+            with pytest.raises(PatternError):
+                call()
 
     def test_all_generated_are_injective(self):
         for d in range(1, 8):
@@ -161,18 +176,6 @@ class TestExtend:
             3 * len(generate_all_patterns(4)) + 2 * len(generate_all_patterns(5))
 
 
-class TestConcretizations:
-    def test_cardinality(self):
-        assert len(enumerate_concretizations("a0X011aa")) == 16
-        assert enumerate_concretizations("0X011") == ("00011", "01011")
-        assert enumerate_concretizations("X") == ("0", "1")
-
-    def test_all_match_template(self):
-        for text in ("a0X011aa", "10X1a", "aXa"):
-            for w in enumerate_concretizations(text):
-                assert brute.matches(w, text)
-
-
 class TestIndependence:
     def test_self_pair_reduces_to_injectivity(self):
         assert independent("0X011", "0X011")
@@ -182,18 +185,13 @@ class TestIndependence:
         assert not independent("0X011", "1X100")
         assert not independent("0X011", "0X110")
 
-    def test_order_contract(self):
-        with pytest.raises(PatternError):
-            independent("0X011", "10X1")
-
     def test_equals_brute_force_over_small_cores(self):
+        # both argument orders: the placement rule is symmetric
         pool = []
         for d in range(1, 7):
             pool.extend(str(p) for p in generate_all_patterns(d))
         for a in pool:
             for b in pool:
-                if len(a) > len(b):
-                    continue
                 if a == b:
                     continue
                 assert independent(a, b) == (not brute.cores_conflict(a, b)), (a, b)

@@ -171,7 +171,8 @@ class TestInduce:
         # bypass validation: these templates both claim windows 10010 and 10110
         bogus = MixtureSet(
             (PatternString("10X1a"), PatternString("a0X10")), 5, 2)
-        with pytest.raises(FlipCollisionError):
+        with pytest.raises(FlipCollisionError,
+                           match="window 10110 claimed by both 10X1a and a0X10"):
             induce(bogus)
 
     def test_induced_rules_are_balanced(self):
