@@ -95,6 +95,8 @@ def _read_pattern_lines(text: str) -> list[str]:
 
 def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     mixture = patterns.build_mixture(texts)
+    if args.verify and _decision_limit_error(mixture.diameter):
+        return EXIT_USAGE
     rt = rules.induce(mixture)
     record = rules.rule_to_json(rt, [str(m) for m in mixture.members])
     if args.verify:
@@ -121,6 +123,16 @@ def _max_period_error(max_period: int) -> bool:
         return False
     print(f"error: --max-period {max_period}: must be between 0 and "
           f"{engine.EXHAUSTIVE_BOUND}, the exhaustive bound", file=sys.stderr)
+    return True
+
+
+def _decision_limit_error(diameter: int) -> bool:
+    """Report a diameter above the limit of the injectivity decision; True
+    if so."""
+    if diameter <= injectivity.MAX_DECISION_DIAMETER:
+        return False
+    print(f"error: diameter {diameter} above {injectivity.MAX_DECISION_DIAMETER}, "
+          "the limit of the injectivity decision", file=sys.stderr)
     return True
 
 
@@ -156,7 +168,7 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if _max_period_error(args.max_period):
+    if _max_period_error(args.max_period) or _decision_limit_error(args.diameter):
         return EXIT_USAGE
     try:
         w = int(args.wolfram, 0)

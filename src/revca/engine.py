@@ -18,9 +18,10 @@ from .rules import RuleTable
 EXHAUSTIVE_BOUND = 20
 
 # Cells handled together in one slice: a periodic check steps this many cells
-# of its configurations at a time, and the sweeps' period filter gathers this
-# many table-cells at a time.  Working memory scales with this constant, not
-# with the period or the number of tables, which keeps peak memory flat.
+# of its configurations at a time, and the sweeps' period filter takes this
+# many (word, table) pairs at a time.  Working memory scales with this
+# constant, not with the period or the number of tables, which keeps peak
+# memory flat.
 _SLICE_CELLS = 1 << 16
 
 
@@ -39,8 +40,7 @@ def _window_values(cells: np.ndarray, d: int, anchor: int) -> np.ndarray:
 
     Cell i reads cells i-anchor .. i-anchor+d-1 of its row cyclically, the
     leftmost one as the most significant bit.  Indexing a rule's output bits
-    with the result applies the rule; indexing a (T, 2^d) batch of tables
-    along its second axis applies every table of the batch.
+    with the result applies the rule.
     """
     n = cells.shape[1]
     # one row per cell position, so that each shift is a contiguous block;

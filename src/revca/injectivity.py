@@ -13,7 +13,8 @@ strongly connected copy of the de Bruijn graph, so a surviving off-diagonal
 node always lies on a cycle through an off-diagonal node; the test is exact.
 For a rejected table, a shortest cycle through a chosen surviving node yields
 two distinct periodic configurations with equal images, returned as the
-witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap.
+witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap and
+``MAX_DECISION_DIAMETER`` (12) is the largest one decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Three necessary
 conditions for injectivity are bit tests on a Wolfram number: balance (equal
@@ -22,8 +23,11 @@ and f(A) != f(~A) for the D-cell word A = 0101... (with the first, the map
 permutes the words of period 2).  At D <= 4 every table of a diameter is
 scanned, and only those passing the three tests are decided.  D = 5 is gated
 behind an explicit flag; it builds only the balanced tables that pass the
-period 1 and 2 tests, runs them through vectorized permutation filters at
-periods 4..6 and decides the survivors.  D >= 6 is refused outright.
+period 1 and 2 tests, keeps those that permute the words of periods 4..6 and
+decides the survivors.  The period filters are bit arithmetic on the Wolfram
+numbers: a word's image code is gathered from the table's output bits, and
+the table permutes the words iff the OR of ``1 << code`` over them has every
+bit set.  D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
 it checks the request, lists the work units and scans them in order, on
 ``REVCA_THREADS`` worker processes when that is above 1.
@@ -46,6 +50,9 @@ from .rules import RuleTable, from_wolfram, to_wolfram, trivial_tables
 
 LONG_SWEEP_DIAMETER = 5
 MAX_SWEEP_DIAMETER = 5
+# Largest diameter the pair-graph decision takes: 4^(D-1) nodes, and
+# ``induce --verify`` at this diameter peaks at about 1.2 GB.
+MAX_DECISION_DIAMETER = 12
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,14 @@ def _edge_template(d: int):
     return _EDGE_TEMPLATES[d]
 
 
+def _check_decision_diameter(d: int) -> None:
+    """Refuse a pair graph above ``MAX_DECISION_DIAMETER`` before anything
+    is allocated."""
+    if d > MAX_DECISION_DIAMETER:
+        raise ValueError(f"diameter {d} above {MAX_DECISION_DIAMETER}, the limit of the "
+                         "injectivity decision")
+
+
 def _any4(x: np.ndarray) -> np.ndarray:
     """Any over the last axis, of length 4, of a C-contiguous bool array:
     the four adjacent bytes are read as one uint32."""
@@ -138,8 +153,10 @@ def decide(d: int, tables) -> np.ndarray:
     injective iff the two outputs differ.  From d = 2 on, a rule is
     injective iff peeling its equal-output pair graph leaves only diagonal
     nodes (see :func:`debruijn_injective`).  The batch is peeled in slices of
-    at most ``_SLICE_NODES`` pair-graph nodes.
+    at most ``_SLICE_NODES`` pair-graph nodes.  A diameter above
+    ``MAX_DECISION_DIAMETER`` raises ``ValueError``.
     """
+    _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
     if bits.ndim == 1:
         bits = bits[None]
@@ -235,9 +252,11 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     periodic/unbounded correspondence the unbounded lattice as well.  Witness
     length never exceeds the pair-graph node count.  At diameter 1 the pair
     graph has a single node and the rule is injective iff its two outputs
-    differ.
+    differ.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``ValueError``
+    before the graph is built.
     """
     d = rt.diameter
+    _check_decision_diameter(d)
     if d == 1:
         return InjectivityVerdict(True) if rt.bits[0] != rt.bits[1] \
             else InjectivityVerdict(False, ("0", "1"))
@@ -335,31 +354,61 @@ def _masks_by_popcount(width: int) -> list[np.ndarray]:
     return _MASK_CACHE[width]
 
 
-_WV_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_PERIOD_WINDOWS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _period_windows(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(octet, shift, where) for the length-n words at diameter d.
+
+    The distinct window values u of the words (anchor 0) sit in octet u >> 3
+    of a little-endian Wolfram number, at bit u & 7; where (n, 2^n) gives,
+    for cell i of each word, the index of that cell's window in u.
+    """
+    if (d, n) not in _PERIOD_WINDOWS:
+        values = engine._window_values(engine.all_configs(n), d, 0)
+        u, where = np.unique(values, return_inverse=True)
+        _PERIOD_WINDOWS[d, n] = (u.astype(np.intp) >> 3, (u & 7).astype(np.uint8)[:, None],
+                                 np.ascontiguousarray(where.reshape(values.shape).T))
+    return _PERIOD_WINDOWS[d, n]
 
 
 def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Boolean mask of tables that permute all length-n configurations.
+    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words.
 
-    Vectorized over a whole batch of table integers; used as a cheap
-    necessary-condition filter ahead of the exact decision.  The anchor does
-    not matter here, so the window values are those of anchor 0.
+    A necessary-condition filter ahead of the exact decision, on bits, never
+    on a cell matrix.  Per slice of tables it reads each table's output bit
+    at every distinct window value, builds each word's image code (cell i is
+    bit i) from n gathers, and ORs ``1 << code`` over the 2^n words: the
+    table permutes them iff every bit is set.  That is one machine word up
+    to n = 6 and 2^n / 64 of them at n = 7 and 8.  The anchor does not
+    matter here, so the windows are those of anchor 0.
     """
-    if n > 8:
-        raise ValueError("vectorized permutation filter supports periods <= 8")
-    key = (d, n)
-    if key not in _WV_CACHE:
-        _WV_CACHE[key] = engine._window_values(engine.all_configs(n), d, 0)
-    wv = _WV_CACHE[key]
-    per = max(1, engine._SLICE_CELLS // wv.size)
+    if not 1 <= n <= 8:
+        raise ValueError(f"the period filter takes periods 1..8, got {n}")
+    octet, shift, where = _period_windows(d, n)
+    width = min(1 << n, 64)
+    full = np.min_scalar_type((1 << width) - 1).type((1 << width) - 1)
+    per = max(1, engine._SLICE_CELLS >> n)
     out = np.empty(len(tables), dtype=bool)
     for lo in range(0, len(tables), per):
-        # tables on the last axis, so that each step runs on contiguous rows
-        bits = np.ascontiguousarray(_wolfram_bits(d, tables[lo:lo + per]).T)
-        images = engine.pack_configs(np.moveaxis(bits[wv.T], 0, -1))
-        seen = np.zeros(images.shape, dtype=bool)
-        seen[images, np.arange(images.shape[1])] = True
-        out[lo:lo + per] = seen.all(axis=0)
+        # one row per octet, so that each gather copies contiguous rows
+        octets = np.ascontiguousarray(
+            tables[lo:lo + per].astype("<u8").view(np.uint8).reshape(-1, 8).T)
+        bits = octets[octet]
+        bits >>= shift
+        bits &= 1
+        code = bits[where[n - 1]]
+        for i in range(n - 2, -1, -1):
+            code += code   # doubling stands in for the slower uint8 left shift
+            code |= bits[where[i]]
+        if n <= 6:
+            one_hot = np.left_shift(full.dtype.type(1), code, dtype=full.dtype)
+            out[lo:lo + per] = np.bitwise_or.reduce(one_hot, axis=0) == full
+        else:
+            one_hot = np.left_shift(full.dtype.type(1), code & 63, dtype=full.dtype)
+            out[lo:lo + per] = np.logical_and.reduce(
+                [np.bitwise_or.reduce(np.where(code >> 6 == k, one_hot, 0), axis=0) == full
+                 for k in range((1 << n) >> 6)])
     return out
 
 
@@ -407,8 +456,8 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]
     necessary conditions, so the prefilters cannot drop an injective table;
     survivors get the exact pair-graph decision.  Balance holds by
     construction of the block and periods 1 and 2 are bit tests on the
-    block's halves (see :func:`_block_tables`); the other periods run
-    vectorized over the tables that are left.
+    block's halves (see :func:`_block_tables`); the other periods are the
+    bit filters of :func:`_permutes_period` over the tables that are left.
     """
     tables = _block_tables(diameter, block)
     for n in _FILTER_PERIODS:

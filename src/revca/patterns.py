@@ -25,9 +25,10 @@ an involution and therefore injective.
 
 ``generate_injective_patterns`` tests all ``2^(L+R)`` fillings of one split at
 once on a numpy array; the per-core checks stay on Python integers.
-Enumeration is limited to diameters up to :data:`MAX_DIAMETER`.  All values
-here are immutable and all functions are pure, so enumerations can be
-partitioned freely across workers and merged.
+Enumerations and mixtures are limited to diameters up to :data:`MAX_DIAMETER`,
+which also bounds every rule table (see :func:`revca.rules.from_wolfram`).
+All values here are immutable and all functions are pure, so enumerations can
+be partitioned freely across workers and merged.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ ONE = "1"
 FLIP = "X"
 WILD = "a"
 
-# gen-extended at this diameter peaks at about 260 MB
+# Largest diameter of an enumeration, a mixture or a rule table: gen-extended
+# at this diameter peaks at about 260 MB, and a table holds 2^D output bits.
 MAX_DIAMETER = 16
 
 _ALPHABET = frozenset((ZERO, ONE, FLIP, WILD))
@@ -245,6 +247,8 @@ def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
     Rejections carry the violated clause and the first offending pair:
     diameter or anchor mismatch, an unstable member core, or a pairwise
     interference (the shift at which the pair fits is named in the message).
+    A diameter above :data:`MAX_DIAMETER` raises :class:`PatternError` before
+    any member is checked.
     """
     pats = [PatternString(t) for t in sorted({str(c) for c in candidates})]
     if not pats:
@@ -261,6 +265,7 @@ def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
                 "anchor",
                 f"anchor mismatch: {first} flips cell {first.anchor}, {p} flips cell {p.anchor}",
                 pair=(first, p))
+    _check_diameter(first.diameter)
     cores = {p: _core(p.core) for p in pats}
     for p in pats:
         k = _unstable_shift(cores[p])

@@ -10,10 +10,11 @@ deduplication ignore it.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from typing import Sequence
 
-from .patterns import MixtureSet, PatternString
+from .patterns import MAX_DIAMETER, MixtureSet, PatternString
 
 WolframNumber = int
 
@@ -56,7 +57,7 @@ class RuleTable:
 
     def __repr__(self) -> str:
         return (f"RuleTable(diameter={self.diameter}, "
-                f"wolfram={to_wolfram(self)}, anchor={self.anchor})")
+                f"wolfram={_decimal_text(to_wolfram(self))}, anchor={self.anchor})")
 
 
 def _default_anchor(diameter: int) -> int:
@@ -98,8 +99,10 @@ def to_wolfram(rt: RuleTable) -> WolframNumber:
 
 
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
-    if diameter < 1:
-        raise ValueError("diameter must be >= 1")
+    """The table of a Wolfram number; a diameter outside 1..MAX_DIAMETER
+    raises ``ValueError`` before the 2^diameter bits are built."""
+    if not 1 <= diameter <= MAX_DIAMETER:
+        raise ValueError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
     if not 0 <= w < 1 << (1 << diameter):
         raise ValueError(f"wolfram number {w} out of range for diameter {diameter}")
     bits = tuple((w >> v) & 1 for v in range(1 << diameter))
@@ -162,13 +165,24 @@ def table_hex(rt: RuleTable) -> str:
     return format(to_wolfram(rt), f"0{digits}x")
 
 
+def _decimal_text(w: WolframNumber) -> str:
+    # str(int) refuses numbers of over 4300 digits, which tables reach at D = 14
+    return str(decimal.Decimal(w))
+
+
+def _parse_decimal(text) -> WolframNumber:
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        return int(decimal.Decimal(text))   # no 4300-digit limit
+    return int(text)
+
+
 def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
     """The record of a rule: both encodings, the inducing patterns, and the
     verification flags, which start unset for the caller to fill in."""
     return {
         "diameter": rt.diameter,
         "anchor": rt.anchor,
-        "wolfram_decimal": str(to_wolfram(rt)),
+        "wolfram_decimal": _decimal_text(to_wolfram(rt)),
         "table_hex": table_hex(rt),
         "provenance": list(provenance),
         "verified_debruijn": False,
@@ -186,7 +200,7 @@ def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
         raise ValueError(f"a rule record is a JSON object, got {type(obj).__name__}")
     try:
         d = int(obj["diameter"])
-        w = int(obj["wolfram_decimal"])
+        w = _parse_decimal(obj["wolfram_decimal"])
         anchor = int(obj["anchor"])
         hex_value = int(obj["table_hex"], 16)
         provenance = tuple(obj.get("provenance", ()))
@@ -197,5 +211,6 @@ def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
     rt = from_wolfram(d, w, anchor=anchor)
     if hex_value != w:
         raise ValueError(
-            f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal {w}")
+            f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal "
+            f"{obj['wolfram_decimal']!r}")
     return rt, provenance

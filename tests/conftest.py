@@ -7,7 +7,7 @@ settings.load_profile("default")
 
 @pytest.fixture(scope="session")
 def d5_nontrivial_sweep():
-    """Shared result of the long diameter-5 balanced sweep (slow tests only)."""
+    """Shared result of the diameter-5 balanced sweep, run once per session."""
     from revca.injectivity import exhaustive_injective
     from revca.rules import to_wolfram
 

@@ -1,13 +1,10 @@
 """Acceptance suite: one test per release criterion, one report line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the report lines.
-Criterion 6 is long-running and opt-in: ``pytest -m slow``.
 """
 
 import random
 import time
-
-import pytest
 
 import brute
 from revca.engine import check_involution, step
@@ -191,9 +188,8 @@ def test_criterion_5_ground_truth_completeness_d4():
         "See README, 'Historical counts and example numbers'.")
 
 
-@pytest.mark.slow
 def test_criterion_6_d5_subset_check(d5_nontrivial_sweep):
-    """Diameter-5 balanced sweep (opt-in, ~5 minutes on one core).
+    """Diameter-5 balanced sweep (about 7 s on one core).
 
     Stated expectation: exactly 26 nontrivial injective tables with the 22
     pattern/extended-induced tables a subset.  The sweep finds 52 nontrivial

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
-from revca import injectivity, patterns
+from revca import engine, injectivity, patterns, rules
 from revca.cli import main
 from revca.patterns import enumerate_extended
 
@@ -200,6 +200,55 @@ class TestVerify:
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "-d", "3", "-w", "256")[0] == 2
         assert run(capsys, "verify", "-d", "3", "-w", "porridge")[0] == 2
+
+
+class TestDiameterLimits:
+    """Diameters beyond a table (patterns.MAX_DIAMETER) or the decision
+    (injectivity.MAX_DECISION_DIAMETER) exit 2 before anything is built;
+    these used to crash with exit 1, the NotInjective code."""
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["verify", "-d", "64", "-w", "1"], "above 12"),      # was a MemoryError
+        (["verify", "-d", "13", "-w", "1"], "above 12"),      # was an _ArrayMemoryError
+        (["induce", "0X011" + "a" * 8, "--verify"], "above 12"),
+        (["induce", "0X011" + "a" * 12, "--verify"], "outside 1..16"),
+        (["induce", "0X011" + "a" * 12], "outside 1..16"),
+        (["simulate", "-d", "64", "-w", "1", "--init", "0101"], "outside 1..16"),
+        (["simulate", "-d", "17", "-w", "1", "--init", "0101"], "outside 1..16"),
+        (["simulate", "--pattern", "0X011" + "a" * 59, "--init", "0101"], "outside 1..16"),
+    ], ids=lambda v: " ".join(v)[:40] if isinstance(v, list) else v)
+    def test_exits_2_before_any_work(self, capsys, monkeypatch, argv, limit):
+        def fail(*args, **kwargs):
+            raise AssertionError("the diameter limit must be checked before any allocation")
+
+        patched = [(rules, "RuleTable"), (rules, "induce"),
+                   (injectivity, "_edge_template"), (engine, "space_time")]
+        if argv[0] == "verify":  # verify checks both limits before it builds the table
+            patched.append((rules, "from_wolfram"))
+        for module, name in patched:
+            monkeypatch.setattr(module, name, fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: diameter ") and len(err.splitlines()) == 1
+        assert limit in err
+
+    def test_limits_themselves_are_accepted(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "simulate", "-d", "16", "-w", "1", "--init", "0101")
+        assert code == 0 and out.splitlines() == ["0101", "0000"]
+        # a D=16 record has a 19,729-digit wolfram_decimal; that crashed
+        code, out, _ = run(capsys, "induce", "0X011" + "a" * 11)
+        assert code == 0 and json.loads(out)["diameter"] == 16
+        reached = []
+
+        def stop(d):
+            reached.append(d)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(injectivity, "_edge_template", stop)
+        for argv in (["verify", "-d", "12", "-w", "1"], ["induce", "0X011" + "a" * 7, "--verify"]):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert reached == [12, 12]
 
 
 class TestEnumerate:

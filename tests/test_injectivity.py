@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import brute
-from revca.engine import step
+from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
     Sweep,
     _block_tables,
@@ -80,6 +80,18 @@ class TestVerdicts:
         # (0...0, 1...1), the smallest one that can carry one: length-1 witness
         v = debruijn_injective(from_wolfram(3, 90))
         assert v.witness == ("0", "1")
+
+    def test_decision_limit(self, monkeypatch):
+        """Above MAX_DECISION_DIAMETER (12) the pair graph's 4^(D-1) nodes
+        are refused before numpy allocates anything."""
+        rt = from_wolfram(13, 0)
+        batch = np.zeros((1, 1 << 13), dtype=np.uint8)
+        monkeypatch.setattr(np, "meshgrid", None)
+        monkeypatch.setattr(np, "arange", None)
+        with pytest.raises(ValueError, match="limit of the injectivity decision"):
+            debruijn_injective(rt)
+        with pytest.raises(ValueError, match="limit of the injectivity decision"):
+            decide(13, batch)
 
     def test_anchor_invariance(self):
         rng = random.Random(405)
@@ -177,6 +189,84 @@ class TestPeriodic:
         from revca.engine import ExhaustiveBoundError
         with pytest.raises(ExhaustiveBoundError):
             periodic_bijective(from_wolfram(3, 204), 30)
+
+
+def _near_misses(tables, d, count, rng):
+    """One-swap perturbations (a 0 and a 1 output exchanged) of tables."""
+    out = []
+    for _ in range(count):
+        w = rng.choice(tables)
+        i = rng.choice([v for v in range(1 << d) if not w >> v & 1])
+        j = rng.choice([v for v in range(1 << d) if w >> v & 1])
+        out.append(w ^ 1 << i ^ 1 << j)
+    return out
+
+
+class TestPeriodFilter:
+    """The sweeps' period filter against brute.is_permutation, one period at
+    a time, so that a wrong reject at one period cannot hide behind another
+    period's reject."""
+
+    @staticmethod
+    def _check(tables, d):
+        batch = np.array(tables, dtype=np.uint64)
+        for n in range(1, 9):
+            expected = [brute.is_permutation([w >> v & 1 for v in range(1 << d)], d, 0, n)
+                        for w in tables]
+            assert True in expected and False in expected, (d, n)
+            assert _permutes_period(batch, d, n).tolist() == expected, (d, n)
+
+    def test_every_diameter_3_table(self):
+        self._check(list(range(256)), 3)
+
+    def test_diameter_4_sample(self):
+        rng = random.Random(44)
+        balanced = [w for w in range(1 << 16) if bin(w).count("1") == 8]
+        tables = (INJECTIVE_D4 + rng.sample(balanced, 60) + _near_misses(INJECTIVE_D4, 4, 50, rng)
+                  + [rng.getrandbits(16) for _ in range(20)])
+        self._check(tables, 4)
+
+    def test_diameter_5_sample(self):
+        rng = random.Random(55)
+        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                / "reference.json").read_text())["d5_injective"]
+        injective = rng.sample(reference, 20)
+        block = _block_tables(5, balanced_sweep_blocks(5)[70])
+        tables = (injective + [int(w) for w in rng.sample(list(block), 60)]
+                  + _near_misses(injective, 5, 50, rng) + [rng.getrandbits(32) for _ in range(20)])
+        self._check(tables, 5)
+
+    def test_diameter_6_top_bit(self):
+        """Tables with f(1^6) = 1, bit 63 of the Wolfram number: induced
+        tables, their near misses and random tables."""
+        rng = random.Random(66)
+        induced = [to_wolfram(induce(build_mixture([p]))) for p in generate_all_patterns(6)]
+        induced = [w for w in induced if w >> 63]
+        assert len(induced) >= 20
+        near = [w for w in _near_misses(induced, 6, 80, rng) if w >> 63]
+        tables = induced[:20] + near[:40] + [rng.getrandbits(64) | 1 << 63 for _ in range(10)]
+        self._check(tables, 6)
+
+    def test_batches_across_slices(self):
+        """A batch longer than a slice and no multiple of it gives the same
+        mask as shorter batches that each fit one slice."""
+        tables = np.concatenate([np.arange(1 << 16, dtype=np.uint64),
+                                 np.arange(7, dtype=np.uint64)])
+        for n in range(1, 9):
+            per = _SLICE_CELLS >> n
+            assert tables.size > per and tables.size % per
+            pieces = [_permutes_period(tables[lo:lo + per - 1], 4, n)
+                      for lo in range(0, tables.size, per - 1)]
+            got = _permutes_period(tables, 4, n)
+            assert np.array_equal(got, np.concatenate(pieces)), n
+            assert got.any() and not got.all(), n
+
+    def test_empty_batch_and_bad_periods(self):
+        empty = _permutes_period(np.empty(0, dtype=np.uint64), 5, 4)
+        assert empty.shape == (0,) and empty.dtype == bool
+        for n in (0, 9):
+            with pytest.raises(ValueError, match="periods 1..8"):
+                _permutes_period(np.arange(4, dtype=np.uint64), 4, n)
 
 
 class TestCrossValidation:
@@ -338,7 +428,6 @@ class TestSweepWorkers:
             list(exhaustive_injective(3))
 
 
-@pytest.mark.slow
 class TestLongSweep:
     def test_diameter_5_balanced_sweep(self, d5_nontrivial_sweep):
         got = set(d5_nontrivial_sweep)

@@ -121,9 +121,11 @@ class TestGeneration:
         for call in (lambda: generate_all_patterns(MAX_DIAMETER + 1),
                      lambda: generate_injective_patterns(8, MAX_DIAMETER - 8),
                      lambda: enumerate_extended(MAX_DIAMETER + 1),
-                     lambda: generate_all_patterns(0)):
+                     lambda: generate_all_patterns(0),
+                     lambda: build_mixture(["0X011" + "a" * (MAX_DIAMETER - 4)])):
             with pytest.raises(PatternError):
                 call()
+        assert build_mixture(["0X011" + "a" * (MAX_DIAMETER - 5)]).diameter == MAX_DIAMETER
 
     def test_all_generated_are_injective(self):
         for d in range(1, 8):

@@ -89,6 +89,15 @@ class TestWolfram:
         assert to_wolfram(rt) == w
         assert len(table_hex(rt)) == 64
 
+    def test_diameter_limit(self, monkeypatch):
+        from revca import patterns
+        assert patterns.MAX_DIAMETER == 16
+        assert to_wolfram(from_wolfram(16, 1)) == 1
+        for d in (0, 17, 64):
+            # 1 << (1 << 64) would raise MemoryError; the limit comes first
+            with pytest.raises(ValueError, match=r"outside 1\.\.16"):
+                from_wolfram(d, 1)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -103,6 +112,16 @@ class TestSerialization:
         obj["table_hex"] = "0f"
         with pytest.raises(ValueError):
             rule_from_json(obj)
+
+    def test_round_trip_past_the_int_string_limit(self):
+        """A D=16 record has a 19,729-digit wolfram_decimal; str(int) and
+        int(str) refuse more than 4300 digits."""
+        rt = induce(build_mixture(["0X011" + "a" * 11]))
+        obj = rule_to_json(rt)
+        assert len(obj["wolfram_decimal"]) > 4300
+        assert int(obj["table_hex"], 16) == to_wolfram(rt)
+        assert rule_from_json(obj)[0] == rt
+        assert repr(rt).startswith("RuleTable(diameter=16, wolfram=")
 
     def test_hex_layout(self):
         assert table_hex(from_wolfram(3, 240)) == "f0"
