@@ -167,12 +167,19 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _wolfram_number(text: str) -> int:
+    """A ``--wolfram`` value as ``int(text, 0)`` reads it, without Python's
+    4300-digit limit on decimals."""
+    if text.isascii() and text.isdigit() and not text.startswith("0"):
+        return rules._parse_decimal(text)
+    return int(text, 0)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if _max_period_error(args.max_period) or _decision_limit_error(args.diameter):
         return EXIT_USAGE
     try:
-        w = int(args.wolfram, 0)
-        rt = rules.from_wolfram(args.diameter, w)
+        rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -249,7 +256,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             if args.diameter is None:
                 print("error: --wolfram needs --diameter", file=sys.stderr)
                 return EXIT_USAGE
-            rt = rules.from_wolfram(args.diameter, int(args.wolfram, 0), args.anchor)
+            rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram),
+                                    args.anchor)
         else:
             print("error: need --pattern or --wolfram", file=sys.stderr)
             return EXIT_USAGE

@@ -41,7 +41,7 @@ import multiprocessing
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,9 @@ from .rules import RuleTable, from_wolfram, to_wolfram, trivial_tables
 
 LONG_SWEEP_DIAMETER = 5
 MAX_SWEEP_DIAMETER = 5
-# Largest diameter the pair-graph decision takes: 4^(D-1) nodes, and
-# ``induce --verify`` at this diameter peaks at about 1.2 GB.
+# Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
+# diameter ``induce --verify`` peaks at about 90 MB, and ``verify`` of a
+# table with most nodes left after the peel at about 0.4 GB (the witness).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -75,33 +76,6 @@ class InjectivityVerdict:
 # peak memory of a 4096-table sweep chunk flat.
 _SLICE_NODES = 1 << 12
 
-_EDGE_TEMPLATES: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _edge_template(d: int):
-    """Rule-independent edge skeleton of the pair graph for one diameter.
-
-    Arrays (wa, wb, succ, pred_edge, pred): edge 4z + 2b1 + b2 leaves node
-    z = u1 * 2^(D-1) + u2 on input bits (b1, b2) and is present exactly when
-    the rule gives equal outputs at window values wa and wb.  succ (n, 4)
-    holds each node's edge targets in edge order; pred_edge (n, 4) and
-    pred (n, 4) hold the indices and sources of the four edges entering it.
-    """
-    if d not in _EDGE_TEMPLATES:
-        v = 1 << (d - 1)
-        mask = v - 1
-        u1, u2, b1, b2 = np.meshgrid(
-            np.arange(v), np.arange(v), np.arange(2), np.arange(2), indexing="ij")
-        u1, u2, b1, b2 = (x.ravel() for x in (u1, u2, b1, b2))
-        wa = (u1 << 1) | b1
-        wb = (u2 << 1) | b2
-        dst = ((u1 << 1 | b1) & mask) * v + ((u2 << 1 | b2) & mask)
-        pred_edge = np.argsort(dst, kind="stable").reshape(-1, 4)
-        _EDGE_TEMPLATES[d] = tuple(
-            np.ascontiguousarray(x, dtype=np.intp)
-            for x in (wa, wb, dst.reshape(-1, 4), pred_edge, pred_edge >> 2))
-    return _EDGE_TEMPLATES[d]
-
 
 def _check_decision_diameter(d: int) -> None:
     """Refuse a pair graph above ``MAX_DECISION_DIAMETER`` before anything
@@ -111,39 +85,44 @@ def _check_decision_diameter(d: int) -> None:
                          "injectivity decision")
 
 
-def _any4(x: np.ndarray) -> np.ndarray:
-    """Any over the last axis, of length 4, of a C-contiguous bool array:
-    the four adjacent bytes are read as one uint32."""
-    return x.view(np.uint32)[..., 0] != 0
+def _peel(d: int, bits: np.ndarray) -> np.ndarray:
+    """Surviving nodes of the equal-output pair graphs of a (T, 2^d) batch,
+    d >= 2, as a (4^(d-1), T) bool array: row p1 * 2^(d-1) + p2, table last.
 
-
-def _peel(d: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, alive) of the equal-output pair graphs of a (T, 2^d) batch.
-
-    edges (T, n, 4) marks the template edges present in each table's graph,
-    by source node; alive (T, n) marks the nodes left after repeatedly
-    stripping every node without a live in-edge or without a live out-edge.
-    Tables drop out of the loop once a pass leaves them unchanged.
+    An edge is a window pair with equal outputs.  Split a window as (x, l, y):
+    its top cell, its d-2 middle cells and its low cell.  The pair
+    (x1 l1 y1, x2 l2 y2) leads from node (x1 l1, x2 l2) to node
+    (l1 y1, l2 y2).  So the node array, read as [x1, x2, l1, l2] and as
+    [y1, y2, l1, l2], meets the equality laid out as [y1, y2, x1, x2, l1, l2]
+    and as [x1, x2, y1, y2, l1, l2] by broadcasting, with no gathers.  A
+    pass strips every node without a live out-edge, then every node without
+    a live in-edge; the loop stops once a pass leaves the number alive
+    unchanged.
     """
-    wa, wb, succ, pred_edge, pred = _edge_template(d)
-    edges = bits[:, wa] == bits[:, wb]
-    entering = edges.take(pred_edge, axis=1)
-    edges = edges.reshape(len(bits), -1, 4)
-    alive = np.ones(edges.shape[:2], dtype=bool)
-    rows = np.arange(len(bits))
-    while rows.size:
-        a = alive[rows]
-        peeled = (_any4(edges[rows] & a.take(succ, axis=1))
-                  & _any4(entering[rows] & a.take(pred, axis=1)))
-        changed = (peeled != a).any(axis=1)
-        alive[rows] = peeled
-        rows = rows[changed]
-    return edges, alive
-
-
-def _off_diagonal(d: int) -> np.ndarray:
-    v = 1 << (d - 1)
-    return np.arange(v * v) // v != np.arange(v * v) % v
+    h = 1 << (d - 2)
+    t = len(bits)
+    by = bits.T.reshape(2, h, 2, t).transpose(2, 0, 1, 3)   # [y, x, l, table]
+    eq_out = np.empty((2, 2, 2, 2, h, h, t), dtype=bool)
+    np.equal(by[:, None, :, None, :, None], by[None, :, None, :, None, :], out=eq_out)
+    eq_in = np.ascontiguousarray(eq_out.transpose(2, 3, 0, 1, 4, 5, 6))
+    alive = np.ones((4 * h * h, t), dtype=bool)
+    by_top = alive.reshape(2, h, 2, h, t).transpose(0, 2, 1, 3, 4)
+    by_low = alive.reshape(h, 2, h, 2, t).transpose(1, 3, 0, 2, 4)
+    ends = np.empty((2, 2, h, h, t), dtype=bool)   # contiguous copy of the far ends
+    edges = np.empty(eq_out.shape, dtype=bool)
+    by_far_end = edges.reshape(4, 2, 2, h, h, t)
+    any_edge = np.empty_like(ends)
+    count = alive.size
+    while True:
+        for eq, far, near in ((eq_out, by_low, by_top), (eq_in, by_top, by_low)):
+            np.copyto(ends, far)
+            np.logical_and(eq, ends[:, :, None, None], out=edges)
+            np.logical_or.reduce(by_far_end, axis=0, out=any_edge)
+            near &= any_edge
+        now = np.count_nonzero(alive)
+        if now == count:
+            return alive
+        count = now
 
 
 def decide(d: int, tables) -> np.ndarray:
@@ -152,9 +131,10 @@ def decide(d: int, tables) -> np.ndarray:
     A 1-D array of 2^d bits is a batch of one.  At d = 1 the map is
     injective iff the two outputs differ.  From d = 2 on, a rule is
     injective iff peeling its equal-output pair graph leaves only diagonal
-    nodes (see :func:`debruijn_injective`).  The batch is peeled in slices of
-    at most ``_SLICE_NODES`` pair-graph nodes.  A diameter above
-    ``MAX_DECISION_DIAMETER`` raises ``ValueError``.
+    nodes (see :func:`debruijn_injective`).  The diagonal, a copy of the de
+    Bruijn graph, always survives, so that is a count of 2^(d-1) survivors.
+    The batch is peeled in slices of at most ``_SLICE_NODES`` pair-graph
+    nodes.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``ValueError``.
     """
     _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
@@ -164,12 +144,11 @@ def decide(d: int, tables) -> np.ndarray:
         raise ValueError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
     if d == 1:
         return bits[:, 0] != bits[:, 1]
-    off = _off_diagonal(d)
     step = max(1, _SLICE_NODES >> (2 * (d - 1)))
     out = np.empty(len(bits), dtype=bool)
     for lo in range(0, len(bits), step):
-        _, alive = _peel(d, bits[lo:lo + step])
-        out[lo:lo + step] = ~(alive & off).any(axis=1)
+        alive = _peel(d, bits[lo:lo + step])
+        out[lo:lo + step] = np.count_nonzero(alive, axis=0) == 1 << (d - 1)
     return out
 
 
@@ -179,9 +158,11 @@ def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << d]
 
 
-def _shortest_cycle(d: int, indptr: list[int], targets: list[int], z: int):
+def _shortest_cycle(d: int, nodes: Sequence[int], indptr: Sequence[int],
+                    targets: Sequence[int], z: int):
     """Two distinct equal-image periodic words from a shortest cycle through
-    z, or None when no cycle passes through z."""
+    nodes[z], or None when no cycle passes through it; indptr and targets
+    hold the successors of each node by its index in nodes."""
     v_count = 1 << (d - 1)
     parent: dict[int, int] = {}
     frontier = deque([z])
@@ -202,29 +183,36 @@ def _shortest_cycle(d: int, indptr: list[int], targets: list[int], z: int):
     path.append(z)
     path.reverse()
     # the bit consumed on each edge is the low bit of the successor's prefix
-    c1 = "".join(str((node // v_count) & 1) for node in path[1:])
-    c2 = "".join(str((node % v_count) & 1) for node in path[1:])
+    c1 = "".join(str((nodes[i] // v_count) & 1) for i in path[1:])
+    c2 = "".join(str((nodes[i] % v_count) & 1) for i in path[1:])
     return c1, c2
 
 
-def _witness(d: int, edges: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
-    """Witness of a rejected table, from its peeled pair graph (edges, alive).
+def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
+    """Witness of a rejected table, from its 2^d output bits and the nodes
+    that survive its peel.
 
-    The cycle runs through the smallest off-diagonal node with a self-loop
-    if there is one (a length-1 witness), else through the smallest surviving
-    off-diagonal node that lies on a cycle.
+    Only surviving nodes and their live edges enter the search.  The cycle
+    runs through the smallest off-diagonal node with a self-loop if there is
+    one (a length-1 witness), else through the smallest surviving
+    off-diagonal node that lies on a cycle.  Successors are searched in the
+    order of their input bits (b1, b2).
     """
-    _, _, succ, _, _ = _edge_template(d)
-    live = edges & alive[succ] & alive[:, None]
-    nodes = np.arange(len(succ))
-    off = _off_diagonal(d)
-    looped = nodes[off & (live & (succ == nodes[:, None])).any(axis=1)]
-    candidates = looped[:1] if looped.size else nodes[off & alive]
-    indptr = np.zeros(len(succ) + 1, dtype=np.intp)
+    if bits[0] == bits[-1]:   # f(0^d) = f(1^d): node (0^(d-1), 1^(d-1)) loops to itself
+        return "0", "1"
+    half = 1 << (d - 1)
+    nodes = np.flatnonzero(alive).astype(np.int32)
+    u1, u2 = np.divmod(nodes, np.int32(half))
+    wa = (u1[:, None] << 1) | np.array([0, 0, 1, 1], dtype=np.int32)
+    wb = (u2[:, None] << 1) | np.array([0, 1, 0, 1], dtype=np.int32)
+    succ = (wa % half) * half + wb % half
+    live = (bits[wa] == bits[wb]) & alive[succ]
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
     np.cumsum(live.sum(axis=1), out=indptr[1:])
-    indptr, targets = indptr.tolist(), succ[live].tolist()
-    for z in candidates.tolist():
-        witness = _shortest_cycle(d, indptr, targets, z)
+    targets = np.searchsorted(nodes, succ[live]).astype(np.int32)
+    nodes, indptr, targets = (memoryview(a) for a in (nodes, indptr, targets))
+    for z in np.flatnonzero(u1 != u2).tolist():
+        witness = _shortest_cycle(d, nodes, indptr, targets, z)
         if witness is not None:
             return witness
     raise AssertionError("rejected table without a cycle through an off-diagonal node")
@@ -234,36 +222,39 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """Decide injectivity of the global map; witnesses accompany rejections.
 
     The decision is that of :func:`decide`, on a batch of one.  It peels the
-    equal-output pair graph: nodes without a live in-edge or out-edge are
-    stripped until none is left, and the rule is injective iff only diagonal
-    nodes survive.  This is exact.  A rule fails to be injective iff some
-    cycle passes through an off-diagonal node, and every node on a cycle
-    survives.  Conversely, the diagonal is a copy of the de Bruijn graph and
-    strongly connected, so from a surviving off-diagonal node, walking live
-    edges forward and backward reaches cycles, and either one of them holds
-    an off-diagonal node or both lie in the diagonal, which closes a cycle
+    equal-output pair graph, whose edges are the window pairs with equal
+    outputs: nodes without a live in-edge or out-edge are stripped until
+    none is left, and the rule is injective iff only diagonal nodes survive.
+    This is exact.  A rule fails to be injective iff some cycle passes
+    through an off-diagonal node, and every node on a cycle survives.
+    Conversely, the diagonal is a copy of the de Bruijn graph and strongly
+    connected, so from a surviving off-diagonal node, walking live edges
+    forward and backward reaches cycles, and either one of them holds an
+    off-diagonal node or both lie in the diagonal, which closes a cycle
     through the starting node.
 
-    Only a rejection builds a witness, from the surviving edges: a shortest
-    cycle through the smallest off-diagonal node with a self-loop, else
-    through the smallest surviving off-diagonal node on a cycle.  Its two
-    words are distinct and have equal images.  The verdict covers periodic
-    configurations of every length at once, and by the standard
-    periodic/unbounded correspondence the unbounded lattice as well.  Witness
-    length never exceeds the pair-graph node count.  At diameter 1 the pair
-    graph has a single node and the rule is injective iff its two outputs
-    differ.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``ValueError``
-    before the graph is built.
+    Only a rejection builds a witness, from the output bits and the
+    surviving nodes alone: a shortest cycle through the smallest
+    off-diagonal node with a self-loop, else through the smallest surviving
+    off-diagonal node on a cycle.  Its two words are distinct and have equal
+    images.  The verdict covers periodic configurations of every length at
+    once, and by the standard periodic/unbounded correspondence the
+    unbounded lattice as well.  Witness length never exceeds the pair-graph
+    node count.  At diameter 1 the pair graph has a single node and the rule
+    is injective iff its two outputs differ.  A diameter above
+    ``MAX_DECISION_DIAMETER`` raises ``ValueError`` before the graph is
+    built.
     """
     d = rt.diameter
     _check_decision_diameter(d)
     if d == 1:
         return InjectivityVerdict(True) if rt.bits[0] != rt.bits[1] \
             else InjectivityVerdict(False, ("0", "1"))
-    edges, alive = _peel(d, np.asarray(rt.bits, dtype=np.uint8)[None])
-    if not (alive[0] & _off_diagonal(d)).any():
+    bits = np.asarray(rt.bits, dtype=np.uint8)
+    alive = _peel(d, bits[None])[:, 0]
+    if np.count_nonzero(alive) == 1 << (d - 1):
         return InjectivityVerdict(True)
-    return InjectivityVerdict(False, _witness(d, edges[0], alive[0]))
+    return InjectivityVerdict(False, _witness(d, bits, alive))
 
 
 # ---------------------------------------------------------------------------

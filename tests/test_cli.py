@@ -222,7 +222,7 @@ class TestDiameterLimits:
             raise AssertionError("the diameter limit must be checked before any allocation")
 
         patched = [(rules, "RuleTable"), (rules, "induce"),
-                   (injectivity, "_edge_template"), (engine, "space_time")]
+                   (injectivity, "_peel"), (engine, "space_time")]
         if argv[0] == "verify":  # verify checks both limits before it builds the table
             patched.append((rules, "from_wolfram"))
         for module, name in patched:
@@ -240,11 +240,11 @@ class TestDiameterLimits:
         assert code == 0 and json.loads(out)["diameter"] == 16
         reached = []
 
-        def stop(d):
+        def stop(d, bits):
             reached.append(d)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(injectivity, "_edge_template", stop)
+        monkeypatch.setattr(injectivity, "_peel", stop)
         for argv in (["verify", "-d", "12", "-w", "1"], ["induce", "0X011" + "a" * 7, "--verify"]):
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
@@ -404,6 +404,21 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "-d", "3", "-w", "240",
                            "--anchor", "1", "--init", "0011", "--steps", "1")
         assert code == 0 and out.splitlines() == ["0011", "1001"]
+
+    def test_wolfram_forms_agree_past_the_digit_limit(self, capsys):
+        """A --wolfram decimal of more than 4,300 digits runs like its hex,
+        binary and octal forms (it used to exit 2 with Python's int limit)."""
+        w = (1 << (1 << 14)) - 5
+        outs = []
+        for text in (rules._decimal_text(w), hex(w), bin(w), oct(w)):
+            code, out, err = run(capsys, "simulate", "-d", "14", "-w", text, "--init", "0101")
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert len(rules._decimal_text(w)) == 4933
+        assert outs == [outs[1]] * 4 and outs[0].splitlines() == ["0101", "1111"]
+        code, out, _ = run(capsys, "verify", "-d", "12", "-w", rules._decimal_text((1 << 4096) - 1))
+        assert code == 1 and out.startswith("NotInjective\n")
+        assert run(capsys, "verify", "-d", "3", "-w", "0204")[0] == 2   # as int(text, 0)
 
     def test_pbm(self, capsys, tmp_path):
         target = tmp_path / "orbit.pbm"

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,55 @@ class TestDecide:
                                for n in range(1, n_max + 1)), (d, bits)
         with pytest.raises(ValueError):
             decide(3, np.zeros((2, 16), dtype=np.uint8))
+
+
+def _assert_witness(rt, verdict):
+    w1, w2 = verdict.witness
+    assert not verdict.injective and w1 != w2 and len(w1) == len(w2)
+    assert (brute.naive_step(rt.bits, rt.diameter, rt.anchor, w1)
+            == brute.naive_step(rt.bits, rt.diameter, rt.anchor, w2))
+
+
+class TestBeyondTheOracle:
+    """The decision at D = 2, where a window has no middle cells, and at
+    D = 9..11, beyond the diameters the Tarjan oracle is run at."""
+
+    def test_every_diameter_2_table(self):
+        for w in range(16):
+            rt = from_wolfram(2, w)
+            expected = brute.tarjan_injective(list(rt.bits), 2)
+            assert decide(2, np.array(rt.bits)).tolist() == [expected]
+            verdict = debruijn_injective(rt)
+            assert verdict.injective == expected
+            if not expected:
+                _assert_witness(rt, verdict)
+        assert [w for w in range(16) if decide(2, from_wolfram(2, w).bits)[0]] == [3, 5, 10, 12]
+
+    def test_induced_and_near_misses_at_9_to_11(self):
+        """Induced tables are accepted; one-swap perturbations of them are
+        rejected with witnesses that the brute stepper confirms."""
+        rng = random.Random(911)
+        for d in (9, 10, 11):
+            induced = [to_wolfram(induce(build_mixture([p])))
+                       for p in rng.sample(list(generate_all_patterns(d)), 2)]
+            for w in induced:
+                assert debruijn_injective(from_wolfram(d, w)).injective
+            for w in _near_misses(induced, d, 2, rng):
+                rt = from_wolfram(d, w)
+                _assert_witness(rt, debruijn_injective(rt))
+
+    def test_memory_at_diameter_11(self):
+        """The decision's working arrays are bool planes over the 4^11
+        window pairs, about 15 MB at D = 11; one intp index array over the
+        window pairs alone would take 32 MB."""
+        rt = induce(build_mixture(["0X011" + "a" * 6]))
+        tracemalloc.start()
+        try:
+            assert debruijn_injective(rt).injective
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rt.diameter == 11 and peak < 64 << 20
 
 
 class TestPeriodic:
