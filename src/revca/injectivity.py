@@ -22,12 +22,15 @@ conditions for injectivity are bit tests on a Wolfram number: balance (equal
 and f(A) != f(~A) for the D-cell word A = 0101... (with the first, the map
 permutes the words of period 2).  At D <= 4 every table of a diameter is
 scanned, and only those passing the three tests are decided.  D = 5 is gated
-behind an explicit flag; it builds only the balanced tables that pass the
-period 1 and 2 tests, keeps those that permute the words of periods 4..6 and
-decides the survivors.  The period filters are bit arithmetic on the Wolfram
-numbers: a word's image code is gathered from the table's output bits, and
-the table permutes the words iff the OR of ``1 << code`` over them has every
-bit set.  D >= 6 is refused outright.
+behind an explicit flag.  The words of period 4 read only 8 window values in
+each half of a table, so whether a table permutes them (and with them the
+words of periods 1 and 2) is a lookup on one 8-bit key per half; a sweep
+block builds only the balanced tables whose keys pass, keeps those that
+permute the words of periods 5 and 6 and decides the survivors.  The period
+filters are bit arithmetic on the Wolfram numbers: the map commutes with
+rotation, so it permutes the words of length n iff the images of one word
+per necklace (rotation class), gathered from the table's output bits, fall
+in pairwise distinct necklaces.  D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
 it checks the request, lists the work units and scans them in order, on
 ``REVCA_THREADS`` worker processes when that is above 1.
@@ -39,6 +42,7 @@ import contextlib
 import functools
 import multiprocessing
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -158,18 +162,85 @@ def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << d]
 
 
+class _Cycles:
+    """Which nodes of a graph lie on a cycle, by Tarjan's strong components,
+    iterative, one search root at a time; the successors of node v are
+    targets[indptr[v]:indptr[v + 1]].
+
+    Once the search from a root ends, every node it reached has
+    ``index[v] >= 0`` and its component, and ``cyclic[v]`` says whether it
+    lies on a cycle: whether its component has two or more nodes or it has
+    a self-loop.  A reached node reaches only reached nodes.
+    """
+
+    def __init__(self, indptr: Sequence[int], targets: Sequence[int]) -> None:
+        n = len(indptr) - 1
+        self.indptr, self.targets = indptr, targets
+        self.index = array("i", [-1]) * n
+        self.cyclic = bytearray(n)
+        self._low = array("i", [0]) * n
+        self._on_stack = bytearray(n)
+        self._counter = 0
+
+    def search(self, root: int) -> None:
+        """Find the components of every node reachable from an unreached
+        root."""
+        indptr, targets = self.indptr, self.targets
+        index, low, on_stack, cyclic = self.index, self._low, self._on_stack, self.cyclic
+        counter = self._counter
+        index[root] = low[root] = counter
+        counter += 1
+        stack = [root]
+        on_stack[root] = True
+        work = [(root, indptr[root])]
+        while work:
+            v, i = work[-1]
+            end = indptr[v + 1]
+            while i < end:
+                w = targets[i]
+                i += 1
+                if index[w] < 0:   # descend; v resumes at edge i
+                    work[-1] = (v, i)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, indptr[w]))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:   # v roots a component: pop it
+                    w = stack.pop()
+                    on_stack[w] = False
+                    if w == v:
+                        cyclic[v] = v in targets[indptr[v]:end]
+                        continue
+                    cyclic[w] = True
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        cyclic[w] = True
+        self._counter = counter
+
+
 def _shortest_cycle(d: int, nodes: Sequence[int], indptr: Sequence[int],
-                    targets: Sequence[int], z: int):
+                    targets: Sequence[int], z: int, skip: Sequence[int] | None = None):
     """Two distinct equal-image periodic words from a shortest cycle through
     nodes[z], or None when no cycle passes through it; indptr and targets
-    hold the successors of each node by its index in nodes."""
+    hold the successors of each node by its index in nodes.  Nodes w with
+    ``skip[w] >= 0`` are left out of the search: they must be nodes that
+    cannot reach z, so the cycle found is the same."""
     v_count = 1 << (d - 1)
     parent: dict[int, int] = {}
     frontier = deque([z])
     while frontier and z not in parent:
         u = frontier.popleft()
         for w in targets[indptr[u]:indptr[u + 1]]:
-            if w not in parent:
+            if w not in parent and (skip is None or skip[w] < 0):
                 parent[w] = u
                 frontier.append(w)
     if z not in parent:
@@ -196,7 +267,12 @@ def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
     runs through the smallest off-diagonal node with a self-loop if there is
     one (a length-1 witness), else through the smallest surviving
     off-diagonal node that lies on a cycle.  Successors are searched in the
-    order of their input bits (b1, b2).
+    order of their input bits (b1, b2).  Candidates are tried in ascending
+    order.  A breadth-first search from a candidate that no earlier search
+    reached leaves out the nodes those searches reached, which cannot reach
+    it; when it finds no cycle, a search for strong components from the
+    candidate settles every node it reaches, so a later candidate among
+    them needs no search unless it lies on a cycle.
     """
     if bits[0] == bits[-1]:   # f(0^d) = f(1^d): node (0^(d-1), 1^(d-1)) loops to itself
         return "0", "1"
@@ -211,10 +287,19 @@ def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
     np.cumsum(live.sum(axis=1), out=indptr[1:])
     targets = np.searchsorted(nodes, succ[live]).astype(np.int32)
     nodes, indptr, targets = (memoryview(a) for a in (nodes, indptr, targets))
+    cycles = None   # made when the first search finds no cycle
     for z in np.flatnonzero(u1 != u2).tolist():
-        witness = _shortest_cycle(d, nodes, indptr, targets, z)
+        if cycles is not None and cycles.index[z] >= 0:
+            if cycles.cyclic[z]:
+                return _shortest_cycle(d, nodes, indptr, targets, z)
+            continue
+        witness = _shortest_cycle(d, nodes, indptr, targets, z,
+                                  None if cycles is None else cycles.index)
         if witness is not None:
             return witness
+        if cycles is None:
+            cycles = _Cycles(indptr, targets)
+        cycles.search(z)
     raise AssertionError("rejected table without a cycle through an off-diagonal node")
 
 
@@ -276,7 +361,7 @@ _CHUNK_TABLES = 1 << 12
 
 # Periods of the permutation filters a balanced table must pass before the
 # exact decision (D = 5).
-_FILTER_PERIODS = (4, 5, 6)
+_FILTER_PERIODS = (5, 6)
 
 
 def _trivial_wolframs(d: int) -> frozenset[int]:
@@ -337,29 +422,54 @@ _MASK_CACHE: dict[int, list[np.ndarray]] = {}
 
 
 def _masks_by_popcount(width: int) -> list[np.ndarray]:
+    """The width-bit values with k bits set, ascending, for k = 0..width."""
     if width not in _MASK_CACHE:
-        by: list[list[int]] = [[] for _ in range(width + 1)]
-        for m in range(1 << width):
-            by[bin(m).count("1")].append(m)
-        _MASK_CACHE[width] = [np.asarray(v, dtype=np.uint64) for v in by]
+        masks = np.arange(1 << width, dtype=np.uint64)
+        ones = _popcount(masks)
+        _MASK_CACHE[width] = [masks[ones == k] for k in range(width + 1)]
     return _MASK_CACHE[width]
 
 
-_PERIOD_WINDOWS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_NECKLACES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _period_windows(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(octet, shift, where) for the length-n words at diameter d.
+def _necklaces(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, hit) for the length-n words (cell i is bit i).
 
-    The distinct window values u of the words (anchor 0) sit in octet u >> 3
-    of a little-endian Wolfram number, at bit u & 7; where (n, 2^n) gives,
-    for cell i of each word, the index of that cell's window in u.
+    The representatives are the smallest code of each rotation class
+    (necklace), ascending; hit[code] is ``1 << k`` for the k-th class, in
+    the smallest unsigned type that holds all of them (n <= 8: 36 classes).
+    """
+    if n not in _NECKLACES:
+        codes = np.arange(1 << n)
+        smallest, turned = codes.copy(), codes
+        for _ in range(n - 1):
+            turned = (turned >> 1) | ((turned & 1) << (n - 1))
+            np.minimum(smallest, turned, out=smallest)
+        reps, k = np.unique(smallest, return_inverse=True)
+        dtype = np.min_scalar_type((1 << len(reps)) - 1)
+        _NECKLACES[n] = reps, np.left_shift(1, k.astype(dtype), dtype=dtype)
+    return _NECKLACES[n]
+
+
+_PERIOD_WINDOWS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _period_windows(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, where) for the length-n words at diameter d.
+
+    values are the distinct window values the words read (anchor 0),
+    ascending; where (n, necklaces) gives, for cell i of each necklace
+    representative, the index of that cell's window in values.  The
+    rotations of a word read the same windows, so the representatives read
+    them all.
     """
     if (d, n) not in _PERIOD_WINDOWS:
-        values = engine._window_values(engine.all_configs(n), d, 0)
-        u, where = np.unique(values, return_inverse=True)
-        _PERIOD_WINDOWS[d, n] = (u.astype(np.intp) >> 3, (u & 7).astype(np.uint8)[:, None],
-                                 np.ascontiguousarray(where.reshape(values.shape).T))
+        reps, _ = _necklaces(n)
+        windows = engine._window_values(engine.all_configs(n)[reps], d, 0)
+        values, where = np.unique(windows, return_inverse=True)
+        _PERIOD_WINDOWS[d, n] = (values.astype(np.intp),
+                                 np.ascontiguousarray(where.reshape(windows.shape).T))
     return _PERIOD_WINDOWS[d, n]
 
 
@@ -367,19 +477,25 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
     """Mask of the Wolfram numbers (D <= 6) that permute all length-n words.
 
     A necessary-condition filter ahead of the exact decision, on bits, never
-    on a cell matrix.  Per slice of tables it reads each table's output bit
-    at every distinct window value, builds each word's image code (cell i is
-    bit i) from n gathers, and ORs ``1 << code`` over the 2^n words: the
-    table permutes them iff every bit is set.  That is one machine word up
-    to n = 6 and 2^n / 64 of them at n = 7 and 8.  The anchor does not
-    matter here, so the windows are those of anchor 0.
+    on a cell matrix.  The map commutes with rotation, so it sends necklaces
+    onto necklaces, and a necklace's image is no larger than the necklace.
+    It therefore permutes the 2^n words iff the images of the necklace
+    representatives lie in pairwise distinct necklaces: then the necklace
+    map is a bijection, the sizes add up to 2^n on both sides, and each
+    necklace maps onto one of its own size.  Per slice of tables the filter
+    reads each table's output bit at every window value the words read,
+    builds each representative's image code (cell i is bit i) from n
+    gathers, and ORs the ``1 << necklace`` of the codes: the table permutes
+    the words iff every bit is set, one machine word for every n <= 8.  The
+    anchor does not matter here, so the windows are those of anchor 0.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"the period filter takes periods 1..8, got {n}")
-    octet, shift, where = _period_windows(d, n)
-    width = min(1 << n, 64)
-    full = np.min_scalar_type((1 << width) - 1).type((1 << width) - 1)
-    per = max(1, engine._SLICE_CELLS >> n)
+    values, where = _period_windows(d, n)
+    octet, shift = values >> 3, (values & 7).astype(np.uint8)[:, None]
+    _, hit = _necklaces(n)
+    full = np.bitwise_or.reduce(hit)
+    per = max(1, engine._SLICE_CELLS // where.shape[1])
     out = np.empty(len(tables), dtype=bool)
     for lo in range(0, len(tables), per):
         # one row per octet, so that each gather copies contiguous rows
@@ -392,14 +508,7 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
         for i in range(n - 2, -1, -1):
             code += code   # doubling stands in for the slower uint8 left shift
             code |= bits[where[i]]
-        if n <= 6:
-            one_hot = np.left_shift(full.dtype.type(1), code, dtype=full.dtype)
-            out[lo:lo + per] = np.bitwise_or.reduce(one_hot, axis=0) == full
-        else:
-            one_hot = np.left_shift(full.dtype.type(1), code & 63, dtype=full.dtype)
-            out[lo:lo + per] = np.logical_and.reduce(
-                [np.bitwise_or.reduce(np.where(code >> 6 == k, one_hot, 0), axis=0) == full
-                 for k in range((1 << n) >> 6)])
+        out[lo:lo + per] = np.bitwise_or.reduce(hit.take(code), axis=0) == full
     return out
 
 
@@ -417,27 +526,90 @@ def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
     return blocks
 
 
+# The period whose filter is a lookup on the halves of a table.  Its words
+# include those of periods 1 and 2 (a map that permutes the length-4 words
+# permutes those of every period dividing 4), and at D = 5 they read 8 window
+# values in each half.
+_KEY_PERIOD = 4
+
+_HALF_KEYS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _pack(halves: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Key of each half of a table (uint64 array): its bits at positions,
+    the first one lowest."""
+    key = np.zeros(halves.shape, dtype=np.intp)
+    for k, p in enumerate(positions.tolist()):
+        key |= ((halves >> np.uint64(p)) & np.uint64(1)).astype(np.intp) << k
+    return key
+
+
+def _unpack(positions: np.ndarray) -> np.ndarray:
+    """The half with each key, in key order, its other bits 0: the inverse
+    of :func:`_pack`."""
+    bits = (np.arange(1 << positions.size)[:, None] >> np.arange(positions.size)) & 1
+    return np.bitwise_or.reduce(bits.astype(np.uint64) << positions.astype(np.uint64), axis=1)
+
+
+def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, passes): the bit positions in the lower and the upper
+    half of a table that the length-``_KEY_PERIOD`` words read, and
+    passes[upper key, lower key], whether the tables with those keys permute
+    the words.
+
+    The filter reads nothing else, so the matrix is tabulated once, from one
+    probe table per key pair: 256 x 256 at D = 5 and at D = 4, where the
+    words read every window.
+    """
+    if diameter not in _HALF_KEYS:
+        width = 1 << (diameter - 1)
+        values = _period_windows(diameter, _KEY_PERIOD)[0]
+        lower, upper = values[values < width], values[values >= width] - width
+        probes = (_unpack(upper)[:, None] << np.uint64(width)) | _unpack(lower)[None, :]
+        passes = _permutes_period(probes.ravel(), diameter, _KEY_PERIOD).reshape(probes.shape)
+        _HALF_KEYS[diameter] = lower, upper, passes
+    return _HALF_KEYS[diameter]
+
+
+_LOWER_HALVES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray]:
+    """(halves, starts): the lower halves with ``ones`` set bits ordered by
+    key, and where the run of each key begins in them (one more entry than
+    keys, for the end)."""
+    if (diameter, ones) not in _LOWER_HALVES:
+        halves = _masks_by_popcount(1 << (diameter - 1))[ones]
+        lower = _half_keys(diameter)[0]
+        keys = _pack(halves, lower)
+        order = np.argsort(keys, kind="stable")
+        starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
+        _LOWER_HALVES[diameter, ones] = halves[order], starts
+    return _LOWER_HALVES[diameter, ones]
+
+
 def _block_tables(diameter: int, block: tuple[int, int, int]) -> np.ndarray:
-    """The tables of one balanced-sweep block that permute the words of
-    periods 1 and 2, unordered.
+    """The tables of one balanced-sweep block that permute the length-4
+    words (and so those of periods 1 and 2), unordered.
 
     A block's tables are the products of its upper halves (window values
     with a leading 1) and the lower halves of the complementary popcount.
-    f(0^D) and f(A) lie in the lower half and f(1^D) and f(~A) in the upper
-    one, so both halves are classed by their two bits and only the products
-    of classes whose bits differ pairwise are built: about a quarter.
+    Whether a product passes is passes[upper key, lower key] of
+    :func:`_half_keys`, so only the passing products are built: each upper
+    half is paired with the runs of lower halves whose keys pass with its
+    own, by one ragged ``repeat``/``arange``.
     """
     width = 1 << (diameter - 1)
     j, s, e = block
-    by = _masks_by_popcount(width)
-    ups = by[j][s:e]
-    los = by[width - j]
-    zeros, ones, alt, alt_c = _period_words(diameter)
-    up_class = 2 * _bit(ups, ones - width) + _bit(ups, alt_c - width)
-    lo_class = 2 * _bit(los, zeros) + _bit(los, alt)
-    parts = [((ups[up_class == c, None] << np.uint64(width))
-              | los[lo_class == 3 - c][None, :]).ravel() for c in range(4)]
-    return np.concatenate(parts)
+    ups = _masks_by_popcount(width)[j][s:e]
+    los, starts = _lower_halves(diameter, width - j)
+    _, upper, passes = _half_keys(diameter)
+    runs = np.diff(starts)
+    up, key = np.nonzero(passes[_pack(ups, upper)] & (runs > 0))
+    size = runs[key]
+    ends = np.cumsum(size)
+    lo = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[key] - (ends - size), size)
+    return (np.repeat(ups[up], size) << np.uint64(width)) | los[lo]
 
 
 def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
@@ -446,9 +618,10 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]
     Balance and permutation of the words of periods 1, 2 and 4..6 are
     necessary conditions, so the prefilters cannot drop an injective table;
     survivors get the exact pair-graph decision.  Balance holds by
-    construction of the block and periods 1 and 2 are bit tests on the
-    block's halves (see :func:`_block_tables`); the other periods are the
-    bit filters of :func:`_permutes_period` over the tables that are left.
+    construction of the block and periods 1, 2 and 4 are a lookup on the
+    keys of the block's halves (see :func:`_block_tables`); periods 5 and 6
+    are the bit filters of :func:`_permutes_period` over the tables that
+    are left.
     """
     tables = _block_tables(diameter, block)
     for n in _FILTER_PERIODS:

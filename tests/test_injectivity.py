@@ -12,8 +12,11 @@ import brute
 from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
     Sweep,
+    _Cycles,
     _block_tables,
+    _half_keys,
     _masks_by_popcount,
+    _necklaces,
     _passes_bit_tests,
     _permutes_period,
     _sweep_workers,
@@ -81,6 +84,75 @@ class TestVerdicts:
         # (0...0, 1...1), the smallest one that can carry one: length-1 witness
         v = debruijn_injective(from_wolfram(3, 90))
         assert v.witness == ("0", "1")
+
+    def test_witness_cycle_runs_through_the_smallest_cyclic_node(self):
+        """With f(0^D) != f(1^D) the witness is a shortest cycle of
+        brute.pair_graph through its smallest off-diagonal node on a cycle:
+        on random tables, and on one-swap near misses of induced tables,
+        whose smaller off-diagonal survivors mostly lie on no cycle."""
+        rng = random.Random(406)
+        tables = [(d, rng.getrandbits(1 << d)) for d in rng.choices(range(2, 7), k=150)]
+        for d in (5, 6):
+            induced = [to_wolfram(induce(build_mixture([p]))) for p in generate_all_patterns(d)]
+            tables += [(d, w) for w in _near_misses(induced, d, 60, rng)]
+        checked = 0
+        for d, w in tables:
+            w = (w | 1 << ((1 << d) - 1)) & ~1
+            rt = from_wolfram(d, w)
+            v = debruijn_injective(rt)
+            if v.injective:
+                continue
+            size = 1 << (d - 1)
+            graph = brute.pair_graph(list(rt.bits), d)
+
+            def cycle_length(z):
+                # BFS from z's successors back to z
+                seen, frontier, length = set(), set(graph[z]), 1
+                while frontier and z not in frontier:
+                    seen |= frontier
+                    frontier = {y for x in frontier for y in graph[x]} - seen
+                    length += 1
+                return length if frontier else None
+
+            z = next(u for u in sorted(graph) if u // size != u % size and cycle_length(u))
+            # the node the witness's cycle closes at: the last d-1 cells of each word
+            w1, w2 = v.witness
+            reps = -(-(d - 1) // len(w1))
+            p, q = (int((c * reps)[len(c) * reps - (d - 1):], 2) for c in (w1, w2))
+            assert p * size + q == z and len(w1) == cycle_length(z), (d, w)
+            checked += 1
+        assert checked >= 150
+
+    def test_cycles_by_strong_components(self):
+        """_Cycles against plain reachability, searched from random roots in
+        turn: a reached node lies on a cycle iff it is reachable from its
+        successors, and the reached nodes are closed under successors."""
+        rng = random.Random(407)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+            indptr = [0]
+            for s in succ:
+                indptr.append(indptr[-1] + len(s))
+
+            def reach(v):
+                seen, todo = set(), list(succ[v])
+                while todo:
+                    u = todo.pop()
+                    if u not in seen:
+                        seen.add(u)
+                        todo += succ[u]
+                return seen
+
+            cycles = _Cycles(indptr, [t for s in succ for t in s])
+            reached = set()
+            for root in rng.sample(range(n), n):
+                if root in reached:
+                    continue
+                cycles.search(root)
+                reached |= {root} | reach(root)
+                assert {v for v in range(n) if cycles.index[v] >= 0} == reached
+                assert all(bool(cycles.cyclic[v]) == (v in reach(v)) for v in reached)
 
     def test_decision_limit(self, monkeypatch):
         """Above MAX_DECISION_DIAMETER (12) the pair graph's 4^(D-1) nodes
@@ -311,6 +383,18 @@ class TestPeriodFilter:
             assert np.array_equal(got, np.concatenate(pieces)), n
             assert got.any() and not got.all(), n
 
+    def test_necklace_representatives(self):
+        """One representative per rotation class: the smallest code of each,
+        and each code's one-hot class found by rotating it."""
+        counts = []
+        for n in range(1, 9):
+            reps, hit = _necklaces(n)
+            counts.append(len(reps))
+            for code in range(1 << n):
+                turns = {(code >> i | code << (n - i)) & ((1 << n) - 1) for i in range(n)}
+                assert hit[code] == 1 << reps.tolist().index(min(turns)), (n, code)
+        assert counts == [2, 3, 4, 6, 8, 14, 20, 36]
+
     def test_empty_batch_and_bad_periods(self):
         empty = _permutes_period(np.empty(0, dtype=np.uint64), 5, 4)
         assert empty.shape == (0,) and empty.dtype == bool
@@ -393,9 +477,12 @@ class TestBalancedBlocks:
             tables = []
             for j, s, e in blocks:
                 block = ((by[j][s:e, None] << np.uint64(width)) | by[width - j][None, :]).ravel()
-                # the class-wise build keeps exactly the tables passing the bit tests
-                assert np.array_equal(np.sort(_block_tables(d, (j, s, e))),
-                                      np.sort(block[_passes_bit_tests(d, block)]))
+                # the key-wise build keeps exactly the tables that permute the
+                # words of periods 1, 2 and 4
+                passing = block
+                for n in (1, 2, 4):
+                    passing = passing[_permutes_period(passing, d, n)]
+                assert np.array_equal(np.sort(_block_tables(d, (j, s, e))), np.sort(passing))
                 tables += block.tolist()
             assert len(set(tables)) == len(tables) == covered
             assert set(tables) == {w for w in range(1 << (2 * width))
@@ -405,6 +492,26 @@ class TestBalancedBlocks:
         blocks = balanced_sweep_blocks(5)
         assert len(blocks) == 156
         assert sum((e - s) * math.comb(16, 16 - j) for j, s, e in blocks) == 601_080_390
+
+    def test_diameter_5_key_matrix(self):
+        """passes[upper key, lower key] against brute.is_permutation at
+        periods 1, 2 and 4: every passing pair and a sample of the others,
+        each as a table whose bits outside the keys are random."""
+        lower, upper, passes = _half_keys(5)
+        assert lower.tolist() == list(range(0, 16, 2))
+        assert upper.tolist() == list(range(1, 16, 2))
+        rng = random.Random(45)
+        failing = np.argwhere(~passes).tolist()
+        pairs = np.argwhere(passes).tolist() + rng.sample(failing, 1500)
+        for ku, kl in pairs:
+            w = rng.getrandbits(32)
+            for k in range(8):
+                for key, p in ((kl, lower[k]), (ku, 16 + upper[k])):
+                    w = w & ~(1 << int(p)) | (key >> k & 1) << int(p)
+            bits = [w >> v & 1 for v in range(32)]
+            expected = all(brute.is_permutation(bits, 5, 0, n) for n in (1, 2, 4))
+            assert passes[ku, kl] == expected, (ku, kl, w)
+        assert np.count_nonzero(passes) == 1536
 
 
 class TestBitTests:
