@@ -19,9 +19,9 @@ EXHAUSTIVE_BOUND = 20
 
 # Cells handled together in one slice: a periodic check steps this many cells
 # of its configurations at a time, and the sweeps' period filter takes this
-# many (word, table) pairs at a time.  Working memory scales with this
-# constant, not with the period or the number of tables, which keeps peak
-# memory flat.
+# many (group of words, table) pairs at a time.  Working memory scales with
+# this constant, not with the period or the number of tables, which keeps
+# peak memory flat.
 _SLICE_CELLS = 1 << 16
 
 
@@ -63,13 +63,6 @@ def step(rt: RuleTable, c: str) -> str:
     """Apply the global map once."""
     cells = np.frombuffer(_check_word(c).encode("ascii"), dtype=np.uint8) - ord("0")
     return (batch_step(rt, cells[None])[0] + ord("0")).tobytes().decode("ascii")
-
-
-def shift(c: str, k: int) -> str:
-    """Cyclic rotation to the right by k (left for negative k)."""
-    _check_word(c)
-    k %= len(c)
-    return c[-k:] + c[:-k] if k else c
 
 
 def space_time(rt: RuleTable, init: str, steps: int) -> list[str]:

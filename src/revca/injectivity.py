@@ -16,21 +16,20 @@ two distinct periodic configurations with equal images, returned as the
 witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap and
 ``MAX_DECISION_DIAMETER`` (12) is the largest one decided.
 
-Exhaustive rule-space sweeps provide ground truth.  Three necessary
-conditions for injectivity are bit tests on a Wolfram number: balance (equal
-0/1 output counts), f(0^D) != f(1^D) (the map permutes the words of period 1)
-and f(A) != f(~A) for the D-cell word A = 0101... (with the first, the map
-permutes the words of period 2).  At D <= 4 every table of a diameter is
-scanned, and only those passing the three tests are decided.  D = 5 is gated
-behind an explicit flag.  The words of period 4 read only 8 window values in
-each half of a table, so whether a table permutes them (and with them the
-words of periods 1 and 2) is a lookup on one 8-bit key per half; a sweep
-block builds only the balanced tables whose keys pass, keeps those that
-permute the words of periods 5 and 6 and decides the survivors.  The period
-filters are bit arithmetic on the Wolfram numbers: the map commutes with
+Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
+chain of necessary conditions for injectivity before the exact decision:
+balance (equal 0/1 output counts); permutation of the words of period 4, and
+with them those of periods 1 and 2, as a lookup on one key per half of a
+table (the bits the words read: 8 of each 16-bit half at D = 5, the whole
+half at D <= 4); then permutation of the words of periods 5 and 6.  At
+D <= 4 a unit is a range of Wolfram numbers, and the key lookup implies
+balance there.  D = 5 is gated behind an explicit flag, and a unit there is
+a block of balanced tables that builds only the tables whose keys pass.  The
+period filters are lookups on the Wolfram numbers: the map commutes with
 rotation, so it permutes the words of length n iff the images of one word
-per necklace (rotation class), gathered from the table's output bits, fall
-in pairwise distinct necklaces.  D >= 6 is refused outright.
+per necklace (rotation class) fall in pairwise distinct necklaces, and the
+images' codes and their necklaces are read from tables indexed by the limbs
+of a table's bits.  D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
 it checks the request, lists the work units and scans them in order, on
 ``REVCA_THREADS`` worker processes when that is above 1.
@@ -64,12 +63,6 @@ MAX_DECISION_DIAMETER = 12
 class InjectivityVerdict:
     injective: bool
     witness: tuple[str, str] | None = None
-
-    def __str__(self) -> str:
-        if self.injective:
-            return "injective"
-        w1, w2 = self.witness
-        return f"not injective (configurations {w1} and {w2} share an image)"
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +352,8 @@ def periodic_bijective(rt: RuleTable, n: int) -> bool:
 # Tables in one work unit of a full-table sweep (D <= 4).
 _CHUNK_TABLES = 1 << 12
 
-# Periods of the permutation filters a balanced table must pass before the
-# exact decision (D = 5).
+# Periods of the permutation filters that a table passing the half keys must
+# pass before the exact decision.
 _FILTER_PERIODS = (5, 6)
 
 
@@ -375,11 +368,6 @@ def sweep_chunks(diameter: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_TABLES, total)) for lo in range(0, total, _CHUNK_TABLES)]
 
 
-def _bit(tables: np.ndarray, v: int) -> np.ndarray:
-    """Output bit at window value v of each Wolfram number in a uint64 array."""
-    return (tables >> np.uint64(v)) & np.uint64(1)
-
-
 def _popcount(x: np.ndarray) -> np.ndarray:
     """Set bits of each element of a uint64 array (SWAR; np.bitwise_count
     needs numpy 2)."""
@@ -387,35 +375,6 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-def _period_words(diameter: int) -> tuple[int, int, int, int]:
-    """Window values of 0^D, 1^D, A = 0101... and ~A = 1010...: a table
-    permutes the words of period 1 iff its outputs at the first two differ,
-    and those of period 2 iff, in addition, its outputs at the last two do."""
-    ones = (1 << diameter) - 1
-    alt = ones // 3
-    return 0, ones, alt, ones ^ alt
-
-
-def _passes_bit_tests(diameter: int, tables: np.ndarray) -> np.ndarray:
-    """Mask of the Wolfram numbers (uint64, D <= 5) that are balanced and
-    permute the words of periods 1 and 2."""
-    zeros, ones, alt, alt_c = _period_words(diameter)
-    return ((_popcount(tables) == 1 << (diameter - 1))
-            & (_bit(tables, zeros) != _bit(tables, ones))
-            & (_bit(tables, alt) != _bit(tables, alt_c)))
-
-
-def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
-    """Wolfram numbers in [lo, hi) whose global map is injective, ascending.
-
-    Only the tables that pass the bit tests of balance and periods 1 and 2
-    (all necessary for injectivity) reach the exact decision.
-    """
-    tables = np.arange(lo, hi, dtype=np.uint64)
-    tables = tables[_passes_bit_tests(diameter, tables)]
-    return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
 
 
 _MASK_CACHE: dict[int, list[np.ndarray]] = {}
@@ -452,25 +411,69 @@ def _necklaces(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _NECKLACES[n]
 
 
-_PERIOD_WINDOWS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+def _rep_windows(d: int, n: int) -> np.ndarray:
+    """(necklaces, n) window values (anchor 0) that cell i of each necklace
+    representative reads at diameter d.  The rotations of a word read the
+    same windows, so the representatives read every window the length-n
+    words read."""
+    return engine._window_values(engine.all_configs(n)[_necklaces(n)[0]], d, 0)
 
 
-def _period_windows(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, where) for the length-n words at diameter d.
+# Bits of a packed group of image codes, and so the size of the lookup that
+# turns a group into its necklaces.
+_GROUP_BITS = 16
 
-    values are the distinct window values the words read (anchor 0),
-    ascending; where (n, necklaces) gives, for cell i of each necklace
-    representative, the index of that cell's window in values.  The
-    rotations of a word read the same windows, so the representatives read
-    them all.
+# Most bytes that the limb lookups of one (d, n) may take: past it, limbs are
+# 8 bits wide, not 16.
+_LOOKUP_BYTES = 1 << 20
+
+_PERIOD_LOOKUPS: dict[tuple[int, int], tuple[int, list[np.ndarray], np.ndarray]] = {}
+
+
+def _period_lookups(d: int, n: int) -> tuple[int, list[np.ndarray], np.ndarray]:
+    """(width, codes, necklaces) for the period-n filter at diameter d.
+
+    A table's bits split into limbs of ``width`` bits: its halves up to
+    D = 5, 16-bit quarters at D = 6, and 8-bit ones where 16-bit limbs would
+    take more than ``_LOOKUP_BYTES`` (at D = 5, period 6's 14 necklaces in
+    7 groups would take 1.8 MB).  The necklace representatives split
+    into groups of at most ``_GROUP_BITS // n``, the last one padded with
+    copies of the last representative, and a group's image codes pack into
+    one integer, representative p in bits p*n .. p*n+n-1.  codes[limb][g, v]
+    is what a limb of value v contributes to the packed codes of group g:
+    the bits of the cells whose windows lie in that limb and read a 1 there.
+    Each cell reads one window and each window lies in one limb, so a
+    table's packed codes are the OR of its limbs' contributions.
+    necklaces[c] is the OR of the one-hot necklaces of the codes packed
+    in c, so a padded copy sets nothing new.
     """
-    if (d, n) not in _PERIOD_WINDOWS:
-        reps, _ = _necklaces(n)
-        windows = engine._window_values(engine.all_configs(n)[reps], d, 0)
-        values, where = np.unique(windows, return_inverse=True)
-        _PERIOD_WINDOWS[d, n] = (values.astype(np.intp),
-                                 np.ascontiguousarray(where.reshape(windows.shape).T))
-    return _PERIOD_WINDOWS[d, n]
+    if (d, n) not in _PERIOD_LOOKUPS:
+        reps, hit = _necklaces(n)
+        windows = _rep_windows(d, n)
+        groups = -(-len(reps) // (_GROUP_BITS // n))
+        size = -(-len(reps) // groups)
+        members = np.minimum(np.arange(groups * size), len(reps) - 1).reshape(groups, size)
+        dtype = np.min_scalar_type((1 << (size * n)) - 1)
+        # cell[g, v]: the bits that a 1 at window value v sets in group g's codes
+        cell = np.zeros((groups, 1 << d), dtype=dtype)
+        for (g, p), r in np.ndenumerate(members):
+            for i, v in enumerate(windows[r].tolist()):
+                cell[g, v] |= 1 << (p * n + i)
+        width = min(1 << (d - 1), 16)
+        if ((1 << d) // width * groups * dtype.itemsize) << width > _LOOKUP_BYTES:
+            width = 8
+        codes = []
+        for limb in range(0, 1 << d, width):
+            table = np.zeros((groups, 1 << width), dtype=dtype)
+            for b in range(width):   # the values with top bit b: those below, plus bit b
+                np.bitwise_or(table[:, :1 << b], cell[:, limb + b, None],
+                              out=table[:, 1 << b:2 << b])
+            codes.append(table)
+        packed = np.arange(1 << (size * n))
+        necklaces = functools.reduce(np.bitwise_or, (hit[(packed >> (p * n)) & ((1 << n) - 1)]
+                                                     for p in range(size)))
+        _PERIOD_LOOKUPS[d, n] = width, codes, necklaces
+    return _PERIOD_LOOKUPS[d, n]
 
 
 def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -482,33 +485,26 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
     It therefore permutes the 2^n words iff the images of the necklace
     representatives lie in pairwise distinct necklaces: then the necklace
     map is a bijection, the sizes add up to 2^n on both sides, and each
-    necklace maps onto one of its own size.  Per slice of tables the filter
-    reads each table's output bit at every window value the words read,
-    builds each representative's image code (cell i is bit i) from n
-    gathers, and ORs the ``1 << necklace`` of the codes: the table permutes
-    the words iff every bit is set, one machine word for every n <= 8.  The
-    anchor does not matter here, so the windows are those of anchor 0.
+    necklace maps onto one of its own size.  The images' codes come from
+    one lookup per limb and group of representatives, their necklaces from
+    one lookup per group (see :func:`_period_lookups`), and the table
+    permutes the words iff the ORed necklaces are all of them.  Slices hold
+    ``engine._SLICE_CELLS`` (group, table) pairs.  The anchor does not
+    matter here, so the windows are those of anchor 0.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"the period filter takes periods 1..8, got {n}")
-    values, where = _period_windows(d, n)
-    octet, shift = values >> 3, (values & 7).astype(np.uint8)[:, None]
-    _, hit = _necklaces(n)
-    full = np.bitwise_or.reduce(hit)
-    per = max(1, engine._SLICE_CELLS // where.shape[1])
+    width, codes, necklaces = _period_lookups(d, n)
+    full = np.bitwise_or.reduce(_necklaces(n)[1])
+    low = np.uint64((1 << width) - 1)
+    per = max(1, engine._SLICE_CELLS // len(codes[0]))
     out = np.empty(len(tables), dtype=bool)
     for lo in range(0, len(tables), per):
-        # one row per octet, so that each gather copies contiguous rows
-        octets = np.ascontiguousarray(
-            tables[lo:lo + per].astype("<u8").view(np.uint8).reshape(-1, 8).T)
-        bits = octets[octet]
-        bits >>= shift
-        bits &= 1
-        code = bits[where[n - 1]]
-        for i in range(n - 2, -1, -1):
-            code += code   # doubling stands in for the slower uint8 left shift
-            code |= bits[where[i]]
-        out[lo:lo + per] = np.bitwise_or.reduce(hit.take(code), axis=0) == full
+        part = tables[lo:lo + per]
+        packed = codes[0].take((part & low).astype(np.intp), axis=1)
+        for k, table in enumerate(codes[1:], 1):
+            packed |= table.take(((part >> np.uint64(k * width)) & low).astype(np.intp), axis=1)
+        out[lo:lo + per] = np.bitwise_or.reduce(necklaces.take(packed), axis=0) == full
     return out
 
 
@@ -563,7 +559,7 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if diameter not in _HALF_KEYS:
         width = 1 << (diameter - 1)
-        values = _period_windows(diameter, _KEY_PERIOD)[0]
+        values = np.flatnonzero(np.bincount(_rep_windows(diameter, _KEY_PERIOD).ravel()))
         lower, upper = values[values < width], values[values >= width] - width
         probes = (_unpack(upper)[:, None] << np.uint64(width)) | _unpack(lower)[None, :]
         passes = _permutes_period(probes.ravel(), diameter, _KEY_PERIOD).reshape(probes.shape)
@@ -612,24 +608,48 @@ def _block_tables(diameter: int, block: tuple[int, int, int]) -> np.ndarray:
     return (np.repeat(ups[up], size) << np.uint64(width)) | los[lo]
 
 
-def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
-    """Injective Wolfram numbers within one balanced-sweep block, ascending.
+def _decide_survivors(diameter: int, tables: np.ndarray) -> list[int]:
+    """Injective Wolfram numbers among tables that are balanced and permute
+    the words of periods 1, 2 and 4, ascending: the tail of every sweep
+    unit's filter chain.
 
-    Balance and permutation of the words of periods 1, 2 and 4..6 are
-    necessary conditions, so the prefilters cannot drop an injective table;
-    survivors get the exact pair-graph decision.  Balance holds by
-    construction of the block and periods 1, 2 and 4 are a lookup on the
-    keys of the block's halves (see :func:`_block_tables`); periods 5 and 6
-    are the bit filters of :func:`_permutes_period` over the tables that
-    are left.
+    Permutation of the words of periods 5 and 6 is, like the rest, a
+    necessary condition, so no filter drops an injective table; the
+    :func:`_permutes_period` filters run in turn on what is left, and the
+    survivors get the exact pair-graph decision.
     """
-    tables = _block_tables(diameter, block)
     for n in _FILTER_PERIODS:
         if not tables.size:
             break
         tables = tables[_permutes_period(tables, diameter, n)]
     tables = np.sort(tables)
     return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
+
+
+def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
+    """Wolfram numbers in [lo, hi) whose global map is injective, ascending.
+
+    The chunk's tables go through the filter chain of every sweep unit:
+    passes[upper key, lower key] of :func:`_half_keys` (the words of
+    periods 1, 2 and 4), then :func:`_decide_survivors`.  At D <= 4 the
+    length-4 words read every window, so the keys are the whole halves and
+    the flattened matrix is indexed by the Wolfram number.  Balance needs no
+    test of its own: the 16 words read each window 64 / 2^D times in all,
+    so a table that permutes them, whose images hold 32 ones in their 64
+    cells, has 2^(D-1) ones.
+    """
+    tables = np.arange(lo, hi, dtype=np.uint64)
+    return _decide_survivors(diameter, tables[_half_keys(diameter)[2].ravel()[lo:hi]])
+
+
+def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
+    """Injective Wolfram numbers within one balanced-sweep block, ascending.
+
+    Balance holds by construction of the block and periods 1, 2 and 4 are
+    a lookup on the keys of the block's halves (see :func:`_block_tables`);
+    :func:`_decide_survivors` does the rest.
+    """
+    return _decide_survivors(diameter, _block_tables(diameter, block))
 
 
 def scan_unit(diameter: int, unit) -> list[int]:

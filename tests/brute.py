@@ -93,6 +93,12 @@ def naive_step(bits, diameter: int, anchor: int, c: str) -> str:
     return "".join(out)
 
 
+def shift(c: str, k: int) -> str:
+    """Cyclic rotation of a word to the right by k (left for negative k)."""
+    k %= len(c)
+    return c[-k:] + c[:-k] if k else c
+
+
 def is_permutation(bits, diameter: int, anchor: int, n: int) -> bool:
     images = {naive_step(bits, diameter, anchor, format(ci, f"0{n}b"))
               for ci in range(1 << n)}

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
 from revca import engine, injectivity, patterns, rules
@@ -488,3 +492,95 @@ def test_byte_deterministic_output(capsys):
         main(["induce", "0X011"])
         outs.add(capsys.readouterr().out)
     assert len(outs) == 2
+
+
+# -- fuzzed argv ---------------------------------------------------------------
+
+# Values per kind of option.  Diameters stay at most 4 or lie past every
+# limit, and steps and periods stay small, so that no case starts a large
+# allocation or a long run; the refusals themselves are cheap.
+_INTS = ["1", "2", "3", "4"] * 3 + ["-1", "0", "x", "", "1.5", "0x3"]
+_DIAMETERS = _INTS + ["17", "64", "100000000000000000000"]
+_WOLFRAMS = ["0", "1", "6", "240", "0x96", "0XFF", "204", "0x3c"] * 2 + [
+    "-1", "abc", "1" * 40, "9" * 5000]
+_PERIODS = ["0", "1", "5", "12", "21", "-1", "x"]
+_PATTERNS = ["0X011", "0X110", "1X001", "a0X011a", "0X011aaa", "0X011aaaaaaaaaaaa", "0X",
+             "X", "01", "0Y1", "", "0x011", "0X011X"]
+_WORDS = ["0101", "1", "", "012", "0" * 40, "0011010"]
+_STDIN = ["", "0X011\n", "0X011\n0X110\n", "junk\n", "0X011 0X110\n"]
+_PATHS = ["out.jsonl", "missing/x.jsonl", ".", "mixture.txt", "state.ckpt"]
+
+_OPTIONS = {
+    "gen-patterns": {"-d": _DIAMETERS, "--diameter": _DIAMETERS, "--left": _INTS,
+                     "--right": _INTS},
+    "gen-extended": {"-d": _DIAMETERS},
+    "counts": {"-n": _INTS + ["6", "17"], "--json": None},
+    "induce": {"--verify": None, "--stdin": None, "--max-period": _PERIODS,
+               "--mixture-file": _PATHS, "--catalog": _PATHS},
+    "verify": {"-d": _DIAMETERS, "-w": _WOLFRAMS, "--wolfram": _WOLFRAMS,
+               "--max-period": _PERIODS},
+    "enumerate": {"-d": _DIAMETERS, "--exclude-trivial": None, "--allow-long": None,
+                  "--catalog": _PATHS, "--checkpoint": _PATHS},
+    "simulate": {"-d": _DIAMETERS, "-w": _WOLFRAMS, "--anchor": _INTS, "--pattern": _PATTERNS,
+                 "--init": _WORDS, "--steps": ["0", "1", "3", "-1", "x"], "--pbm": _PATHS},
+}
+
+
+# The options each command needs, one set of them drawn in most cases, so
+# that the cases reach the commands' own checks and work, not only argparse's.
+_REQUIRED = {"gen-patterns": [["-d"], ["--left", "--right"]], "gen-extended": [["-d"]],
+             "induce": [[]], "verify": [["-d", "-w"]], "enumerate": [["-d"]],
+             "simulate": [["--init", "--pattern"], ["--init", "-d", "-w"]]}
+
+
+@st.composite
+def _argv(draw):
+    """A command, its required options and some others with values of their
+    kind (paths made relative to a scratch directory later), patterns for
+    ``induce``, and now and then a stray token or a command that does not
+    exist."""
+    command = draw(st.sampled_from(sorted(_OPTIONS))) if draw(st.integers(0, 7)) \
+        else draw(st.sampled_from(["bogus", "--help"]))
+    argv = [command]
+    options = _OPTIONS.get(command, {})
+    flags = list(draw(st.sampled_from(_REQUIRED.get(command, [[]])))) \
+        if draw(st.integers(0, 7)) else []
+    if options:
+        flags += draw(st.lists(st.sampled_from(sorted(options)), max_size=4))
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(st.sampled_from(options[flag])))
+    if command == "induce":
+        argv += draw(st.lists(st.sampled_from(_PATTERNS), max_size=3))
+    if not draw(st.integers(0, 5)):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-d", "-h", "--", "0X011", "7"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "mixture.txt").write_text("0X011\n0X110\n")
+    return path
+
+
+@settings(max_examples=300)
+@given(argv=_argv(), stdin=st.sampled_from(_STDIN))
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv, stdin):
+    """Any argv over the real commands and options ends with an exit code
+    in {0, 1, 2, 3, 4} and no traceback."""
+    argv = [str(fuzz_dir / a) if a in _PATHS else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:   # argparse: --help exits 0, a usage error 2
+        code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import brute
+from revca import injectivity
 from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
     Sweep,
@@ -17,7 +18,6 @@ from revca.injectivity import (
     _half_keys,
     _masks_by_popcount,
     _necklaces,
-    _passes_bit_tests,
     _permutes_period,
     _sweep_workers,
     balanced_sweep_blocks,
@@ -25,13 +25,14 @@ from revca.injectivity import (
     decide,
     exhaustive_injective,
     periodic_bijective,
+    scan_chunk,
     scan_unit,
+    sweep_chunks,
 )
 from revca.patterns import build_mixture, enumerate_extended, generate_all_patterns
 from revca.rules import (
     from_wolfram,
     induce,
-    is_balanced,
     to_wolfram,
     trivial_tables,
 )
@@ -515,14 +516,67 @@ class TestBalancedBlocks:
 
 
 class TestBitTests:
-    """Balance and periods 1 and 2 as bit tests on Wolfram numbers."""
+    """The filter chain of every sweep unit, on the bits of Wolfram numbers:
+    balance and the half keys (periods 1, 2 and 4), periods 5 and 6, then
+    the decision; brute balance and brute.is_permutation are the oracle."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_equal_to_the_generic_checks(self, d):
-        tables = np.arange(1 << (1 << d), dtype=np.uint64)
-        balanced = np.array([is_balanced(from_wolfram(d, w)) for w in range(tables.size)])
-        expected = balanced & _permutes_period(tables, d, 1) & _permutes_period(tables, d, 2)
-        assert np.array_equal(_passes_bit_tests(d, tables), expected)
+    @staticmethod
+    def _funnel(monkeypatch):
+        """Tables that reach the chain's tail (after the keys, and so
+        balanced) and the decision, as lists filled by the scans that
+        follow."""
+        keyed, decided = [], []
+        tail, decide_ = injectivity._decide_survivors, injectivity.decide
+
+        def spy_tail(d, tables):
+            keyed.extend(int(w) for w in tables)
+            return tail(d, tables)
+
+        def spy_decide(d, bits):
+            decided.extend(sum(int(b) << v for v, b in enumerate(row)) for row in bits)
+            return decide_(d, bits)
+
+        monkeypatch.setattr(injectivity, "_decide_survivors", spy_tail)
+        monkeypatch.setattr(injectivity, "decide", spy_decide)
+        return keyed, decided
+
+    @staticmethod
+    def _brute_passes(d, w):
+        """Balanced and permuting the words of periods 1, 2, 4, 5 and 6, by
+        bit count and brute.is_permutation."""
+        bits = [w >> v & 1 for v in range(1 << d)]
+        return (sum(bits) == 1 << (d - 1)
+                and all(brute.is_permutation(bits, d, 0, n) for n in (1, 2, 4, 5, 6)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chain_on_every_table(self, monkeypatch, d):
+        _, decided = self._funnel(monkeypatch)
+        found = [w for lo, hi in sweep_chunks(d) for w in scan_chunk(d, lo, hi)]
+        expected = [w for w in range(1 << (1 << d)) if self._brute_passes(d, w)]
+        assert decided == expected
+        assert found == [w for w in expected if debruijn_injective(from_wolfram(d, w)).injective]
+
+    def test_chain_on_a_diameter_4_sample(self, monkeypatch):
+        """Ranges of 256 tables: four at random and four around injective
+        tables, so that the later filters and the decision see tables."""
+        _, decided = self._funnel(monkeypatch)
+        rng = random.Random(404)
+        starts = ([rng.randrange(1 << 16) for _ in range(4)]
+                  + [w - rng.randrange(256) for w in rng.sample(INJECTIVE_D4, 4)])
+        expected = []
+        for lo in (min(max(0, s), (1 << 16) - 256) for s in starts):
+            assert scan_chunk(4, lo, lo + 256) == [w for w in INJECTIVE_D4 if lo <= w < lo + 256]
+            expected += [w for w in range(lo, lo + 256) if self._brute_passes(4, w)]
+        assert decided == expected and len(expected) >= 4
+
+    def test_diameter_4_funnel(self, monkeypatch):
+        """65,536 tables, 1,536 balanced with passing keys, 20 decided."""
+        keyed, decided = self._funnel(monkeypatch)
+        chunks = sweep_chunks(4)
+        assert sum(hi - lo for lo, hi in chunks) == 1 << 16
+        found = [w for unit in chunks for w in scan_unit(4, unit)]
+        assert (len(keyed), len(decided)) == (1536, 20)
+        assert found == INJECTIVE_D4 and set(found) <= set(decided) <= set(keyed)
 
     def test_diameter_5_blocks_find_the_reference_tables(self):
         """scan_unit on 2^18-table D=5 blocks, shaped like the benchmark's:
