@@ -17,19 +17,22 @@ witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap and
 ``MAX_DECISION_DIAMETER`` (12) is the largest one decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
-chain of necessary conditions for injectivity before the exact decision:
-balance (equal 0/1 output counts); permutation of the words of period 4, and
-with them those of periods 1 and 2, as a lookup on one key per half of a
-table (the bits the words read: 8 of each 16-bit half at D = 5, the whole
-half at D <= 4); then permutation of the words of periods 5 and 6.  At
-D <= 4 a unit is a range of Wolfram numbers, and the key lookup implies
-balance there.  D = 5 is gated behind an explicit flag, and a unit there is
-a block of balanced tables that builds only the tables whose keys pass.  The
-period filters are lookups on the Wolfram numbers: the map commutes with
-rotation, so it permutes the words of length n iff the images of one word
-per necklace (rotation class) fall in pairwise distinct necklaces, and the
-images' codes and their necklaces are read from tables indexed by the limbs
-of a table's bits.  D >= 6 is refused outright.
+chain of necessary conditions for injectivity before the exact decision, on
+pairs of table halves: balance (equal 0/1 output counts); permutation of the
+words of period 4, and with them those of periods 1 and 2, as a lookup on
+one key per half (the bits the words read: 8 of each 16-bit half at D = 5,
+the whole half at D <= 4); then permutation of the words of periods 5, 6 and
+7.  At D <= 4 a unit is a range of Wolfram numbers, split into halves, and
+the key lookup implies balance there.  D = 5 is gated behind an explicit
+flag, and a unit there is a block of balanced tables that lists only the
+pairs of halves whose keys pass.  The period filters are lookups too: the
+map commutes with rotation, so it permutes the words of length n iff the
+images of one word per necklace (rotation class) fall in pairwise distinct
+necklaces.  The images' codes are the OR of one tabulated row per byte of a
+table, and so of one row per half; at period 5 the rows of the lower halves
+are kept per popcount class, and periods 6 and 7 run on the few survivors.
+Wolfram numbers are built only for the tables left for the decision.
+D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
 it checks the request, lists the work units and scans them in order, on
 ``REVCA_THREADS`` worker processes when that is above 1.
@@ -354,7 +357,7 @@ _CHUNK_TABLES = 1 << 12
 
 # Periods of the permutation filters that a table passing the half keys must
 # pass before the exact decision.
-_FILTER_PERIODS = (5, 6)
+_FILTER_PERIODS = (5, 6, 7)
 
 
 def _trivial_wolframs(d: int) -> frozenset[int]:
@@ -419,65 +422,91 @@ def _rep_windows(d: int, n: int) -> np.ndarray:
     return engine._window_values(engine.all_configs(n)[_necklaces(n)[0]], d, 0)
 
 
-# Bits of a packed group of image codes, and so the size of the lookup that
-# turns a group into its necklaces.
+# Bits of a lane: the packed image codes of one group of necklace
+# representatives, and so the size of the lookup that turns a lane into its
+# necklaces.  Four lanes share one uint64 word of a row of codes.
 _GROUP_BITS = 16
 
-# Most bytes that the limb lookups of one (d, n) may take: past it, limbs are
-# 8 bits wide, not 16.
-_LOOKUP_BYTES = 1 << 20
+# Bits of a limb: each half of a table splits into limbs of at most this many
+# bits, each with its own lookup of code contributions.
+_LIMB_BITS = 8
 
-_PERIOD_LOOKUPS: dict[tuple[int, int], tuple[int, list[np.ndarray], np.ndarray]] = {}
+_PERIOD_LOOKUPS: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
 
 
-def _period_lookups(d: int, n: int) -> tuple[int, list[np.ndarray], np.ndarray]:
-    """(width, codes, necklaces) for the period-n filter at diameter d.
+def _period_lookups(d: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(groups, codes, necklaces) for the period-n filter at diameter d.
 
-    A table's bits split into limbs of ``width`` bits: its halves up to
-    D = 5, 16-bit quarters at D = 6, and 8-bit ones where 16-bit limbs would
-    take more than ``_LOOKUP_BYTES`` (at D = 5, period 6's 14 necklaces in
-    7 groups would take 1.8 MB).  The necklace representatives split
-    into groups of at most ``_GROUP_BITS // n``, the last one padded with
-    copies of the last representative, and a group's image codes pack into
-    one integer, representative p in bits p*n .. p*n+n-1.  codes[limb][g, v]
-    is what a limb of value v contributes to the packed codes of group g:
-    the bits of the cells whose windows lie in that limb and read a 1 there.
-    Each cell reads one window and each window lies in one limb, so a
-    table's packed codes are the OR of its limbs' contributions.
-    necklaces[c] is the OR of the one-hot necklaces of the codes packed
-    in c, so a padded copy sets nothing new.
+    The necklace representatives split into ``groups`` groups of at most
+    ``_GROUP_BITS // n``, the last one padded with copies of the last
+    representative.  A group's image codes pack into one lane, representative
+    p in bits p*n .. p*n+n-1, and lane g is uint16 g of a row of uint64
+    words.  A table's bits split into limbs of ``_LIMB_BITS`` bits (its whole
+    halves below D = 5), and codes[limb * 2^width + v] is the row that limb
+    number ``limb`` of value v contributes: the bits of the cells whose
+    windows lie in that limb and read a 1 there.  Each cell reads one window
+    and each window lies in one limb, so a table's row is the OR of its
+    limbs' rows.  necklaces[c] is the OR of the one-hot necklaces of the
+    codes packed in lane value c, so a padded copy sets nothing new.
     """
+    if not 1 <= n <= 8:
+        raise ValueError(f"the period filter takes periods 1..8, got {n}")
     if (d, n) not in _PERIOD_LOOKUPS:
         reps, hit = _necklaces(n)
         windows = _rep_windows(d, n)
         groups = -(-len(reps) // (_GROUP_BITS // n))
         size = -(-len(reps) // groups)
         members = np.minimum(np.arange(groups * size), len(reps) - 1).reshape(groups, size)
-        dtype = np.min_scalar_type((1 << (size * n)) - 1)
-        # cell[g, v]: the bits that a 1 at window value v sets in group g's codes
-        cell = np.zeros((groups, 1 << d), dtype=dtype)
+        # cell[v, g]: the bits that a 1 at window value v sets in lane g
+        cell = np.zeros((1 << d, -(-groups // 4) * 4), dtype=np.uint16)
         for (g, p), r in np.ndenumerate(members):
             for i, v in enumerate(windows[r].tolist()):
-                cell[g, v] |= 1 << (p * n + i)
-        width = min(1 << (d - 1), 16)
-        if ((1 << d) // width * groups * dtype.itemsize) << width > _LOOKUP_BYTES:
-            width = 8
-        codes = []
-        for limb in range(0, 1 << d, width):
-            table = np.zeros((groups, 1 << width), dtype=dtype)
+                cell[v, g] |= 1 << (p * n + i)
+        width = min(1 << (d - 1), _LIMB_BITS)
+        codes = np.zeros(((1 << d) // width, 1 << width, cell.shape[1]), dtype=np.uint16)
+        for limb, table in enumerate(codes):
             for b in range(width):   # the values with top bit b: those below, plus bit b
-                np.bitwise_or(table[:, :1 << b], cell[:, limb + b, None],
-                              out=table[:, 1 << b:2 << b])
-            codes.append(table)
+                np.bitwise_or(table[:1 << b], cell[limb * width + b],
+                              out=table[1 << b:2 << b])
         packed = np.arange(1 << (size * n))
         necklaces = functools.reduce(np.bitwise_or, (hit[(packed >> (p * n)) & ((1 << n) - 1)]
                                                      for p in range(size)))
-        _PERIOD_LOOKUPS[d, n] = width, codes, necklaces
+        _PERIOD_LOOKUPS[d, n] = (groups, codes.reshape(-1, cell.shape[1]).view(np.uint64),
+                                 necklaces)
     return _PERIOD_LOOKUPS[d, n]
 
 
-def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words.
+def _limb_index(d: int, halves: np.ndarray, first: int = 0) -> np.ndarray:
+    """Rows into the limb lookups of :func:`_period_lookups` for tables at
+    diameter d, from the halves in an (H, T) uint64 array, which are halves
+    number first .. first + H - 1 of each table (0 lower, 1 upper): one row
+    per limb, a byte of a half, and one column per table."""
+    limbs = max(1, (1 << (d - 1)) // _LIMB_BITS)
+    width = min(1 << (d - 1), _LIMB_BITS)
+    octets = halves.astype("<u8", copy=False).view(np.uint8).reshape(*halves.shape, 8)
+    # copied before the cast: numpy casts strided bytes several times slower
+    index = np.ascontiguousarray(octets[..., :limbs].transpose(0, 2, 1)).astype(np.intp)
+    index = index.reshape(len(halves) * limbs, halves.shape[1])
+    index += (np.arange(first * limbs, (first + len(halves)) * limbs) << width)[:, None]
+    return index
+
+
+def _rows(d: int, n: int, index: np.ndarray) -> np.ndarray:
+    """(T, words) rows of packed period-n codes: the OR of the limb rows
+    that each column of a :func:`_limb_index` array picks."""
+    return np.bitwise_or.reduce(_period_lookups(d, n)[1].take(index, axis=0), axis=0)
+
+
+def _covers(d: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of packed period-n codes hits every necklace."""
+    groups, _, necklaces = _period_lookups(d, n)
+    lanes = rows.view(np.uint16).T[:groups]
+    return np.bitwise_or.reduce(necklaces.take(lanes), axis=0) == (1 << len(_necklaces(n)[0])) - 1
+
+
+def _permutes_pairs(d: int, n: int, halves: np.ndarray) -> np.ndarray:
+    """Mask of the tables (D <= 6) that permute all length-n words, given
+    as the columns (lower half, upper half) of a (2, T) uint64 array.
 
     A necessary-condition filter ahead of the exact decision, on bits, never
     on a cell matrix.  The map commutes with rotation, so it sends necklaces
@@ -485,27 +514,26 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
     It therefore permutes the 2^n words iff the images of the necklace
     representatives lie in pairwise distinct necklaces: then the necklace
     map is a bijection, the sizes add up to 2^n on both sides, and each
-    necklace maps onto one of its own size.  The images' codes come from
-    one lookup per limb and group of representatives, their necklaces from
-    one lookup per group (see :func:`_period_lookups`), and the table
-    permutes the words iff the ORed necklaces are all of them.  Slices hold
-    ``engine._SLICE_CELLS`` (group, table) pairs.  The anchor does not
-    matter here, so the windows are those of anchor 0.
+    necklace maps onto one of its own size.  The images' codes are the OR of
+    the rows of the halves' limbs (see :func:`_rows`), their necklaces
+    one lookup per lane, and the table permutes the words iff the ORed
+    necklaces are all of them.  Slices hold ``engine._SLICE_CELLS`` (group,
+    table) pairs.  The anchor does not matter here, so the windows are those
+    of anchor 0.
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"the period filter takes periods 1..8, got {n}")
-    width, codes, necklaces = _period_lookups(d, n)
-    full = np.bitwise_or.reduce(_necklaces(n)[1])
-    low = np.uint64((1 << width) - 1)
-    per = max(1, engine._SLICE_CELLS // len(codes[0]))
-    out = np.empty(len(tables), dtype=bool)
-    for lo in range(0, len(tables), per):
-        part = tables[lo:lo + per]
-        packed = codes[0].take((part & low).astype(np.intp), axis=1)
-        for k, table in enumerate(codes[1:], 1):
-            packed |= table.take(((part >> np.uint64(k * width)) & low).astype(np.intp), axis=1)
-        out[lo:lo + per] = np.bitwise_or.reduce(necklaces.take(packed), axis=0) == full
+    per = max(1, engine._SLICE_CELLS // _period_lookups(d, n)[0])
+    out = np.empty(halves.shape[1], dtype=bool)
+    for lo in range(0, len(out), per):
+        out[lo:lo + per] = _covers(d, n, _rows(d, n, _limb_index(d, halves[:, lo:lo + per])))
     return out
+
+
+def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words:
+    :func:`_permutes_pairs` on their halves."""
+    width = 1 << (d - 1)
+    return _permutes_pairs(d, n, np.stack((tables & np.uint64((1 << width) - 1),
+                                           tables >> np.uint64(width))))
 
 
 def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
@@ -567,62 +595,103 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _HALF_KEYS[diameter]
 
 
-_LOWER_HALVES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_UPPER_KEYS: dict[int, np.ndarray] = {}
 
 
-def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray]:
-    """(halves, starts): the lower halves with ``ones`` set bits ordered by
-    key, and where the run of each key begins in them (one more entry than
-    keys, for the end)."""
+def _upper_keys(diameter: int) -> np.ndarray:
+    """The key of every upper half, indexed by its value."""
+    if diameter not in _UPPER_KEYS:
+        halves = np.arange(1 << (1 << (diameter - 1)), dtype=np.uint64)
+        _UPPER_KEYS[diameter] = _pack(halves, _half_keys(diameter)[1]).astype(np.uint8)
+    return _UPPER_KEYS[diameter]
+
+
+_LOWER_HALVES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(halves, starts, codes): the lower halves with ``ones`` set bits
+    ordered by key, where the run of each key begins in them (one more entry
+    than keys, for the end), and their rows of codes at the first period of
+    ``_FILTER_PERIODS`` (8 bytes a half at D = 5)."""
     if (diameter, ones) not in _LOWER_HALVES:
         halves = _masks_by_popcount(1 << (diameter - 1))[ones]
         lower = _half_keys(diameter)[0]
         keys = _pack(halves, lower)
         order = np.argsort(keys, kind="stable")
         starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
-        _LOWER_HALVES[diameter, ones] = halves[order], starts
+        halves = halves[order]
+        _LOWER_HALVES[diameter, ones] = (halves, starts,
+                                         _rows(diameter, _FILTER_PERIODS[0],
+                                               _limb_index(diameter, halves[None])))
     return _LOWER_HALVES[diameter, ones]
 
 
-def _block_tables(diameter: int, block: tuple[int, int, int]) -> np.ndarray:
-    """The tables of one balanced-sweep block that permute the length-4
-    words (and so those of periods 1 and 2), unordered.
+def _block_pairs(diameter: int, block: tuple[int, int, int]):
+    """(halves, pairs, codes) of :func:`_decide_survivors` for the tables of
+    one balanced-sweep block that permute the length-4 words (and so those
+    of periods 1 and 2), unordered.
 
     A block's tables are the products of its upper halves (window values
-    with a leading 1) and the lower halves of the complementary popcount.
-    Whether a product passes is passes[upper key, lower key] of
-    :func:`_half_keys`, so only the passing products are built: each upper
-    half is paired with the runs of lower halves whose keys pass with its
-    own, by one ragged ``repeat``/``arange``.
+    with a leading 1) and the lower halves of the complementary popcount,
+    those of :func:`_lower_halves`.  Whether a product passes is
+    passes[upper key, lower key] of :func:`_half_keys`, so only the passing
+    pairs are listed: each upper half is paired with the runs of lower
+    halves whose keys pass with its own, by one ragged ``repeat``/``arange``.
+    No table is built.
     """
     width = 1 << (diameter - 1)
     j, s, e = block
     ups = _masks_by_popcount(width)[j][s:e]
-    los, starts = _lower_halves(diameter, width - j)
-    _, upper, passes = _half_keys(diameter)
+    los, starts, lo_codes = _lower_halves(diameter, width - j)
     runs = np.diff(starts)
-    up, key = np.nonzero(passes[_pack(ups, upper)] & (runs > 0))
+    # flatnonzero, not nonzero: numpy finds 2-D indices several times slower
+    passing = np.flatnonzero(_half_keys(diameter)[2][_upper_keys(diameter)[ups]] & (runs > 0))
+    up, key = np.divmod(passing, runs.size)
     size = runs[key]
     ends = np.cumsum(size)
-    lo = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[key] - (ends - size), size)
-    return (np.repeat(ups[up], size) << np.uint64(width)) | los[lo]
+    lo = np.repeat(starts[key] - (ends - size), size)
+    lo += np.arange(lo.size)
+    up_codes = _rows(diameter, _FILTER_PERIODS[0], _limb_index(diameter, ups[None], 1))
+    return (los, ups), (lo, np.repeat(up, size)), (lo_codes, up_codes)
 
 
-def _decide_survivors(diameter: int, tables: np.ndarray) -> list[int]:
+def _decide_survivors(diameter: int, halves: tuple[np.ndarray, np.ndarray],
+                      pairs: tuple[np.ndarray, np.ndarray],
+                      codes: tuple[np.ndarray, np.ndarray]) -> list[int]:
     """Injective Wolfram numbers among tables that are balanced and permute
     the words of periods 1, 2 and 4, ascending: the tail of every sweep
     unit's filter chain.
 
-    Permutation of the words of periods 5 and 6 is, like the rest, a
-    necessary condition, so no filter drops an injective table; the
-    :func:`_permutes_period` filters run in turn on what is left, and the
-    survivors get the exact pair-graph decision.
+    Table i has the lower half halves[0][pairs[0][i]] and the upper half
+    halves[1][pairs[1][i]], and codes[k] holds the rows of the halves in
+    halves[k] at the first of the ``_FILTER_PERIODS`` 5, 6 and 7, so that
+    filter ORs one gathered row of each half, in slices of
+    ``engine._SLICE_CELLS`` (group, table) pairs.  The later filters make
+    the test of :func:`_permutes_pairs` on the limbs of the few survivors.
+    Permutation of the words of these periods is, like the rest, a
+    necessary condition, so no filter drops an injective table.  Only the
+    tables left are built as Wolfram numbers, for the exact pair-graph
+    decision.
     """
-    for n in _FILTER_PERIODS:
-        if not tables.size:
+    first, *rest = _FILTER_PERIODS
+    per = max(1, engine._SLICE_CELLS // _period_lookups(diameter, first)[0])
+    passed = np.empty(len(pairs[0]), dtype=bool)
+    for lo in range(0, len(passed), per):
+        rows = codes[0].take(pairs[0][lo:lo + per], axis=0)
+        rows |= codes[1].take(pairs[1][lo:lo + per], axis=0)
+        passed[lo:lo + per] = _covers(diameter, first, rows)
+    keep = np.flatnonzero(passed)
+    left = np.stack([h.take(p.take(keep)) for h, p in zip(halves, pairs)])
+    index = _limb_index(diameter, left)
+    for n in rest:
+        if not left.size:
             break
-        tables = tables[_permutes_period(tables, diameter, n)]
-    tables = np.sort(tables)
+        keep = _covers(diameter, n, _rows(diameter, n, index))
+        left, index = left.compress(keep, axis=1), index.compress(keep, axis=1)
+    if not left.size:
+        return []
+    tables = np.sort((left[1] << np.uint64(1 << (diameter - 1))) | left[0])
     return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
 
 
@@ -633,23 +702,30 @@ def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
     passes[upper key, lower key] of :func:`_half_keys` (the words of
     periods 1, 2 and 4), then :func:`_decide_survivors`.  At D <= 4 the
     length-4 words read every window, so the keys are the whole halves and
-    the flattened matrix is indexed by the Wolfram number.  Balance needs no
+    the flattened matrix is indexed by the Wolfram number, whose low and
+    high bits are then the pair of halves.  Each half is one limb, so the
+    rows of all halves are the limb lookups themselves.  Balance needs no
     test of its own: the 16 words read each window 64 / 2^D times in all,
     so a table that permutes them, whose images hold 32 ones in their 64
     cells, has 2^(D-1) ones.
     """
-    tables = np.arange(lo, hi, dtype=np.uint64)
-    return _decide_survivors(diameter, tables[_half_keys(diameter)[2].ravel()[lo:hi]])
+    width = 1 << (diameter - 1)
+    halves = np.arange(1 << width, dtype=np.uint64)
+    tables = np.flatnonzero(_half_keys(diameter)[2].ravel()[lo:hi]) + lo
+    codes = _period_lookups(diameter, _FILTER_PERIODS[0])[1]
+    return _decide_survivors(diameter, (halves, halves),
+                             (tables & ((1 << width) - 1), tables >> width),
+                             (codes[:1 << width], codes[1 << width:]))
 
 
 def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
     """Injective Wolfram numbers within one balanced-sweep block, ascending.
 
     Balance holds by construction of the block and periods 1, 2 and 4 are
-    a lookup on the keys of the block's halves (see :func:`_block_tables`);
+    a lookup on the keys of the block's halves (see :func:`_block_pairs`);
     :func:`_decide_survivors` does the rest.
     """
-    return _decide_survivors(diameter, _block_tables(diameter, block))
+    return _decide_survivors(diameter, *_block_pairs(diameter, block))
 
 
 def scan_unit(diameter: int, unit) -> list[int]:

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written from first principles (template
 expansion, direct window matching, doubled-string stepping, strongly
-connected components of a dict-based pair graph) so it shares no code path
-with the package and can serve as an oracle for it.
+connected components of a pair graph built by its definition, as a dict
+and, for speed, as numpy arrays) so it shares no code path with the
+package and can serve as an oracle for it.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 
 def expand(template: str):
@@ -125,8 +128,31 @@ def pair_graph(bits, diameter: int) -> dict[int, list[int]]:
     return graph
 
 
+def pair_graph_arrays(bits, diameter: int) -> tuple[list[int], list[int]]:
+    """The graph of :func:`pair_graph` as (indptr, targets) lists, built
+    with numpy: the successors of node v are targets[indptr[v]:indptr[v + 1]],
+    in the same order as there.
+
+    A per-word extension table gives, for each word p and appended cell a,
+    the next word and the output of the completed window; an outer equality
+    of the outputs over all (p, a) and (q, b) marks the edges.
+    """
+    size = 1 << (diameter - 1)
+    windows = 2 * np.arange(size)[:, None] + np.arange(2)   # [p, a]
+    out = np.asarray(bits, dtype=np.int64)[windows]
+    nxt = windows % size
+    # [p, q, a, b]: the cells appended to each word vary fastest, a before b
+    edge = out[:, None, :, None] == out[None, :, None, :]
+    target = nxt[:, None, :, None] * size + nxt[None, :, None, :]
+    edge = edge.reshape(size * size, 4)
+    indptr = np.zeros(size * size + 1, dtype=np.int64)
+    np.cumsum(edge.sum(axis=1), out=indptr[1:])
+    return indptr.tolist(), target.reshape(size * size, 4)[edge].tolist()
+
+
 def tarjan_injective(bits, diameter: int) -> bool:
-    """Injectivity by strongly connected components (iterative Tarjan).
+    """Injectivity by strongly connected components (iterative Tarjan) of
+    the pair graph of :func:`pair_graph_arrays`.
 
     The map is injective iff no cycle of the pair graph passes through a
     pair p != q, that is, iff every component holding such a pair has one
@@ -137,20 +163,21 @@ def tarjan_injective(bits, diameter: int) -> bool:
     if diameter == 1:
         return bits[0] != bits[1]
     size = 1 << (diameter - 1)
-    graph = pair_graph(bits, diameter)
-    index = [-1] * len(graph)
-    low = [0] * len(graph)
-    on_stack = [False] * len(graph)
+    indptr, targets = pair_graph_arrays(bits, diameter)
+    nodes = len(indptr) - 1
+    index = [-1] * nodes
+    low = [0] * nodes
+    on_stack = [False] * nodes
     stack = []
     counter = 0
-    for root in graph:
+    for root in range(nodes):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(graph[root]))]
+        work = [(root, iter(targets[indptr[root]:indptr[root + 1]]))]
         while work:
             node, succ = work[-1]
             for nxt in succ:
@@ -159,7 +186,7 @@ def tarjan_injective(bits, diameter: int) -> bool:
                     counter += 1
                     stack.append(nxt)
                     on_stack[nxt] = True
-                    work.append((nxt, iter(graph[nxt])))
+                    work.append((nxt, iter(targets[indptr[nxt]:indptr[nxt + 1]])))
                     break
                 if on_stack[nxt] and index[nxt] < low[node]:
                     low[node] = index[nxt]
@@ -172,7 +199,8 @@ def tarjan_injective(bits, diameter: int) -> bool:
                 if stack[-1] == node:   # one-node component
                     stack.pop()
                     on_stack[node] = False
-                    if node in graph[node] and node // size != node % size:
+                    if (node in targets[indptr[node]:indptr[node + 1]]
+                            and node // size != node % size):
                         return False
                     continue
                 component = stack[stack.index(node):]

@@ -14,10 +14,11 @@ from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
     Sweep,
     _Cycles,
-    _block_tables,
+    _block_pairs,
     _half_keys,
     _masks_by_popcount,
     _necklaces,
+    _permutes_pairs,
     _permutes_period,
     _sweep_workers,
     balanced_sweep_blocks,
@@ -44,6 +45,9 @@ INJECTIVE_D3 = [15, 51, 85, 170, 204, 240]
 INJECTIVE_D4 = [255, 3855, 3915, 11535, 13107, 13155, 14643, 21845,
                 43690, 50892, 52380, 52428, 54000, 61620, 61680, 65280]
 INDUCED_D4 = {50892, 52380, 54000, 61620}
+# tables of three D=5 blocks after the keys, periods 5, 6 and 7, and decided
+# (TestBitTests.test_diameter_5_funnel)
+FUNNELS_D5 = [[11662, 1008, 12, 4, 4], [11032, 833, 2, 2, 2], [11452, 768, 0, 0, 0]]
 
 
 class TestVerdicts:
@@ -196,6 +200,20 @@ class TestVerdicts:
 
 
 class TestDecide:
+    def test_pair_graph_builds_agree(self):
+        """brute.pair_graph_arrays, the numpy build that the Tarjan oracle
+        runs on, against the dict build of brute.pair_graph on every table
+        of diameter <= 4: the same successors of every node, in the same
+        order."""
+        for d in range(1, 5):
+            for w in range(1 << (1 << d)):
+                bits = [w >> v & 1 for v in range(1 << d)]
+                graph = brute.pair_graph(bits, d)
+                indptr, targets = brute.pair_graph_arrays(bits, d)
+                assert len(indptr) == len(graph) + 1
+                assert all(targets[indptr[v]:indptr[v + 1]] == succ
+                           for v, succ in graph.items()), (d, w)
+
     def test_matches_tarjan_oracle(self):
         """decide against the SCC oracle of tests/brute.py on every table of
         diameter <= 4, on the 1,364 induced tables of diameters 3..8 and on
@@ -314,6 +332,13 @@ class TestPeriodic:
             periodic_bijective(from_wolfram(3, 204), 30)
 
 
+def _block_tables(d, block):
+    """The tables of a balanced-sweep block that pass the half keys, as
+    Wolfram numbers built from the pairs of halves that the sweep lists."""
+    (los, ups), (lo, up), _ = _block_pairs(d, block)
+    return (ups[up] << np.uint64(1 << (d - 1))) | los[lo]
+
+
 def _near_misses(tables, d, count, rng):
     """One-swap perturbations (a 0 and a 1 output exchanged) of tables."""
     out = []
@@ -332,12 +357,18 @@ class TestPeriodFilter:
 
     @staticmethod
     def _check(tables, d):
+        """Through the wrapper on Wolfram numbers, and through the pair
+        function on the (lower, upper) halves split here."""
         batch = np.array(tables, dtype=np.uint64)
+        width = 1 << (d - 1)
+        halves = np.array([[w & (1 << width) - 1 for w in tables], [w >> width for w in tables]],
+                          dtype=np.uint64)
         for n in range(1, 9):
             expected = [brute.is_permutation([w >> v & 1 for v in range(1 << d)], d, 0, n)
                         for w in tables]
             assert True in expected and False in expected, (d, n)
             assert _permutes_period(batch, d, n).tolist() == expected, (d, n)
+            assert _permutes_pairs(d, n, halves).tolist() == expected, (d, n)
 
     def test_every_diameter_3_table(self):
         self._check(list(range(256)), 3)
@@ -516,41 +547,51 @@ class TestBalancedBlocks:
 
 
 class TestBitTests:
-    """The filter chain of every sweep unit, on the bits of Wolfram numbers:
-    balance and the half keys (periods 1, 2 and 4), periods 5 and 6, then
-    the decision; brute balance and brute.is_permutation are the oracle."""
+    """The filter chain of every sweep unit, on pairs of table halves:
+    balance and the half keys (periods 1, 2 and 4), periods 5, 6 and 7,
+    then the decision; brute balance and brute.is_permutation are the
+    oracle."""
 
     @staticmethod
     def _funnel(monkeypatch):
         """Tables that reach the chain's tail (after the keys, and so
-        balanced) and the decision, as lists filled by the scans that
-        follow."""
-        keyed, decided = [], []
-        tail, decide_ = injectivity._decide_survivors, injectivity.decide
+        balanced) and the decision, and the count that passes each period
+        filter of the tail, filled by the scans that follow."""
+        keyed, decided, passed = [], [], {n: 0 for n in injectivity._FILTER_PERIODS}
+        tail, decide_, covers = (injectivity._decide_survivors, injectivity.decide,
+                                 injectivity._covers)
 
-        def spy_tail(d, tables):
-            keyed.extend(int(w) for w in tables)
-            return tail(d, tables)
+        def spy_tail(d, halves, pairs, codes):
+            upper, lower = halves[1][pairs[1]], halves[0][pairs[0]]
+            keyed.extend(((upper << np.uint64(1 << (d - 1))) | lower).tolist())
+            return tail(d, halves, pairs, codes)
 
         def spy_decide(d, bits):
             decided.extend(sum(int(b) << v for v, b in enumerate(row)) for row in bits)
             return decide_(d, bits)
 
+        def spy_covers(d, n, rows):
+            mask = covers(d, n, rows)
+            if n in passed:
+                passed[n] += int(np.count_nonzero(mask))
+            return mask
+
         monkeypatch.setattr(injectivity, "_decide_survivors", spy_tail)
         monkeypatch.setattr(injectivity, "decide", spy_decide)
-        return keyed, decided
+        monkeypatch.setattr(injectivity, "_covers", spy_covers)
+        return keyed, decided, passed
 
     @staticmethod
     def _brute_passes(d, w):
-        """Balanced and permuting the words of periods 1, 2, 4, 5 and 6, by
-        bit count and brute.is_permutation."""
+        """Balanced and permuting the words of periods 1, 2, 4, 5, 6 and 7,
+        by bit count and brute.is_permutation."""
         bits = [w >> v & 1 for v in range(1 << d)]
         return (sum(bits) == 1 << (d - 1)
-                and all(brute.is_permutation(bits, d, 0, n) for n in (1, 2, 4, 5, 6)))
+                and all(brute.is_permutation(bits, d, 0, n) for n in (1, 2, 4, 5, 6, 7)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chain_on_every_table(self, monkeypatch, d):
-        _, decided = self._funnel(monkeypatch)
+        _, decided, _ = self._funnel(monkeypatch)
         found = [w for lo, hi in sweep_chunks(d) for w in scan_chunk(d, lo, hi)]
         expected = [w for w in range(1 << (1 << d)) if self._brute_passes(d, w)]
         assert decided == expected
@@ -559,7 +600,7 @@ class TestBitTests:
     def test_chain_on_a_diameter_4_sample(self, monkeypatch):
         """Ranges of 256 tables: four at random and four around injective
         tables, so that the later filters and the decision see tables."""
-        _, decided = self._funnel(monkeypatch)
+        _, decided, _ = self._funnel(monkeypatch)
         rng = random.Random(404)
         starts = ([rng.randrange(1 << 16) for _ in range(4)]
                   + [w - rng.randrange(256) for w in rng.sample(INJECTIVE_D4, 4)])
@@ -570,49 +611,100 @@ class TestBitTests:
         assert decided == expected and len(expected) >= 4
 
     def test_diameter_4_funnel(self, monkeypatch):
-        """65,536 tables, 1,536 balanced with passing keys, 20 decided."""
-        keyed, decided = self._funnel(monkeypatch)
+        """65,536 tables, 1,536 balanced with passing keys, 96 left after
+        period 5, 20 after period 6 and 16 after period 7: the decision sees
+        only the injective tables, since period 7 drops the 4 that are not
+        (23205, 26265, 39270 and 42330)."""
+        keyed, decided, passed = self._funnel(monkeypatch)
         chunks = sweep_chunks(4)
         assert sum(hi - lo for lo, hi in chunks) == 1 << 16
         found = [w for unit in chunks for w in scan_unit(4, unit)]
-        assert (len(keyed), len(decided)) == (1536, 20)
-        assert found == INJECTIVE_D4 and set(found) <= set(decided) <= set(keyed)
+        funnel = (len(keyed), passed[5], passed[6], passed[7], len(decided))
+        assert funnel == (1536, 96, 20, 16, 16)
+        assert found == decided == INJECTIVE_D4 and set(decided) <= set(keyed)
+
+    def test_diameter_5_funnel(self, monkeypatch, capsys):
+        """Tables left after each stage of the chain on benchmark-shaped D=5
+        blocks (about 2^18 tables), two around reference tables and one
+        without:
+        after the keys, after periods 5, 6 and 7, and decided.  Each count
+        equals that of the block's whole product filtered one period at a
+        time by _permutes_period, and the funnel of each block is printed."""
+        reference = _d5_reference()
+        keyed, decided, passed = self._funnel(monkeypatch)
+        blocks = [(8, 2218, 2238), (8, 10615, 10635), (6, 0, 32)]
+        assert [bool(_d5_inside(reference, b)) for b in blocks] == [True, True, False]
+        by = _masks_by_popcount(16)
+        funnels = []
+        for block in blocks:
+            keyed.clear(), decided.clear()
+            passed.update((n, 0) for n in passed)
+            found = scan_unit(5, block)
+            funnel = [len(keyed), passed[5], passed[6], passed[7], len(decided)]
+            j, s, e = block
+            tables = ((by[j][s:e, None] << np.uint64(16)) | by[16 - j][None, :]).ravel()
+            expected = []
+            for periods in ((1, 2, 4), (5,), (6,), (7,)):
+                for n in periods:
+                    tables = tables[_permutes_period(tables, 5, n)]
+                expected.append(tables.size)
+            assert funnel == expected + [tables.size], block
+            assert found == _d5_inside(reference, block) and set(found) <= set(decided)
+            funnels.append(funnel)
+            with capsys.disabled():
+                print(f"\nD=5 block {block}: " + " -> ".join(map(str, funnel)))
+        assert funnels == FUNNELS_D5
 
     def test_diameter_5_blocks_find_the_reference_tables(self):
         """scan_unit on 2^18-table D=5 blocks, shaped like the benchmark's:
         one around each of the 62 injective tables of perfbench/reference.json
         and three that hold none of them."""
-        reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                                / "reference.json").read_text())["d5_injective"]
+        reference = _d5_reference()
         assert len(reference) == 62
-
-        def place(w):
-            # stratum and rank of the upper half among the 16-bit values of
-            # its popcount, in ascending order (combinatorial number system)
-            ones = [p for p in range(16) if (w >> 16) >> p & 1]
-            return len(ones), sum(math.comb(p, k) for k, p in enumerate(ones, 1))
-
-        def block_at(j, start):
-            size = math.comb(16, j)
-            width = max(1, (1 << 18) // size)
-            s = max(0, min(start, size - width))
-            return j, s, min(s + width, size)
-
-        def inside(block):
-            j, s, e = block
-            return sorted(w for w in reference if place(w)[0] == j and s <= place(w)[1] < e)
-
         for w in reference:
-            j, rank = place(w)
-            block = block_at(j, rank - (1 << 18) // math.comb(16, j) // 2)
+            block = _d5_block_around(w)
             found = scan_unit(5, block)
-            assert w in found and found == inside(block), (w, block)
+            assert w in found and found == _d5_inside(reference, block), (w, block)
         empty = []
         for j in (6, 8, 10):
-            block = next(b for b in (block_at(j, s) for s in range(0, math.comb(16, j), 64))
-                         if not inside(b))
+            block = next(b for b in (_d5_block_at(j, s) for s in range(0, math.comb(16, j), 64))
+                         if not _d5_inside(reference, b))
             empty.append(scan_unit(5, block))
         assert empty == [[], [], []]
+
+
+def _d5_reference():
+    return json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "reference.json").read_text())["d5_injective"]
+
+
+def _d5_place(w):
+    """Stratum and rank of the upper half of a D=5 table among the 16-bit
+    values of its popcount, in ascending order (combinatorial number
+    system)."""
+    ones = [p for p in range(16) if (w >> 16) >> p & 1]
+    return len(ones), sum(math.comb(p, k) for k, p in enumerate(ones, 1))
+
+
+def _d5_block_at(j, start):
+    """The block of about 2^18 tables of stratum j that starts at the upper
+    half of the given rank, as far as the stratum allows."""
+    size = math.comb(16, j)
+    width = max(1, (1 << 18) // size)
+    s = max(0, min(start, size - width))
+    return j, s, min(s + width, size)
+
+
+def _d5_block_around(w):
+    """The block of about 2^18 tables centred on the upper half of a
+    table."""
+    j, rank = _d5_place(w)
+    return _d5_block_at(j, rank - (1 << 18) // math.comb(16, j) // 2)
+
+
+def _d5_inside(reference, block):
+    j, s, e = block
+    return sorted(w for w in reference if _d5_place(w)[0] == j and s <= _d5_place(w)[1] < e)
 
 
 class TestSweepWorkers:
