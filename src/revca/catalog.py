@@ -1,7 +1,7 @@
 """Append-only JSONL rule catalog and resumable sweep checkpoints.
 
 Catalog files hold one JSON object per line so that long sweeps can append as
-they go and parallel workers' outputs merge by concatenation.  A checkpoint
+they go and the outputs of separate runs merge by concatenation.  A checkpoint
 file records the next pending work unit of a sweep and carries a version
 field.  Both formats are considered stable.
 """
@@ -86,7 +86,9 @@ def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:
 def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
     """The checkpoint in ``path``, or None if there is no such file.
 
-    Content that is not a checkpoint of this version raises ``ValueError``.
+    Content that is not a checkpoint of this version raises ``ValueError``,
+    as does a field of the wrong JSON type: ``diameter``, ``next_unit`` and
+    ``total_units`` must be integers and ``exclude_trivial`` a boolean.
     """
     p = Path(path)
     if not p.exists():
@@ -95,15 +97,15 @@ def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
         d = json.loads(p.read_text(encoding="utf-8"))
         if d.get("version") != CHECKPOINT_VERSION or d.get("kind") != "sweep":
             raise ValueError(f"version {d.get('version')!r}, kind {d.get('kind')!r}")
-        cp = SweepCheckpoint(
-            diameter=int(d["diameter"]),
-            exclude_trivial=bool(d["exclude_trivial"]),
-            next_unit=int(d["next_unit"]),
-            total_units=int(d["total_units"]),
-        )
+        for name, kind in (("diameter", int), ("exclude_trivial", bool),
+                           ("next_unit", int), ("total_units", int)):
+            if type(d[name]) is not kind:   # exact: a JSON true is not unit 1
+                raise ValueError(f"{name} {d[name]!r} is not of type {kind.__name__}")
+        cp = SweepCheckpoint(d["diameter"], d["exclude_trivial"], d["next_unit"],
+                             d["total_units"])
         if not 0 <= cp.next_unit <= cp.total_units:
             raise ValueError(f"next_unit {cp.next_unit} outside 0..{cp.total_units}")
         return cp
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, ValueError) as exc:
         raise ValueError(
             f"{p} is not a version-{CHECKPOINT_VERSION} sweep checkpoint: {exc!r}") from exc

@@ -34,16 +34,13 @@ are kept per popcount class, and periods 6 and 7 run on the few survivors.
 Wolfram numbers are built only for the tables left for the decision.
 D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
-it checks the request, lists the work units and scans them in order, on
-``REVCA_THREADS`` worker processes when that is above 1.
+it checks the request, lists the work units and scans them in order, in the
+calling process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import multiprocessing
-import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -371,30 +368,16 @@ def sweep_chunks(diameter: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_TABLES, total)) for lo in range(0, total, _CHUNK_TABLES)]
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each element of a uint64 array (SWAR; np.bitwise_count
-    needs numpy 2)."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-_MASK_CACHE: dict[int, list[np.ndarray]] = {}
-
-
+@functools.cache
 def _masks_by_popcount(width: int) -> list[np.ndarray]:
     """The width-bit values with k bits set, ascending, for k = 0..width."""
-    if width not in _MASK_CACHE:
-        masks = np.arange(1 << width, dtype=np.uint64)
-        ones = _popcount(masks)
-        _MASK_CACHE[width] = [masks[ones == k] for k in range(width + 1)]
-    return _MASK_CACHE[width]
+    masks = np.arange(1 << width, dtype=np.uint64)
+    # np.bitwise_count needs numpy 2
+    ones = np.unpackbits(masks[:, None].view(np.uint8), axis=1).sum(axis=1)
+    return [masks[ones == k] for k in range(width + 1)]
 
 
-_NECKLACES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _necklaces(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, hit) for the length-n words (cell i is bit i).
 
@@ -402,16 +385,14 @@ def _necklaces(n: int) -> tuple[np.ndarray, np.ndarray]:
     (necklace), ascending; hit[code] is ``1 << k`` for the k-th class, in
     the smallest unsigned type that holds all of them (n <= 8: 36 classes).
     """
-    if n not in _NECKLACES:
-        codes = np.arange(1 << n)
-        smallest, turned = codes.copy(), codes
-        for _ in range(n - 1):
-            turned = (turned >> 1) | ((turned & 1) << (n - 1))
-            np.minimum(smallest, turned, out=smallest)
-        reps, k = np.unique(smallest, return_inverse=True)
-        dtype = np.min_scalar_type((1 << len(reps)) - 1)
-        _NECKLACES[n] = reps, np.left_shift(1, k.astype(dtype), dtype=dtype)
-    return _NECKLACES[n]
+    codes = np.arange(1 << n)
+    smallest, turned = codes.copy(), codes
+    for _ in range(n - 1):
+        turned = (turned >> 1) | ((turned & 1) << (n - 1))
+        np.minimum(smallest, turned, out=smallest)
+    reps, k = np.unique(smallest, return_inverse=True)
+    dtype = np.min_scalar_type((1 << len(reps)) - 1)
+    return reps, np.left_shift(1, k.astype(dtype), dtype=dtype)
 
 
 def _rep_windows(d: int, n: int) -> np.ndarray:
@@ -431,9 +412,8 @@ _GROUP_BITS = 16
 # bits, each with its own lookup of code contributions.
 _LIMB_BITS = 8
 
-_PERIOD_LOOKUPS: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _period_lookups(d: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(groups, codes, necklaces) for the period-n filter at diameter d.
 
@@ -451,29 +431,26 @@ def _period_lookups(d: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     """
     if not 1 <= n <= 8:
         raise ValueError(f"the period filter takes periods 1..8, got {n}")
-    if (d, n) not in _PERIOD_LOOKUPS:
-        reps, hit = _necklaces(n)
-        windows = _rep_windows(d, n)
-        groups = -(-len(reps) // (_GROUP_BITS // n))
-        size = -(-len(reps) // groups)
-        members = np.minimum(np.arange(groups * size), len(reps) - 1).reshape(groups, size)
-        # cell[v, g]: the bits that a 1 at window value v sets in lane g
-        cell = np.zeros((1 << d, -(-groups // 4) * 4), dtype=np.uint16)
-        for (g, p), r in np.ndenumerate(members):
-            for i, v in enumerate(windows[r].tolist()):
-                cell[v, g] |= 1 << (p * n + i)
-        width = min(1 << (d - 1), _LIMB_BITS)
-        codes = np.zeros(((1 << d) // width, 1 << width, cell.shape[1]), dtype=np.uint16)
-        for limb, table in enumerate(codes):
-            for b in range(width):   # the values with top bit b: those below, plus bit b
-                np.bitwise_or(table[:1 << b], cell[limb * width + b],
-                              out=table[1 << b:2 << b])
-        packed = np.arange(1 << (size * n))
-        necklaces = functools.reduce(np.bitwise_or, (hit[(packed >> (p * n)) & ((1 << n) - 1)]
-                                                     for p in range(size)))
-        _PERIOD_LOOKUPS[d, n] = (groups, codes.reshape(-1, cell.shape[1]).view(np.uint64),
-                                 necklaces)
-    return _PERIOD_LOOKUPS[d, n]
+    reps, hit = _necklaces(n)
+    windows = _rep_windows(d, n)
+    groups = -(-len(reps) // (_GROUP_BITS // n))
+    size = -(-len(reps) // groups)
+    members = np.minimum(np.arange(groups * size), len(reps) - 1).reshape(groups, size)
+    # cell[v, g]: the bits that a 1 at window value v sets in lane g
+    cell = np.zeros((1 << d, -(-groups // 4) * 4), dtype=np.uint16)
+    for (g, p), r in np.ndenumerate(members):
+        for i, v in enumerate(windows[r].tolist()):
+            cell[v, g] |= 1 << (p * n + i)
+    width = min(1 << (d - 1), _LIMB_BITS)
+    codes = np.zeros(((1 << d) // width, 1 << width, cell.shape[1]), dtype=np.uint16)
+    for limb, table in enumerate(codes):
+        for b in range(width):   # the values with top bit b: those below, plus bit b
+            np.bitwise_or(table[:1 << b], cell[limb * width + b],
+                          out=table[1 << b:2 << b])
+    packed = np.arange(1 << (size * n))
+    necklaces = functools.reduce(np.bitwise_or, (hit[(packed >> (p * n)) & ((1 << n) - 1)]
+                                                 for p in range(size)))
+    return groups, codes.reshape(-1, cell.shape[1]).view(np.uint64), necklaces
 
 
 def _limb_index(d: int, halves: np.ndarray, first: int = 0) -> np.ndarray:
@@ -556,8 +533,6 @@ def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
 # values in each half.
 _KEY_PERIOD = 4
 
-_HALF_KEYS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
 
 def _pack(halves: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Key of each half of a table (uint64 array): its bits at positions,
@@ -575,6 +550,7 @@ def _unpack(positions: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(bits.astype(np.uint64) << positions.astype(np.uint64), axis=1)
 
 
+@functools.cache
 def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, upper, passes): the bit positions in the lower and the upper
     half of a table that the length-``_KEY_PERIOD`` words read, and
@@ -585,46 +561,35 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     probe table per key pair: 256 x 256 at D = 5 and at D = 4, where the
     words read every window.
     """
-    if diameter not in _HALF_KEYS:
-        width = 1 << (diameter - 1)
-        values = np.flatnonzero(np.bincount(_rep_windows(diameter, _KEY_PERIOD).ravel()))
-        lower, upper = values[values < width], values[values >= width] - width
-        probes = (_unpack(upper)[:, None] << np.uint64(width)) | _unpack(lower)[None, :]
-        passes = _permutes_period(probes.ravel(), diameter, _KEY_PERIOD).reshape(probes.shape)
-        _HALF_KEYS[diameter] = lower, upper, passes
-    return _HALF_KEYS[diameter]
+    width = 1 << (diameter - 1)
+    values = np.flatnonzero(np.bincount(_rep_windows(diameter, _KEY_PERIOD).ravel()))
+    lower, upper = values[values < width], values[values >= width] - width
+    probes = (_unpack(upper)[:, None] << np.uint64(width)) | _unpack(lower)[None, :]
+    passes = _permutes_period(probes.ravel(), diameter, _KEY_PERIOD).reshape(probes.shape)
+    return lower, upper, passes
 
 
-_UPPER_KEYS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _upper_keys(diameter: int) -> np.ndarray:
     """The key of every upper half, indexed by its value."""
-    if diameter not in _UPPER_KEYS:
-        halves = np.arange(1 << (1 << (diameter - 1)), dtype=np.uint64)
-        _UPPER_KEYS[diameter] = _pack(halves, _half_keys(diameter)[1]).astype(np.uint8)
-    return _UPPER_KEYS[diameter]
+    halves = np.arange(1 << (1 << (diameter - 1)), dtype=np.uint64)
+    return _pack(halves, _half_keys(diameter)[1]).astype(np.uint8)
 
 
-_LOWER_HALVES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(halves, starts, codes): the lower halves with ``ones`` set bits
     ordered by key, where the run of each key begins in them (one more entry
     than keys, for the end), and their rows of codes at the first period of
     ``_FILTER_PERIODS`` (8 bytes a half at D = 5)."""
-    if (diameter, ones) not in _LOWER_HALVES:
-        halves = _masks_by_popcount(1 << (diameter - 1))[ones]
-        lower = _half_keys(diameter)[0]
-        keys = _pack(halves, lower)
-        order = np.argsort(keys, kind="stable")
-        starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
-        halves = halves[order]
-        _LOWER_HALVES[diameter, ones] = (halves, starts,
-                                         _rows(diameter, _FILTER_PERIODS[0],
-                                               _limb_index(diameter, halves[None])))
-    return _LOWER_HALVES[diameter, ones]
+    halves = _masks_by_popcount(1 << (diameter - 1))[ones]
+    lower = _half_keys(diameter)[0]
+    keys = _pack(halves, lower)
+    order = np.argsort(keys, kind="stable")
+    starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
+    halves = halves[order]
+    return (halves, starts,
+            _rows(diameter, _FILTER_PERIODS[0], _limb_index(diameter, halves[None])))
 
 
 def _block_pairs(diameter: int, block: tuple[int, int, int]):
@@ -729,26 +694,13 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]
 
 
 def scan_unit(diameter: int, unit) -> list[int]:
-    """Dispatch one sweep work unit; picklable, for worker pools."""
+    """Injective Wolfram numbers of one sweep work unit, ascending: a range
+    of :func:`sweep_chunks` below ``LONG_SWEEP_DIAMETER``, else a block of
+    :func:`balanced_sweep_blocks`."""
     if diameter < LONG_SWEEP_DIAMETER:
         lo, hi = unit
         return scan_chunk(diameter, lo, hi)
     return scan_balanced_block(diameter, unit)
-
-
-def _sweep_workers() -> int:
-    """Worker processes for a sweep: ``REVCA_THREADS`` (default 1), capped at
-    the number of cores this process may run on."""
-    text = os.environ.get("REVCA_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"REVCA_THREADS must be a positive integer, got {text!r}")
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return min(workers, cores)
 
 
 class Sweep:
@@ -756,10 +708,10 @@ class Sweep:
 
     Construction checks the request and raises ``ValueError`` for a diameter
     below 1 or above ``MAX_SWEEP_DIAMETER``, for a long sweep (diameter
-    ``LONG_SWEEP_DIAMETER`` and up) without ``allow_long``, and for a bad
-    ``REVCA_THREADS``.  Units are the index ranges of :func:`sweep_chunks`
-    below the long diameter and the blocks of :func:`balanced_sweep_blocks`
-    from it on.
+    ``LONG_SWEEP_DIAMETER`` and up) without ``allow_long``.  Units are the
+    index ranges of :func:`sweep_chunks` below the long diameter and the
+    blocks of :func:`balanced_sweep_blocks` from it on.  They are scanned in
+    order, in the calling process.
     """
 
     def __init__(self, diameter: int, exclude_trivial: bool = False,
@@ -777,22 +729,13 @@ class Sweep:
         self.diameter = diameter
         self.units = (sweep_chunks(diameter) if diameter < LONG_SWEEP_DIAMETER
                       else balanced_sweep_blocks(diameter))
-        self.workers = _sweep_workers()
         self._skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
 
     def run(self, start: int = 0) -> Iterator[list[int]]:
         """Injective Wolfram numbers of each unit from ``start`` on, in unit
         order: one ascending list per unit, trivial tables left out if asked."""
-        scan = functools.partial(scan_unit, self.diameter)
-        pending = self.units[start:]
-        with contextlib.ExitStack() as stack:
-            results = map(scan, pending)
-            if self.workers > 1 and len(pending) > 1:
-                pool = stack.enter_context(
-                    multiprocessing.get_context("spawn").Pool(self.workers))
-                results = pool.imap(scan, pending, chunksize=1)
-            for found in results:
-                yield [w for w in found if w not in self._skip]
+        for unit in self.units[start:]:
+            yield [w for w in scan_unit(self.diameter, unit) if w not in self._skip]
 
 
 def exhaustive_injective(diameter: int, exclude_trivial: bool = False,

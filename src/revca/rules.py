@@ -11,6 +11,7 @@ deduplication ignore it.
 from __future__ import annotations
 
 import decimal
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,20 +115,20 @@ def is_balanced(rt: RuleTable) -> bool:
     return sum(rt.bits) == 1 << (rt.diameter - 1)
 
 
-_TRIVIAL_LABELS: dict[int, dict[tuple[int, ...], str]] = {}
+@functools.cache
+def _trivial_labels(d: int) -> dict[tuple[int, ...], str]:
+    """The label of each shift/complement table of diameter d, by its bits."""
+    labels: dict[tuple[int, ...], str] = {}
+    for j in range(d):
+        labels.setdefault(projection_table(d, j).bits, f"projection({j})")
+        labels.setdefault(complement_table(d, j).bits, f"complement({j})")
+    return labels
 
 
 def classify_trivial(rt: RuleTable) -> str:
     """``projection(j)`` or ``complement(j)`` when the table equals one of
     the 2*diameter shift/complement tables, else ``nontrivial``."""
-    d = rt.diameter
-    if d not in _TRIVIAL_LABELS:
-        labels: dict[tuple[int, ...], str] = {}
-        for j in range(d):
-            labels.setdefault(projection_table(d, j).bits, f"projection({j})")
-            labels.setdefault(complement_table(d, j).bits, f"complement({j})")
-        _TRIVIAL_LABELS[d] = labels
-    return _TRIVIAL_LABELS[d].get(tuple(rt.bits), "nontrivial")
+    return _trivial_labels(rt.diameter).get(tuple(rt.bits), "nontrivial")
 
 
 def induce(mixture: MixtureSet) -> RuleTable:

@@ -109,12 +109,22 @@ MALFORMED_CHECKPOINTS = [
     '"next_unit": -1, "total_units": 1}',
     '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
     '"next_unit": 2, "total_units": 1}',
+    # wrong JSON types, which int() and bool() would coerce
+    '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": "false", '
+    '"next_unit": 0, "total_units": 1}',
+    '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
+    '"next_unit": 1.9, "total_units": 2}',
+    '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
+    '"next_unit": true, "total_units": 2}',
+    '{"version": 1, "kind": "sweep", "diameter": 3.7, "exclude_trivial": false, '
+    '"next_unit": 0, "total_units": 1}',
 ]
 
 
 @pytest.mark.parametrize("text", MALFORMED_CHECKPOINTS, ids=[
     "garbage", "no-fields", "version-2", "list", "null-diameter", "inf-diameter", "empty",
-    "negative-next-unit", "next-unit-past-total"])
+    "negative-next-unit", "next-unit-past-total", "string-exclude-trivial",
+    "float-next-unit", "bool-next-unit", "float-diameter"])
 def test_malformed_checkpoint_raises_value_error(tmp_path, text):
     path = tmp_path / "sweep.ckpt"
     path.write_text(text)

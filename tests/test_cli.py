@@ -329,7 +329,10 @@ class TestEnumerate:
         "[1]",                               # AttributeError
         '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
         '"next_unit": -1, "total_units": 1}',   # would rerun the sweep
-    ], ids=["garbage", "no-fields", "version-2", "list", "negative-next-unit"])
+        '{"version": 1, "kind": "sweep", "diameter": 3, "exclude_trivial": false, '
+        '"next_unit": true, "total_units": 1}',   # int() reads it as a finished sweep
+    ], ids=["garbage", "no-fields", "version-2", "list", "negative-next-unit",
+            "bool-next-unit"])
     def test_unreadable_checkpoint_exits_2(self, capsys, tmp_path, text):
         # a crash would end with exit 1, which reads as the NotInjective code
         ckpt = tmp_path / "sweep.ckpt"
@@ -347,23 +350,22 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_count_exits_2(self, capsys, monkeypatch, threads):
-        monkeypatch.setenv("REVCA_THREADS", threads)
-        code, out, err = run(capsys, "enumerate", "-d", "3")
-        assert code == 2 and out == "" and "REVCA_THREADS" in err
+    def test_thread_variable_is_ignored(self, capsys, monkeypatch):
+        # sweeps run in the calling process; the old worker-count variable,
+        # even an invalid one, changes nothing
+        monkeypatch.delenv("REVCA_THREADS", raising=False)
+        plain = run(capsys, "enumerate", "-d", "3")
+        monkeypatch.setenv("REVCA_THREADS", "abc")
+        assert run(capsys, "enumerate", "-d", "3") == plain
+        assert plain[0] == 0 and len(plain[1].splitlines()) == 6
 
-    def test_parallel_workers_match_sequential(self):
-        import os
-        runs = {}
-        for threads in ("1", "3"):
-            env = dict(os.environ, REVCA_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "revca", "enumerate", "-d", "4",
-                 "--exclude-trivial"],
-                capture_output=True, text=True, env=env, check=True)
-            runs[threads] = proc.stdout
-        assert runs["1"] == runs["3"] and len(runs["1"].splitlines()) == 8
+
+def test_cli_import_leaves_out_multiprocessing():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, revca.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestUnwritablePaths:

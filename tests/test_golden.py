@@ -74,7 +74,6 @@ def golden():
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(a)[:48] for a, _ in CASES])
 def test_cli_output_unchanged(index, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REVCA_THREADS", raising=False)
     argv, source = CASES[index]
     record = golden[index]
     assert record["argv"] == argv

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import random
 import tracemalloc
 from pathlib import Path
@@ -20,7 +19,6 @@ from revca.injectivity import (
     _necklaces,
     _permutes_pairs,
     _permutes_period,
-    _sweep_workers,
     balanced_sweep_blocks,
     debruijn_injective,
     decide,
@@ -705,30 +703,6 @@ def _d5_block_around(w):
 def _d5_inside(reference, block):
     j, s, e = block
     return sorted(w for w in reference if _d5_place(w)[0] == j and s <= _d5_place(w)[1] < e)
-
-
-class TestSweepWorkers:
-    """REVCA_THREADS resolution; no pool is started here."""
-
-    def test_default_and_clamp(self, monkeypatch):
-        cores = len(os.sched_getaffinity(0))
-        monkeypatch.delenv("REVCA_THREADS", raising=False)
-        assert _sweep_workers() == 1
-        monkeypatch.setenv("REVCA_THREADS", "1")
-        assert _sweep_workers() == 1
-        monkeypatch.setenv("REVCA_THREADS", str(cores))
-        assert _sweep_workers() == cores
-        monkeypatch.setenv("REVCA_THREADS", "100000")
-        assert _sweep_workers() == cores
-        assert Sweep(3).workers == cores
-
-    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
-    def test_rejects_bad_values(self, monkeypatch, threads):
-        monkeypatch.setenv("REVCA_THREADS", threads)
-        with pytest.raises(ValueError, match="REVCA_THREADS"):
-            _sweep_workers()
-        with pytest.raises(ValueError, match="REVCA_THREADS"):
-            list(exhaustive_injective(3))
 
 
 class TestLongSweep:
