@@ -19,13 +19,13 @@ witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap and
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
 chain of necessary conditions for injectivity before the exact decision, on
 pairs of table halves: balance (equal 0/1 output counts); permutation of the
-words of period 4, and with them those of periods 1 and 2, as a lookup on
-one key per half (the bits the words read: 8 of each 16-bit half at D = 5,
-the whole half at D <= 4); then permutation of the words of periods 5, 6 and
-7.  At D <= 4 a unit is a range of Wolfram numbers, split into halves, and
-the key lookup implies balance there.  D = 5 is gated behind an explicit
-flag, and a unit there is a block of balanced tables that lists only the
-pairs of halves whose keys pass.  The period filters are lookups too: the
+words of periods 3 and 4, and with them those of periods 1 and 2, as a lookup
+on one key per half (the bits the words read: 10 of each 16-bit half at
+D = 5, the whole half at D <= 4); then permutation of the words of periods
+5, 6 and 7.  At D <= 4 a unit is a range of Wolfram numbers, split into
+halves, and the key lookup implies balance there.  D = 5 is gated behind an
+explicit flag, and a unit there is a block of balanced tables that lists
+only the pairs of halves whose keys pass.  The period filters are lookups too: the
 map commutes with rotation, so it permutes the words of length n iff the
 images of one word per necklace (rotation class) fall in pairwise distinct
 necklaces.  The images' codes are the OR of one tabulated row per byte of a
@@ -527,11 +527,11 @@ def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
     return blocks
 
 
-# The period whose filter is a lookup on the halves of a table.  Its words
-# include those of periods 1 and 2 (a map that permutes the length-4 words
-# permutes those of every period dividing 4), and at D = 5 they read 8 window
-# values in each half.
-_KEY_PERIOD = 4
+# The periods whose filters are one lookup on the halves of a table.  Their
+# words include those of periods 1 and 2 (a map that permutes the words of
+# length n permutes those of every period dividing n), and at D = 5 they read
+# 10 window values in each half: period 4 reads 8, period 3 two more.
+_KEY_PERIODS = (3, 4)
 
 
 def _pack(halves: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -550,22 +550,38 @@ def _unpack(positions: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(bits.astype(np.uint64) << positions.astype(np.uint64), axis=1)
 
 
+def _window_bits(diameter: int, periods: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper): the bit positions in the lower and the upper half of
+    a table that the words of the given periods read, ascending."""
+    width = 1 << (diameter - 1)
+    windows = np.concatenate([_rep_windows(diameter, n).ravel() for n in periods])
+    values = np.flatnonzero(np.bincount(windows))
+    return values[values < width], values[values >= width] - width
+
+
 @functools.cache
 def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lower, upper, passes): the bit positions in the lower and the upper
-    half of a table that the length-``_KEY_PERIOD`` words read, and
+    half of a table that the words of the ``_KEY_PERIODS`` read, and
     passes[upper key, lower key], whether the tables with those keys permute
-    the words.
+    the words of each of those periods.
 
-    The filter reads nothing else, so the matrix is tabulated once, from one
-    probe table per key pair: 256 x 256 at D = 5 and at D = 4, where the
-    words read every window.
+    The filters read nothing else.  Each period's test is a function of its
+    own window bits alone, so its matrix is tabulated from one probe table
+    per pair of its own keys (16 x 16 for period 3 and 256 x 256 for period
+    4 at D = 5), spread over the combined keys by a ``take`` on each axis,
+    and passes is the AND of the periods' matrices: 1024 x 1024 at D = 5,
+    and at D = 4, where the length-4 words read every window, 256 x 256.
     """
     width = 1 << (diameter - 1)
-    values = np.flatnonzero(np.bincount(_rep_windows(diameter, _KEY_PERIOD).ravel()))
-    lower, upper = values[values < width], values[values >= width] - width
-    probes = (_unpack(upper)[:, None] << np.uint64(width)) | _unpack(lower)[None, :]
-    passes = _permutes_period(probes.ravel(), diameter, _KEY_PERIOD).reshape(probes.shape)
+    lower, upper = _window_bits(diameter, _KEY_PERIODS)
+    ups, los = _unpack(upper), _unpack(lower)
+    passes = np.ones((ups.size, los.size), dtype=bool)
+    for n in _KEY_PERIODS:
+        own_lower, own_upper = _window_bits(diameter, (n,))
+        probes = (_unpack(own_upper)[:, None] << np.uint64(width)) | _unpack(own_lower)[None, :]
+        own = _permutes_period(probes.ravel(), diameter, n).reshape(probes.shape)
+        passes &= own.take(_pack(ups, own_upper), axis=0).take(_pack(los, own_lower), axis=1)
     return lower, upper, passes
 
 
@@ -573,15 +589,15 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _upper_keys(diameter: int) -> np.ndarray:
     """The key of every upper half, indexed by its value."""
     halves = np.arange(1 << (1 << (diameter - 1)), dtype=np.uint64)
-    return _pack(halves, _half_keys(diameter)[1]).astype(np.uint8)
+    return _pack(halves, _half_keys(diameter)[1]).astype(np.uint16)
 
 
 @functools.cache
 def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(halves, starts, codes): the lower halves with ``ones`` set bits
     ordered by key, where the run of each key begins in them (one more entry
-    than keys, for the end), and their rows of codes at the first period of
-    ``_FILTER_PERIODS`` (8 bytes a half at D = 5)."""
+    than keys, for the end: 1,025 at D = 5), and their rows of codes at the
+    first period of ``_FILTER_PERIODS`` (8 bytes a half at D = 5)."""
     halves = _masks_by_popcount(1 << (diameter - 1))[ones]
     lower = _half_keys(diameter)[0]
     keys = _pack(halves, lower)
@@ -594,8 +610,8 @@ def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def _block_pairs(diameter: int, block: tuple[int, int, int]):
     """(halves, pairs, codes) of :func:`_decide_survivors` for the tables of
-    one balanced-sweep block that permute the length-4 words (and so those
-    of periods 1 and 2), unordered.
+    one balanced-sweep block that permute the words of periods 3 and 4 (and
+    so those of periods 1 and 2), unordered.
 
     A block's tables are the products of its upper halves (window values
     with a leading 1) and the lower halves of the complementary popcount,
@@ -625,8 +641,8 @@ def _decide_survivors(diameter: int, halves: tuple[np.ndarray, np.ndarray],
                       pairs: tuple[np.ndarray, np.ndarray],
                       codes: tuple[np.ndarray, np.ndarray]) -> list[int]:
     """Injective Wolfram numbers among tables that are balanced and permute
-    the words of periods 1, 2 and 4, ascending: the tail of every sweep
-    unit's filter chain.
+    the words of periods 1 to 4, ascending: the tail of every sweep unit's
+    filter chain.
 
     Table i has the lower half halves[0][pairs[0][i]] and the upper half
     halves[1][pairs[1][i]], and codes[k] holds the rows of the halves in
@@ -665,7 +681,7 @@ def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
 
     The chunk's tables go through the filter chain of every sweep unit:
     passes[upper key, lower key] of :func:`_half_keys` (the words of
-    periods 1, 2 and 4), then :func:`_decide_survivors`.  At D <= 4 the
+    periods 1 to 4), then :func:`_decide_survivors`.  At D <= 4 the
     length-4 words read every window, so the keys are the whole halves and
     the flattened matrix is indexed by the Wolfram number, whose low and
     high bits are then the pair of halves.  Each half is one limb, so the
@@ -686,8 +702,8 @@ def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
 def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
     """Injective Wolfram numbers within one balanced-sweep block, ascending.
 
-    Balance holds by construction of the block and periods 1, 2 and 4 are
-    a lookup on the keys of the block's halves (see :func:`_block_pairs`);
+    Balance holds by construction of the block and periods 1 to 4 are a
+    lookup on the keys of the block's halves (see :func:`_block_pairs`);
     :func:`_decide_survivors` does the rest.
     """
     return _decide_survivors(diameter, *_block_pairs(diameter, block))

@@ -7,6 +7,7 @@ import random
 import time
 
 import brute
+import pytest
 from revca.engine import check_involution, step
 from revca.injectivity import debruijn_injective, exhaustive_injective, periodic_bijective
 from revca.patterns import (
@@ -222,6 +223,77 @@ def test_criterion_6_d5_subset_check(d5_nontrivial_sweep):
         f"its class's member with f(0^5) = 0; got {len(classes)} classes, induced "
         f"in {len(induced_classes)}. See README, 'Historical counts and example "
         "numbers'.")
+
+
+def _same_anchor_mixtures(diameter: int):
+    """Every mixture of one diameter: at each anchor, every nonempty set of
+    pairwise independent members of that anchor's pool, each set once."""
+    def grow(members, rest):
+        for i, cand in enumerate(rest):
+            try:
+                build_mixture(members + [cand])
+            except MixtureError:
+                continue
+            yield members + [cand]
+            yield from grow(members + [cand], rest[i + 1:])
+
+    for anchor in range(diameter):
+        yield from grow([], _mixture_pool(diameter, anchor))
+
+
+def _is_involution(w: int, diameter: int, anchor: int) -> bool:
+    """F o F = id for the table of Wolfram number w at one anchor, on every
+    window of 2D-1 cells: F applied to the D cells that each of its D
+    outputs reads, and F again to those outputs, gives back the window's
+    cell 2 * anchor (counted from the left, the leftmost cell the most
+    significant bit)."""
+    bits = [w >> v & 1 for v in range(1 << diameter)]
+    mask = (1 << diameter) - 1
+    for u in range(1 << (2 * diameter - 1)):
+        g = 0
+        for j in range(diameter):
+            g = g << 1 | bits[u >> (diameter - 1 - j) & mask]
+        if bits[g] != u >> (2 * diameter - 2 - 2 * anchor) & 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("diameter", [4, 5])
+def test_involution_classes_are_induced_classes(diameter, request):
+    """An output-complement class {f, NOT f} of nontrivial injective tables
+    holds an involution at some anchor iff it holds a table induced by a
+    same-anchor mixture, or a mirror or input-complement image of one (the
+    class itself closes it under output complement).  The mixtures induce
+    involutions by construction; the converse says that at D <= 5 no
+    involution escapes them.  All 4 classes at D=4 and 22 of the 26 at D=5
+    are both."""
+    full = (1 << (1 << diameter)) - 1
+    if diameter == 4:
+        triv = {to_wolfram(t) for t in trivial_tables(4)}
+        found = {to_wolfram(t) for t in exhaustive_injective(4)} - triv
+    else:
+        found = set(request.getfixturevalue("d5_nontrivial_sweep"))
+    classes = _complement_classes(found, diameter)
+
+    def mirror(w):
+        return sum((w >> int(format(v, f"0{diameter}b")[::-1], 2) & 1) << v
+                   for v in range(1 << diameter))
+
+    def input_complement(w):
+        ones = (1 << diameter) - 1
+        return sum((w >> (ones ^ v) & 1) << v for v in range(1 << diameter))
+
+    mixtures = list(_same_anchor_mixtures(diameter))
+    assert len(mixtures) == {4: 4, 5: 26}[diameter]
+    induced = {to_wolfram(induce(build_mixture(m))) for m in mixtures}
+    images = induced | {mirror(w) for w in induced}
+    images |= {input_complement(w) for w in images}
+    induced_classes = classes & _complement_classes(images, diameter)
+    involution_classes = {c for c in classes
+                          if any(_is_involution(w, diameter, a)
+                                 for w in (c, full ^ c) for a in range(diameter))}
+    assert involution_classes == induced_classes
+    assert (len(induced_classes), len(classes)) == {4: (4, 4), 5: (22, 26)}[diameter]
 
 
 def test_criterion_7_trivial_rules_injective():

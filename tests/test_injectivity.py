@@ -45,7 +45,7 @@ INJECTIVE_D4 = [255, 3855, 3915, 11535, 13107, 13155, 14643, 21845,
 INDUCED_D4 = {50892, 52380, 54000, 61620}
 # tables of three D=5 blocks after the keys, periods 5, 6 and 7, and decided
 # (TestBitTests.test_diameter_5_funnel)
-FUNNELS_D5 = [[11662, 1008, 12, 4, 4], [11032, 833, 2, 2, 2], [11452, 768, 0, 0, 0]]
+FUNNELS_D5 = [[2806, 281, 12, 4, 4], [4315, 333, 2, 2, 2], [3782, 289, 0, 0, 0]]
 
 
 class TestVerdicts:
@@ -330,6 +330,17 @@ class TestPeriodic:
             periodic_bijective(from_wolfram(3, 204), 30)
 
 
+# the periods whose words the half keys test (3 and 4, and with them 1 and 2)
+_KEY_STAGE = (1, 2, 3, 4)
+
+
+def _brute_permutes(d, w, periods):
+    """Whether the table of Wolfram number w permutes the words of every
+    given period, by brute.is_permutation."""
+    bits = [w >> v & 1 for v in range(1 << d)]
+    return all(brute.is_permutation(bits, d, 0, n) for n in periods)
+
+
 def _block_tables(d, block):
     """The tables of a balanced-sweep block that pass the half keys, as
     Wolfram numbers built from the pairs of halves that the sweep lists."""
@@ -508,11 +519,9 @@ class TestBalancedBlocks:
             for j, s, e in blocks:
                 block = ((by[j][s:e, None] << np.uint64(width)) | by[width - j][None, :]).ravel()
                 # the key-wise build keeps exactly the tables that permute the
-                # words of periods 1, 2 and 4
-                passing = block
-                for n in (1, 2, 4):
-                    passing = passing[_permutes_period(passing, d, n)]
-                assert np.array_equal(np.sort(_block_tables(d, (j, s, e))), np.sort(passing))
+                # words of periods 1 to 4
+                passing = [w for w in block.tolist() if _brute_permutes(d, w, _KEY_STAGE)]
+                assert sorted(_block_tables(d, (j, s, e)).tolist()) == sorted(passing)
                 tables += block.tolist()
             assert len(set(tables)) == len(tables) == covered
             assert set(tables) == {w for w in range(1 << (2 * width))
@@ -525,28 +534,46 @@ class TestBalancedBlocks:
 
     def test_diameter_5_key_matrix(self):
         """passes[upper key, lower key] against brute.is_permutation at
-        periods 1, 2 and 4: every passing pair and a sample of the others,
-        each as a table whose bits outside the keys are random."""
+        periods 1 to 4: every passing pair and a sample of the others, each
+        as a table whose bits outside the keys are random."""
         lower, upper, passes = _half_keys(5)
-        assert lower.tolist() == list(range(0, 16, 2))
-        assert upper.tolist() == list(range(1, 16, 2))
+        assert lower.tolist() == [0, 2, 4, 6, 8, 9, 10, 12, 13, 14]
+        assert upper.tolist() == [1, 2, 3, 5, 6, 7, 9, 11, 13, 15]
         rng = random.Random(45)
         failing = np.argwhere(~passes).tolist()
         pairs = np.argwhere(passes).tolist() + rng.sample(failing, 1500)
         for ku, kl in pairs:
             w = rng.getrandbits(32)
-            for k in range(8):
+            for k in range(10):
                 for key, p in ((kl, lower[k]), (ku, 16 + upper[k])):
                     w = w & ~(1 << int(p)) | (key >> k & 1) << int(p)
-            bits = [w >> v & 1 for v in range(32)]
-            expected = all(brute.is_permutation(bits, 5, 0, n) for n in (1, 2, 4))
-            assert passes[ku, kl] == expected, (ku, kl, w)
-        assert np.count_nonzero(passes) == 1536
+            assert passes[ku, kl] == _brute_permutes(5, w, _KEY_STAGE), (ku, kl, w)
+        assert np.count_nonzero(passes) == 6976
+
+    def test_key_matrix_is_the_and_of_its_periods(self):
+        """At D=4, where the keys are the whole halves, every cell of the
+        matrix is brute permutation of the words of periods 3 and 4.  At
+        D=5, every cell equals the AND of the period-3 and the period-4
+        filter, each run on the table whose bits at the keys' positions are
+        the cell's keys and whose other bits are 0."""
+        passes = _half_keys(4)[2].ravel()
+        expected = [_brute_permutes(4, w, (3, 4)) for w in range(1 << 16)]
+        assert passes.tolist() == expected and expected.count(True) == 544
+        lower, upper, passes = _half_keys(5)
+        spread = [np.zeros(1 << 10, dtype=np.uint64) for _ in range(2)]
+        for k in range(10):
+            for half, p in zip(spread, (lower[k], 16 + upper[k])):
+                half |= (np.arange(1 << 10, dtype=np.uint64) >> np.uint64(k) & np.uint64(1)) \
+                    << np.uint64(p)
+        probes = (spread[1][:, None] | spread[0][None, :]).ravel()
+        own = {n: _permutes_period(probes, 5, n).reshape(passes.shape) for n in (3, 4)}
+        assert np.array_equal(passes, own[3] & own[4])
+        assert [np.count_nonzero(m) for m in (own[3], own[4], passes)] == [147456, 24576, 6976]
 
 
 class TestBitTests:
     """The filter chain of every sweep unit, on pairs of table halves:
-    balance and the half keys (periods 1, 2 and 4), periods 5, 6 and 7,
+    balance and the half keys (periods 1 to 4), periods 5, 6 and 7,
     then the decision; brute balance and brute.is_permutation are the
     oracle."""
 
@@ -581,11 +608,9 @@ class TestBitTests:
 
     @staticmethod
     def _brute_passes(d, w):
-        """Balanced and permuting the words of periods 1, 2, 4, 5, 6 and 7,
-        by bit count and brute.is_permutation."""
-        bits = [w >> v & 1 for v in range(1 << d)]
-        return (sum(bits) == 1 << (d - 1)
-                and all(brute.is_permutation(bits, d, 0, n) for n in (1, 2, 4, 5, 6, 7)))
+        """Balanced and permuting the words of periods 1 to 7, by bit count
+        and brute.is_permutation."""
+        return bin(w).count("1") == 1 << (d - 1) and _brute_permutes(d, w, range(1, 8))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chain_on_every_table(self, monkeypatch, d):
@@ -609,17 +634,26 @@ class TestBitTests:
         assert decided == expected and len(expected) >= 4
 
     def test_diameter_4_funnel(self, monkeypatch):
-        """65,536 tables, 1,536 balanced with passing keys, 96 left after
-        period 5, 20 after period 6 and 16 after period 7: the decision sees
-        only the injective tables, since period 7 drops the 4 that are not
-        (23205, 26265, 39270 and 42330)."""
+        """65,536 tables, 544 balanced with passing keys (periods 1 to 4), 48
+        left after period 5, 20 after period 6 and 16 after period 7: the
+        decision sees only the injective tables, since period 7 drops the 4
+        that are not (23205, 26265, 39270 and 42330).  Each count is that of
+        the balanced tables filtered one stage at a time by
+        brute.is_permutation."""
         keyed, decided, passed = self._funnel(monkeypatch)
         chunks = sweep_chunks(4)
         assert sum(hi - lo for lo, hi in chunks) == 1 << 16
         found = [w for unit in chunks for w in scan_unit(4, unit)]
         funnel = (len(keyed), passed[5], passed[6], passed[7], len(decided))
-        assert funnel == (1536, 96, 20, 16, 16)
-        assert found == decided == INJECTIVE_D4 and set(decided) <= set(keyed)
+        left = [w for w in range(1 << 16)
+                if bin(w).count("1") == 8 and _brute_permutes(4, w, _KEY_STAGE)]
+        assert sorted(keyed) == left
+        expected = [len(left)]
+        for n in (5, 6, 7):
+            left = [w for w in left if _brute_permutes(4, w, (n,))]
+            expected.append(len(left))
+        assert funnel == (*expected, len(left)) == (544, 48, 20, 16, 16)
+        assert found == decided == left == INJECTIVE_D4
 
     def test_diameter_5_funnel(self, monkeypatch, capsys):
         """Tables left after each stage of the chain on benchmark-shaped D=5
@@ -642,7 +676,7 @@ class TestBitTests:
             j, s, e = block
             tables = ((by[j][s:e, None] << np.uint64(16)) | by[16 - j][None, :]).ravel()
             expected = []
-            for periods in ((1, 2, 4), (5,), (6,), (7,)):
+            for periods in (_KEY_STAGE, (5,), (6,), (7,)):
                 for n in periods:
                     tables = tables[_permutes_period(tables, 5, n)]
                 expected.append(tables.size)
