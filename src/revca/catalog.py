@@ -69,17 +69,23 @@ class SweepCheckpoint:
 
 
 def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:
+    """Write the checkpoint to a temporary file beside ``path``, sync it to
+    disk and rename it over ``path``, so that a crash leaves the old
+    checkpoint or the new one, never an empty file."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.with_suffix(p.suffix + ".tmp")
-    tmp.write_text(json.dumps({
-        "version": CHECKPOINT_VERSION,
-        "kind": "sweep",
-        "diameter": cp.diameter,
-        "exclude_trivial": cp.exclude_trivial,
-        "next_unit": cp.next_unit,
-        "total_units": cp.total_units,
-    }, sort_keys=True) + "\n", encoding="utf-8")
+    with tmp.open("w", encoding="utf-8") as f:
+        f.write(json.dumps({
+            "version": CHECKPOINT_VERSION,
+            "kind": "sweep",
+            "diameter": cp.diameter,
+            "exclude_trivial": cp.exclude_trivial,
+            "next_unit": cp.next_unit,
+            "total_units": cp.total_units,
+        }, sort_keys=True) + "\n")
+        f.flush()
+        os.fsync(f.fileno())
     tmp.replace(p)
 
 

@@ -22,17 +22,21 @@ pairs of table halves: balance (equal 0/1 output counts); permutation of the
 words of periods 3 and 4, and with them those of periods 1 and 2, as a lookup
 on one key per half (the bits the words read: 10 of each 16-bit half at
 D = 5, the whole half at D <= 4); then permutation of the words of periods
-5, 6 and 7.  At D <= 4 a unit is a range of Wolfram numbers, split into
-halves, and the key lookup implies balance there.  D = 5 is gated behind an
-explicit flag, and a unit there is a block of balanced tables that lists
-only the pairs of halves whose keys pass.  The period filters are lookups too: the
+5, 6 and 7.  What depends only on the diameter or on a popcount class is
+built once and cached; what a unit decides is never cached.  At D <= 4 a
+unit is a range of Wolfram numbers, and the key lookup implies balance
+there; the chain runs once per diameter over every table, and a unit
+decides the survivors in its range.  D = 5 is gated behind an explicit
+flag, and a unit there is a block of balanced tables that lists only the
+pairs of halves whose keys pass.  The period filters are lookups too: the
 map commutes with rotation, so it permutes the words of length n iff the
 images of one word per necklace (rotation class) fall in pairwise distinct
 necklaces.  The images' codes are the OR of one tabulated row per byte of a
-table, and so of one row per half; at period 5 the rows of the lower halves
-are kept per popcount class, and periods 6 and 7 run on the few survivors.
-Wolfram numbers are built only for the tables left for the decision.
-D >= 6 is refused outright.
+table (a limb), and so of one row per half.  Per popcount class, the lower
+halves keep their period-5 rows and limb indices and the upper halves their
+keys and limb indices; periods 6 and 7 run on the few survivors' limb
+indices.  Wolfram numbers are built only for the tables left for the
+decision.  D >= 6 is refused outright.
 :class:`Sweep` is the one driver for both the library and the command line:
 it checks the request, lists the work units and scans them in order, in the
 calling process.
@@ -44,7 +48,7 @@ import functools
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,9 +72,11 @@ class InjectivityVerdict:
 # ---------------------------------------------------------------------------
 # Pair-graph construction and the peeling decision.
 
-# Pair-graph nodes peeled together in one slice of a batch.  The working
-# arrays of a pass scale with this, not with the batch size, which keeps the
-# peak memory of a 4096-table sweep chunk flat.
+# Pair-graph nodes peeled together in one slice of a batch (64 tables at
+# D = 4, one from D = 7).  The working arrays of a pass, about 15 bytes a
+# node, scale with this, not with the batch size, so below D = 8 a batch of
+# any length (every D = 4 table at once, say) peels in slices of about
+# 60 kB.  Sweep units send only the handful of tables left by their chain.
 _SLICE_NODES = 1 << 12
 
 
@@ -94,7 +100,9 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     and as [x1, x2, y1, y2, l1, l2] by broadcasting, with no gathers.  A
     pass strips every node without a live out-edge, then every node without
     a live in-edge; the loop stops once a pass leaves the number alive
-    unchanged.
+    unchanged, or leaves only the diagonals.  A diagonal node (u, u) keeps
+    its edges to and from diagonal nodes (those with y1 = y2 and x1 = x2),
+    so no pass strips it, and T diagonals of 2^(d-1) nodes are the end.
     """
     h = 1 << (d - 2)
     t = len(bits)
@@ -109,7 +117,7 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     edges = np.empty(eq_out.shape, dtype=bool)
     by_far_end = edges.reshape(4, 2, 2, h, h, t)
     any_edge = np.empty_like(ends)
-    count = alive.size
+    count, diagonals = alive.size, t << (d - 1)
     while True:
         for eq, far, near in ((eq_out, by_low, by_top), (eq_in, by_top, by_low)):
             np.copyto(ends, far)
@@ -117,7 +125,7 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
             np.logical_or.reduce(by_far_end, axis=0, out=any_edge)
             near &= any_edge
         now = np.count_nonzero(alive)
-        if now == count:
+        if now in (count, diagonals):
             return alive
         count = now
 
@@ -457,14 +465,16 @@ def _limb_index(d: int, halves: np.ndarray, first: int = 0) -> np.ndarray:
     """Rows into the limb lookups of :func:`_period_lookups` for tables at
     diameter d, from the halves in an (H, T) uint64 array, which are halves
     number first .. first + H - 1 of each table (0 lower, 1 upper): one row
-    per limb, a byte of a half, and one column per table."""
+    per limb, a byte of a half, and one column per table, as uint16 (the
+    largest row, 2,047 at D = 6, fits)."""
     limbs = max(1, (1 << (d - 1)) // _LIMB_BITS)
     width = min(1 << (d - 1), _LIMB_BITS)
     octets = halves.astype("<u8", copy=False).view(np.uint8).reshape(*halves.shape, 8)
     # copied before the cast: numpy casts strided bytes several times slower
-    index = np.ascontiguousarray(octets[..., :limbs].transpose(0, 2, 1)).astype(np.intp)
+    index = np.ascontiguousarray(octets[..., :limbs].transpose(0, 2, 1)).astype(np.uint16)
     index = index.reshape(len(halves) * limbs, halves.shape[1])
-    index += (np.arange(first * limbs, (first + len(halves)) * limbs) << width)[:, None]
+    index += (np.arange(first * limbs, (first + len(halves)) * limbs, dtype=np.uint16)
+              << width)[:, None]
     return index
 
 
@@ -585,33 +595,52 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lower, upper, passes
 
 
-@functools.cache
-def _upper_keys(diameter: int) -> np.ndarray:
-    """The key of every upper half, indexed by its value."""
-    halves = np.arange(1 << (1 << (diameter - 1)), dtype=np.uint64)
-    return _pack(halves, _half_keys(diameter)[1]).astype(np.uint16)
+class _Halves(NamedTuple):
+    """Halves of tables as the filter chain reads them: their values (uint64),
+    their :func:`_limb_index` columns (uint16, one column per half) and their
+    rows of codes at the first of the ``_FILTER_PERIODS``."""
+    values: np.ndarray
+    index: np.ndarray
+    codes: np.ndarray
+
+
+def _halves(diameter: int, values: np.ndarray, index: np.ndarray) -> _Halves:
+    return _Halves(values, index, _rows(diameter, _FILTER_PERIODS[0], index))
 
 
 @functools.cache
-def _lower_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(halves, starts, codes): the lower halves with ``ones`` set bits
-    ordered by key, where the run of each key begins in them (one more entry
-    than keys, for the end: 1,025 at D = 5), and their rows of codes at the
-    first period of ``_FILTER_PERIODS`` (8 bytes a half at D = 5)."""
-    halves = _masks_by_popcount(1 << (diameter - 1))[ones]
+def _lower_halves(diameter: int, ones: int) -> tuple[_Halves, np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """(halves, starts, runs, nonempty): the lower halves with ``ones`` set
+    bits ordered by key, with their limb index (4 bytes a half at D = 5) and
+    period-5 rows (8 bytes a half); where the run of each key begins in them
+    (one more entry than keys, for the end: 1,025 at D = 5); the length of
+    each run; and whether it is not empty."""
+    values = _masks_by_popcount(1 << (diameter - 1))[ones]
     lower = _half_keys(diameter)[0]
-    keys = _pack(halves, lower)
+    keys = _pack(values, lower)
     order = np.argsort(keys, kind="stable")
     starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
-    halves = halves[order]
-    return (halves, starts,
-            _rows(diameter, _FILTER_PERIODS[0], _limb_index(diameter, halves[None])))
+    values = values[order]
+    runs = np.diff(starts)
+    return _halves(diameter, values, _limb_index(diameter, values[None])), starts, runs, runs > 0
+
+
+@functools.cache
+def _upper_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, index): the key (uint16) and the limb index (uint16, 4 bytes a
+    half at D = 5) of each upper half with ``ones`` set bits, in ascending
+    order of value, as the blocks of :func:`balanced_sweep_blocks` slice
+    them."""
+    values = _masks_by_popcount(1 << (diameter - 1))[ones]
+    return (_pack(values, _half_keys(diameter)[1]).astype(np.uint16),
+            _limb_index(diameter, values[None], 1))
 
 
 def _block_pairs(diameter: int, block: tuple[int, int, int]):
-    """(halves, pairs, codes) of :func:`_decide_survivors` for the tables of
-    one balanced-sweep block that permute the words of periods 3 and 4 (and
-    so those of periods 1 and 2), unordered.
+    """(lower, upper, pairs) of :func:`_chain` for the tables of one
+    balanced-sweep block that permute the words of periods 3 and 4 (and so
+    those of periods 1 and 2), unordered.
 
     A block's tables are the products of its upper halves (window values
     with a leading 1) and the lower halves of the complementary popcount,
@@ -619,84 +648,110 @@ def _block_pairs(diameter: int, block: tuple[int, int, int]):
     passes[upper key, lower key] of :func:`_half_keys`, so only the passing
     pairs are listed: each upper half is paired with the runs of lower
     halves whose keys pass with its own, by one ragged ``repeat``/``arange``.
-    No table is built.
+    The upper halves' keys and limb index are slices of the per-class
+    :func:`_upper_halves`, and their period-5 rows are one ``take`` and one
+    OR of that index.  No table is built.
     """
     width = 1 << (diameter - 1)
     j, s, e = block
-    ups = _masks_by_popcount(width)[j][s:e]
-    los, starts, lo_codes = _lower_halves(diameter, width - j)
-    runs = np.diff(starts)
+    lower, starts, runs, nonempty = _lower_halves(diameter, width - j)
+    keys, index = (a[..., s:e] for a in _upper_halves(diameter, j))
     # flatnonzero, not nonzero: numpy finds 2-D indices several times slower
-    passing = np.flatnonzero(_half_keys(diameter)[2][_upper_keys(diameter)[ups]] & (runs > 0))
+    passing = np.flatnonzero(_half_keys(diameter)[2][keys] & nonempty)
     up, key = np.divmod(passing, runs.size)
     size = runs[key]
     ends = np.cumsum(size)
     lo = np.repeat(starts[key] - (ends - size), size)
     lo += np.arange(lo.size)
-    up_codes = _rows(diameter, _FILTER_PERIODS[0], _limb_index(diameter, ups[None], 1))
-    return (los, ups), (lo, np.repeat(up, size)), (lo_codes, up_codes)
+    upper = _halves(diameter, _masks_by_popcount(width)[j][s:e], index)
+    return lower, upper, (lo, np.repeat(up, size))
 
 
-def _decide_survivors(diameter: int, halves: tuple[np.ndarray, np.ndarray],
-                      pairs: tuple[np.ndarray, np.ndarray],
-                      codes: tuple[np.ndarray, np.ndarray]) -> list[int]:
-    """Injective Wolfram numbers among tables that are balanced and permute
-    the words of periods 1 to 4, ascending: the tail of every sweep unit's
-    filter chain.
+def _chain(diameter: int, lower: _Halves, upper: _Halves,
+           pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Wolfram numbers, ascending (uint64), of the tables that permute the
+    words of periods 5, 6 and 7, among tables that are balanced and permute
+    those of periods 1 to 4: the tail of every sweep unit's filter chain.
 
-    Table i has the lower half halves[0][pairs[0][i]] and the upper half
-    halves[1][pairs[1][i]], and codes[k] holds the rows of the halves in
-    halves[k] at the first of the ``_FILTER_PERIODS`` 5, 6 and 7, so that
-    filter ORs one gathered row of each half, in slices of
-    ``engine._SLICE_CELLS`` (group, table) pairs.  The later filters make
-    the test of :func:`_permutes_pairs` on the limbs of the few survivors.
-    Permutation of the words of these periods is, like the rest, a
-    necessary condition, so no filter drops an injective table.  Only the
-    tables left are built as Wolfram numbers, for the exact pair-graph
-    decision.
+    Table i has the lower half lower.values[pairs[0][i]] and the upper half
+    upper.values[pairs[1][i]].  The period-5 filter ORs one gathered row of
+    codes of each half, in slices of ``engine._SLICE_CELLS`` (group, table)
+    pairs.  The later filters carry the pair indices of the survivors and
+    gather their limb-index columns once, for the test of
+    :func:`_permutes_pairs`.  Permutation of the words of these periods is,
+    like the rest, a necessary condition, so no filter drops an injective
+    table.  Only the tables left at the end are built as Wolfram numbers,
+    and a stage that leaves nothing ends the chain.
     """
     first, *rest = _FILTER_PERIODS
+    lo, up = pairs
     per = max(1, engine._SLICE_CELLS // _period_lookups(diameter, first)[0])
-    passed = np.empty(len(pairs[0]), dtype=bool)
-    for lo in range(0, len(passed), per):
-        rows = codes[0].take(pairs[0][lo:lo + per], axis=0)
-        rows |= codes[1].take(pairs[1][lo:lo + per], axis=0)
-        passed[lo:lo + per] = _covers(diameter, first, rows)
+    passed = np.empty(lo.size, dtype=bool)
+    for s in range(0, lo.size, per):
+        rows = lower.codes.take(lo[s:s + per], axis=0)
+        rows |= upper.codes.take(up[s:s + per], axis=0)
+        passed[s:s + per] = _covers(diameter, first, rows)
     keep = np.flatnonzero(passed)
-    left = np.stack([h.take(p.take(keep)) for h, p in zip(halves, pairs)])
-    index = _limb_index(diameter, left)
+    if not keep.size:
+        return np.empty(0, dtype=np.uint64)
+    lo, up = lo.take(keep), up.take(keep)
+    index = np.concatenate((lower.index.take(lo, axis=1),
+                            upper.index.take(up, axis=1))).astype(np.intp)
     for n in rest:
-        if not left.size:
-            break
-        keep = _covers(diameter, n, _rows(diameter, n, index))
-        left, index = left.compress(keep, axis=1), index.compress(keep, axis=1)
-    if not left.size:
+        keep = np.flatnonzero(_covers(diameter, n, _rows(diameter, n, index)))
+        if not keep.size:
+            return np.empty(0, dtype=np.uint64)
+        lo, up, index = lo.take(keep), up.take(keep), index.take(keep, axis=1)
+    return np.sort((upper.values.take(up) << np.uint64(1 << (diameter - 1)))
+                   | lower.values.take(lo))
+
+
+def _decide_tables(diameter: int, tables: np.ndarray) -> list[int]:
+    """The injective ones of an array of Wolfram numbers, by the exact
+    pair-graph decision, in the same order."""
+    if not tables.size:
         return []
-    tables = np.sort((left[1] << np.uint64(1 << (diameter - 1))) | left[0])
-    return [int(w) for w in tables[decide(diameter, _wolfram_bits(diameter, tables))]]
+    return tables[decide(diameter, _wolfram_bits(diameter, tables))].tolist()
+
+
+@functools.cache
+def _chain_survivors(diameter: int) -> np.ndarray:
+    """The Wolfram numbers, ascending (uint64), of all the tables of a
+    diameter below ``LONG_SWEEP_DIAMETER`` that pass the filter chain:
+    passes[upper key, lower key] of :func:`_half_keys` (the words of periods
+    1 to 4), then :func:`_chain` (periods 5, 6 and 7).  544 tables pass the
+    keys at D = 4 and 16 the chain.
+
+    The length-4 words read every window, so the keys are the whole halves
+    and the flattened matrix is indexed by the Wolfram number, whose low and
+    high bits are then the pair of halves.  Each half is one limb.  Balance
+    needs no test of its own: the 16 words read each window 64 / 2^D times
+    in all, so a table that permutes them, whose images hold 32 ones in
+    their 64 cells, has 2^(D-1) ones.  From ``LONG_SWEEP_DIAMETER`` on the
+    keys are not the halves, so a diameter there raises ``ValueError``.
+    """
+    if diameter >= LONG_SWEEP_DIAMETER:
+        raise ValueError(f"diameter {diameter} is swept in balanced blocks, not in ranges")
+    width = 1 << (diameter - 1)
+    values = np.arange(1 << width, dtype=np.uint64)
+    tables = np.flatnonzero(_half_keys(diameter)[2].ravel())
+    lower, upper = (_halves(diameter, values, _limb_index(diameter, values[None], k))
+                    for k in (0, 1))
+    return _chain(diameter, lower, upper, (tables & ((1 << width) - 1), tables >> width))
 
 
 def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
     """Wolfram numbers in [lo, hi) whose global map is injective, ascending.
 
-    The chunk's tables go through the filter chain of every sweep unit:
-    passes[upper key, lower key] of :func:`_half_keys` (the words of
-    periods 1 to 4), then :func:`_decide_survivors`.  At D <= 4 the
-    length-4 words read every window, so the keys are the whole halves and
-    the flattened matrix is indexed by the Wolfram number, whose low and
-    high bits are then the pair of halves.  Each half is one limb, so the
-    rows of all halves are the limb lookups themselves.  Balance needs no
-    test of its own: the 16 words read each window 64 / 2^D times in all,
-    so a table that permutes them, whose images hold 32 ones in their 64
-    cells, has 2^(D-1) ones.
+    The chain of every sweep unit is a function of the table alone, so it
+    runs once per diameter (:func:`_chain_survivors`); a chunk takes the
+    survivors in its range and decides them.  Any range below
+    ``LONG_SWEEP_DIAMETER`` works, aligned to the chunks of
+    :func:`sweep_chunks` or not.
     """
-    width = 1 << (diameter - 1)
-    halves = np.arange(1 << width, dtype=np.uint64)
-    tables = np.flatnonzero(_half_keys(diameter)[2].ravel()[lo:hi]) + lo
-    codes = _period_lookups(diameter, _FILTER_PERIODS[0])[1]
-    return _decide_survivors(diameter, (halves, halves),
-                             (tables & ((1 << width) - 1), tables >> width),
-                             (codes[:1 << width], codes[1 << width:]))
+    survivors = _chain_survivors(diameter)
+    a, b = np.searchsorted(survivors, np.array((lo, hi), dtype=np.uint64))
+    return _decide_tables(diameter, survivors[a:b])
 
 
 def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
@@ -704,9 +759,9 @@ def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]
 
     Balance holds by construction of the block and periods 1 to 4 are a
     lookup on the keys of the block's halves (see :func:`_block_pairs`);
-    :func:`_decide_survivors` does the rest.
+    :func:`_chain` and the decision do the rest.
     """
-    return _decide_survivors(diameter, *_block_pairs(diameter, block))
+    return _decide_tables(diameter, _chain(diameter, *_block_pairs(diameter, block)))
 
 
 def scan_unit(diameter: int, unit) -> list[int]:

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,30 @@ def test_checkpoint_round_trip(tmp_path):
     assert back == cp
     save_checkpoint(path, SweepCheckpoint(4, True, 16, 16))
     assert load_checkpoint(path) == SweepCheckpoint(4, True, 16, 16)
+
+
+def test_checkpoint_synced_before_rename(tmp_path, monkeypatch):
+    """The temporary file is written and synced to disk before it replaces
+    the checkpoint, so a crash after the rename cannot leave an empty
+    checkpoint behind."""
+    events = []
+    fsync, replace = os.fsync, Path.replace
+
+    def spy_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def spy_replace(self, target):
+        events.append(("replace", self.name))
+        return replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(Path, "replace", spy_replace)
+    path = tmp_path / "sweep.ckpt"
+    save_checkpoint(path, SweepCheckpoint(4, False, 2, 16))
+    size = path.stat().st_size
+    assert size > 0 and events == [("fsync", size), ("replace", "sweep.ckpt.tmp")]
+    assert load_checkpoint(path) == SweepCheckpoint(4, False, 2, 16)
 
 
 def test_checkpoint_version_guard(tmp_path):

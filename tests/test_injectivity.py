@@ -254,6 +254,34 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide(3, np.zeros((2, 16), dtype=np.uint8))
 
+    def test_peel_leaves_the_diagonals_of_injective_tables(self):
+        """The peel stops once only diagonal nodes (u, u) are left: on the
+        16 injective D=4 tables and the 62 injective D=5 tables of
+        perfbench/reference.json, in one batch and alone, it leaves exactly
+        the diagonal of each."""
+        for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
+            bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
+            diagonal = np.zeros(1 << (2 * d - 2), dtype=bool)
+            diagonal[::(1 << (d - 1)) + 1] = True
+            assert np.array_equal(injectivity._peel(d, bits), np.tile(diagonal[:, None],
+                                                                      len(tables)))
+            for row in bits:
+                assert np.array_equal(injectivity._peel(d, row[None])[:, 0], diagonal)
+
+    def test_injective_tables_batched_with_near_misses(self):
+        """A batch mixing the reference tables of D=4 and D=5 with one-swap
+        near misses of them, shuffled, so that slices hold both verdicts:
+        the verdicts of one-table decide calls and of the Tarjan oracle."""
+        rng = random.Random(4562)
+        for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
+            mixed = tables + _near_misses(tables, d, 3 * len(tables), rng)
+            rng.shuffle(mixed)
+            batch = np.array([[w >> v & 1 for v in range(1 << d)] for w in mixed], dtype=np.uint8)
+            verdicts = decide(d, batch).tolist()
+            assert verdicts == [bool(decide(d, row)[0]) for row in batch]
+            assert verdicts == [brute.tarjan_injective(row.tolist(), d) for row in batch]
+            assert verdicts.count(True) >= len(tables) and False in verdicts
+
 
 def _assert_witness(rt, verdict):
     w1, w2 = verdict.witness
@@ -344,8 +372,8 @@ def _brute_permutes(d, w, periods):
 def _block_tables(d, block):
     """The tables of a balanced-sweep block that pass the half keys, as
     Wolfram numbers built from the pairs of halves that the sweep lists."""
-    (los, ups), (lo, up), _ = _block_pairs(d, block)
-    return (ups[up] << np.uint64(1 << (d - 1))) | los[lo]
+    lower, upper, (lo, up) = _block_pairs(d, block)
+    return (upper.values[up] << np.uint64(1 << (d - 1))) | lower.values[lo]
 
 
 def _near_misses(tables, d, count, rng):
@@ -581,15 +609,16 @@ class TestBitTests:
     def _funnel(monkeypatch):
         """Tables that reach the chain's tail (after the keys, and so
         balanced) and the decision, and the count that passes each period
-        filter of the tail, filled by the scans that follow."""
+        filter of the tail, filled by the scans that follow.  The chain's
+        survivors below D = 5 are cached per diameter, so the cache is
+        cleared: a chain that ran before the spies would not be counted."""
         keyed, decided, passed = [], [], {n: 0 for n in injectivity._FILTER_PERIODS}
-        tail, decide_, covers = (injectivity._decide_survivors, injectivity.decide,
-                                 injectivity._covers)
+        tail, decide_, covers = (injectivity._chain, injectivity.decide, injectivity._covers)
 
-        def spy_tail(d, halves, pairs, codes):
-            upper, lower = halves[1][pairs[1]], halves[0][pairs[0]]
-            keyed.extend(((upper << np.uint64(1 << (d - 1))) | lower).tolist())
-            return tail(d, halves, pairs, codes)
+        def spy_tail(d, lower, upper, pairs):
+            keyed.extend(((upper.values[pairs[1]] << np.uint64(1 << (d - 1)))
+                          | lower.values[pairs[0]]).tolist())
+            return tail(d, lower, upper, pairs)
 
         def spy_decide(d, bits):
             decided.extend(sum(int(b) << v for v, b in enumerate(row)) for row in bits)
@@ -601,9 +630,10 @@ class TestBitTests:
                 passed[n] += int(np.count_nonzero(mask))
             return mask
 
-        monkeypatch.setattr(injectivity, "_decide_survivors", spy_tail)
+        monkeypatch.setattr(injectivity, "_chain", spy_tail)
         monkeypatch.setattr(injectivity, "decide", spy_decide)
         monkeypatch.setattr(injectivity, "_covers", spy_covers)
+        injectivity._chain_survivors.cache_clear()
         return keyed, decided, passed
 
     @staticmethod
@@ -639,7 +669,8 @@ class TestBitTests:
         decision sees only the injective tables, since period 7 drops the 4
         that are not (23205, 26265, 39270 and 42330).  Each count is that of
         the balanced tables filtered one stage at a time by
-        brute.is_permutation."""
+        brute.is_permutation.  The chain runs once, for the first chunk, and
+        every chunk decides its own survivors."""
         keyed, decided, passed = self._funnel(monkeypatch)
         chunks = sweep_chunks(4)
         assert sum(hi - lo for lo, hi in chunks) == 1 << 16
@@ -654,6 +685,42 @@ class TestBitTests:
             expected.append(len(left))
         assert funnel == (*expected, len(left)) == (544, 48, 20, 16, 16)
         assert found == decided == left == INJECTIVE_D4
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_survivors_of_each_diameter(self, d):
+        """The survivors of the chain, cached per diameter below 5: the
+        tables that are balanced and permute the words of periods 1 to 7 by
+        brute.is_permutation."""
+        injectivity._chain_survivors.cache_clear()
+        got = injectivity._chain_survivors(d)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [w for w in range(1 << (1 << d)) if self._brute_passes(d, w)]
+
+    def test_unaligned_chunks(self, monkeypatch):
+        """scan_chunk on ranges off the grid of sweep_chunks: the
+        benchmark's warm-up range, ranges that cross the boundary of an
+        upper half (a multiple of 256) or several, one upper half, the whole
+        space and an empty range.  Each returns the injective tables in
+        range, built first from an unaligned range, and each decides its
+        survivors anew, the second time as the first."""
+        calls = []
+        decide_ = injectivity.decide
+        monkeypatch.setattr(injectivity, "decide",
+                            lambda d, bits: calls.append(len(bits)) or decide_(d, bits))
+        injectivity._chain_survivors.cache_clear()
+        ranges = [(0, 64), (100, 5000), (65000, 65536), (250, 260), (3800, 3920), (255, 256),
+                  (256, 512), (13000, 14700), (0, 1 << 16), (42, 42)]
+        for _ in range(2):
+            for lo, hi in ranges:
+                expected = [w for w in INJECTIVE_D4 if lo <= w < hi]
+                assert scan_chunk(4, lo, hi) == expected, (lo, hi)
+                assert scan_unit(4, (lo, hi)) == expected, (lo, hi)
+        inside = [sum(lo <= w < hi for w in INJECTIVE_D4) for lo, hi in ranges]
+        assert calls == 2 * [n for n in inside for _ in range(2) if n]
+        assert inside == [0, 3, 1, 1, 2, 1, 0, 3, 16, 0]
+        # from D = 5 on the keys are not the halves: a range there is refused
+        with pytest.raises(ValueError, match="balanced blocks"):
+            scan_chunk(5, 0, 64)
 
     def test_diameter_5_funnel(self, monkeypatch, capsys):
         """Tables left after each stage of the chain on benchmark-shaped D=5
