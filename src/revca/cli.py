@@ -199,11 +199,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.diameter
     try:
-        sweep = injectivity.Sweep(d, args.exclude_trivial, args.allow_long)
+        units = injectivity.sweep_units(d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    total = len(sweep.units)
+    total = len(units)
     start = 0
     if args.checkpoint:
         try:
@@ -225,10 +225,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             start = cp.next_unit
 
-    for i, found in enumerate(sweep.run(start), start):
+    for i, unit in enumerate(units[start:], start):
         records = []
-        for w in found:
-            record = rules.rule_to_json(rules.from_wolfram(d, w))
+        for w in injectivity.scan_unit(d, unit):
+            rt = rules.from_wolfram(d, w)
+            if args.exclude_trivial and rules.classify_trivial(rt) != "nontrivial":
+                continue
+            record = rules.rule_to_json(rt)
             record["verified_debruijn"] = True
             records.append(record)
         if args.catalog and records:
@@ -325,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exhaustively enumerate injective rules")
     p.add_argument("--diameter", "-d", type=int, required=True)
     p.add_argument("--exclude-trivial", action="store_true")
-    p.add_argument("--allow-long", action="store_true")
     p.add_argument("--catalog", default=None)
     p.add_argument("--checkpoint", default=None)
     p.set_defaults(handler=_cmd_enumerate)

@@ -26,19 +26,19 @@ D = 5, the whole half at D <= 4); then permutation of the words of periods
 built once and cached; what a unit decides is never cached.  At D <= 4 a
 unit is a range of Wolfram numbers, and the key lookup implies balance
 there; the chain runs once per diameter over every table, and a unit
-decides the survivors in its range.  D = 5 is gated behind an explicit
-flag, and a unit there is a block of balanced tables that lists only the
-pairs of halves whose keys pass.  The period filters are lookups too: the
-map commutes with rotation, so it permutes the words of length n iff the
-images of one word per necklace (rotation class) fall in pairwise distinct
-necklaces.  The images' codes are the OR of one tabulated row per byte of a
-table (a limb), and so of one row per half.  Per popcount class, the lower
-halves keep their period-5 rows and limb indices and the upper halves their
-keys and limb indices; periods 6 and 7 run on the few survivors' limb
-indices.  Wolfram numbers are built only for the tables left for the
-decision.  D >= 6 is refused outright.
-:class:`Sweep` is the one driver for both the library and the command line:
-it checks the request, lists the work units and scans them in order, in the
+decides the survivors in its range.  At D = 5 a unit is a block of
+balanced tables that lists only the pairs of halves whose keys pass.  The
+period filters are lookups too: the map commutes with rotation, so it
+permutes the words of length n iff the images of one word per necklace
+(rotation class) fall in pairwise distinct necklaces.  The images' codes
+are the OR of one tabulated row per byte of a table (a limb), and so of one
+row per half.  Per popcount class, the lower halves keep their period-5
+rows and limb indices and the upper halves their keys and limb indices;
+periods 6 and 7 run on the few survivors' limb indices.  Wolfram numbers
+are built only for the tables left for the decision.  D >= 6 is refused
+outright.
+:func:`sweep_units` lists the work units of a diameter and :func:`scan_unit`
+scans one; the library and the command line both scan them in order, in the
 calling process.
 """
 
@@ -48,12 +48,12 @@ import functools
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import engine
-from .rules import RuleTable, from_wolfram, to_wolfram, trivial_tables
+from .rules import RuleTable, classify_trivial, from_wolfram
 
 LONG_SWEEP_DIAMETER = 5
 MAX_SWEEP_DIAMETER = 5
@@ -363,10 +363,6 @@ _CHUNK_TABLES = 1 << 12
 # Periods of the permutation filters that a table passing the half keys must
 # pass before the exact decision.
 _FILTER_PERIODS = (5, 6, 7)
-
-
-def _trivial_wolframs(d: int) -> frozenset[int]:
-    return frozenset(to_wolfram(t) for t in trivial_tables(d))
 
 
 def sweep_chunks(diameter: int) -> list[tuple[int, int]]:
@@ -727,11 +723,8 @@ def _chain_survivors(diameter: int) -> np.ndarray:
     high bits are then the pair of halves.  Each half is one limb.  Balance
     needs no test of its own: the 16 words read each window 64 / 2^D times
     in all, so a table that permutes them, whose images hold 32 ones in
-    their 64 cells, has 2^(D-1) ones.  From ``LONG_SWEEP_DIAMETER`` on the
-    keys are not the halves, so a diameter there raises ``ValueError``.
+    their 64 cells, has 2^(D-1) ones.
     """
-    if diameter >= LONG_SWEEP_DIAMETER:
-        raise ValueError(f"diameter {diameter} is swept in balanced blocks, not in ranges")
     width = 1 << (diameter - 1)
     values = np.arange(1 << width, dtype=np.uint64)
     tables = np.flatnonzero(_half_keys(diameter)[2].ravel())
@@ -740,85 +733,57 @@ def _chain_survivors(diameter: int) -> np.ndarray:
     return _chain(diameter, lower, upper, (tables & ((1 << width) - 1), tables >> width))
 
 
-def scan_chunk(diameter: int, lo: int, hi: int) -> list[int]:
-    """Wolfram numbers in [lo, hi) whose global map is injective, ascending.
-
-    The chain of every sweep unit is a function of the table alone, so it
-    runs once per diameter (:func:`_chain_survivors`); a chunk takes the
-    survivors in its range and decides them.  Any range below
-    ``LONG_SWEEP_DIAMETER`` works, aligned to the chunks of
-    :func:`sweep_chunks` or not.
-    """
-    survivors = _chain_survivors(diameter)
-    a, b = np.searchsorted(survivors, np.array((lo, hi), dtype=np.uint64))
-    return _decide_tables(diameter, survivors[a:b])
+def _check_sweep_diameter(diameter: int) -> None:
+    """Refuse a sweep outside 1..``MAX_SWEEP_DIAMETER`` before anything is
+    allocated."""
+    if diameter < 1:
+        raise ValueError(f"exhaustive sweep needs diameter >= 1, got {diameter}")
+    if diameter > MAX_SWEEP_DIAMETER:
+        raise ValueError(
+            f"exhaustive sweep refused for diameter {diameter}: "
+            f"2^(2^{diameter}) tables are out of reach")
 
 
-def scan_balanced_block(diameter: int, block: tuple[int, int, int]) -> list[int]:
-    """Injective Wolfram numbers within one balanced-sweep block, ascending.
-
-    Balance holds by construction of the block and periods 1 to 4 are a
-    lookup on the keys of the block's halves (see :func:`_block_pairs`);
-    :func:`_chain` and the decision do the rest.
-    """
-    return _decide_tables(diameter, _chain(diameter, *_block_pairs(diameter, block)))
+def sweep_units(diameter: int) -> list:
+    """The exhaustive sweep of one diameter as an ordered list of work units:
+    the ranges of :func:`sweep_chunks` below ``LONG_SWEEP_DIAMETER``, else
+    the blocks of :func:`balanced_sweep_blocks`.  A diameter outside
+    1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``."""
+    _check_sweep_diameter(diameter)
+    if diameter < LONG_SWEEP_DIAMETER:
+        return sweep_chunks(diameter)
+    return balanced_sweep_blocks(diameter)
 
 
 def scan_unit(diameter: int, unit) -> list[int]:
-    """Injective Wolfram numbers of one sweep work unit, ascending: a range
-    of :func:`sweep_chunks` below ``LONG_SWEEP_DIAMETER``, else a block of
-    :func:`balanced_sweep_blocks`."""
+    """Injective Wolfram numbers of one sweep work unit, ascending.
+
+    Below ``LONG_SWEEP_DIAMETER`` a unit is a range [lo, hi) of Wolfram
+    numbers, aligned to :func:`sweep_chunks` or not.  The chain is a
+    function of the table alone, so it runs once per diameter
+    (:func:`_chain_survivors`), and the unit decides the survivors in its
+    range.  From that diameter on a unit is a block of
+    :func:`balanced_sweep_blocks`: balance holds by construction, periods 1
+    to 4 are a lookup on the keys of the block's halves (see
+    :func:`_block_pairs`), and :func:`_chain` and the decision do the rest.
+    A diameter outside 1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``.
+    """
+    _check_sweep_diameter(diameter)
     if diameter < LONG_SWEEP_DIAMETER:
         lo, hi = unit
-        return scan_chunk(diameter, lo, hi)
-    return scan_balanced_block(diameter, unit)
+        survivors = _chain_survivors(diameter)
+        a, b = np.searchsorted(survivors, np.array((lo, hi), dtype=np.uint64))
+        return _decide_tables(diameter, survivors[a:b])
+    return _decide_tables(diameter, _chain(diameter, *_block_pairs(diameter, unit)))
 
 
-class Sweep:
-    """The exhaustive sweep of one diameter, as an ordered list of work units.
-
-    Construction checks the request and raises ``ValueError`` for a diameter
-    below 1 or above ``MAX_SWEEP_DIAMETER``, for a long sweep (diameter
-    ``LONG_SWEEP_DIAMETER`` and up) without ``allow_long``.  Units are the
-    index ranges of :func:`sweep_chunks` below the long diameter and the
-    blocks of :func:`balanced_sweep_blocks` from it on.  They are scanned in
-    order, in the calling process.
-    """
-
-    def __init__(self, diameter: int, exclude_trivial: bool = False,
-                 allow_long: bool = False) -> None:
-        if diameter < 1:
-            raise ValueError(f"exhaustive sweep needs diameter >= 1, got {diameter}")
-        if diameter > MAX_SWEEP_DIAMETER:
-            raise ValueError(
-                f"exhaustive sweep refused for diameter {diameter}: "
-                f"2^(2^{diameter}) tables are out of reach")
-        if diameter >= LONG_SWEEP_DIAMETER and not allow_long:
-            raise ValueError(
-                f"diameter {diameter} sweep is long-running; pass --allow-long "
-                "(allow_long=True)")
-        self.diameter = diameter
-        self.units = (sweep_chunks(diameter) if diameter < LONG_SWEEP_DIAMETER
-                      else balanced_sweep_blocks(diameter))
-        self._skip = _trivial_wolframs(diameter) if exclude_trivial else frozenset()
-
-    def run(self, start: int = 0) -> Iterator[list[int]]:
-        """Injective Wolfram numbers of each unit from ``start`` on, in unit
-        order: one ascending list per unit, trivial tables left out if asked."""
-        for unit in self.units[start:]:
-            yield [w for w in scan_unit(self.diameter, unit) if w not in self._skip]
-
-
-def exhaustive_injective(diameter: int, exclude_trivial: bool = False,
-                         allow_long: bool = False) -> Iterator[RuleTable]:
-    """Every rule table of one diameter whose global map is injective.
-
-    Tables stream in ascending Wolfram order.  Diameter 5 scans the 601M
-    balanced tables and must be requested explicitly with ``allow_long``;
-    diameters above 5 are refused as infeasible (see :class:`Sweep`).
-    """
-    found = (w for unit in Sweep(diameter, exclude_trivial, allow_long).run() for w in unit)
-    if diameter >= LONG_SWEEP_DIAMETER:
-        found = sorted(found)   # balanced blocks do not follow Wolfram order
-    for w in found:
-        yield from_wolfram(diameter, w)
+def exhaustive_injective(diameter: int, exclude_trivial: bool = False) -> list[RuleTable]:
+    """Every rule table of one diameter whose global map is injective, in
+    ascending Wolfram order, without the projection and complement tables if
+    asked.  Diameter 5 scans the 601M balanced tables; a diameter outside
+    1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``."""
+    found = sorted(w for unit in sweep_units(diameter) for w in scan_unit(diameter, unit))
+    tables = [from_wolfram(diameter, w) for w in found]
+    if exclude_trivial:
+        tables = [t for t in tables if classify_trivial(t) == "nontrivial"]
+    return tables

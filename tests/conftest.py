@@ -11,6 +11,4 @@ def d5_nontrivial_sweep():
     from revca.injectivity import exhaustive_injective
     from revca.rules import to_wolfram
 
-    return sorted(
-        to_wolfram(t)
-        for t in exhaustive_injective(5, exclude_trivial=True, allow_long=True))
+    return sorted(to_wolfram(t) for t in exhaustive_injective(5, exclude_trivial=True))

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reference(key):
+    """The injective tables of perfbench/reference.json at one diameter,
+    ascending."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    return sorted(json.loads(path.read_text())[key])
 
 
 class TestGenPatterns:
@@ -275,11 +283,24 @@ class TestEnumerate:
         # output complements (see README on the historical count of four)
         assert got == {3915, 11535, 13155, 14643, 50892, 52380, 54000, 61620}
 
+    def test_diameter_5_nontrivial_in_wolfram_order(self, capsys):
+        # ascending although units are balanced blocks, not Wolfram ranges
+        code, out, _ = run(capsys, "enumerate", "-d", "5", "--exclude-trivial")
+        trivial = {rules.to_wolfram(t) for t in rules.trivial_tables(5)}
+        expected = [w for w in _reference("d5_injective") if w not in trivial]
+        assert code == 0 and len(expected) == 52
+        assert [int(json.loads(line)["wolfram_decimal"]) for line in out.splitlines()] == expected
+
     def test_refuses_big_diameters(self, capsys):
-        assert run(capsys, "enumerate", "-d", "6")[0] == 2
-        assert run(capsys, "enumerate", "-d", "5")[0] == 2  # without --allow-long
-        assert run(capsys, "enumerate", "-d", "0")[0] == 2
-        assert run(capsys, "enumerate", "-d", "-1")[0] == 2
+        for d in ("6", "0", "-1"):
+            assert run(capsys, "enumerate", "-d", d)[:2] == (2, "")
+
+    def test_long_sweep_flag_is_gone(self, capsys):
+        # D = 5 runs without a flag; the old one is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "-d", "5", "--allow-long"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and "--allow-long" in err
 
     def test_checkpoint_resume(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
@@ -305,6 +326,19 @@ class TestEnumerate:
         save_checkpoint(ckpt, SweepCheckpoint(2, False, 1, 1))
         code, out, _ = run(capsys, "enumerate", "-d", "2", "--checkpoint", str(ckpt))
         assert code == 0 and out == ""
+
+    def test_checkpoint_mid_sweep_resume(self, capsys, tmp_path):
+        # half of the 16 D=4 units ran: the rest holds the tables from 2^15 on
+        ckpt = tmp_path / "sweep.ckpt"
+        cat = tmp_path / "found.jsonl"
+        save_checkpoint(ckpt, SweepCheckpoint(4, False, 8, 16))
+        code, out, _ = run(capsys, "enumerate", "-d", "4",
+                           "--checkpoint", str(ckpt), "--catalog", str(cat))
+        expected = [str(w) for w in _reference("d4_injective") if w >= 1 << 15]
+        assert code == 0 and len(expected) == 8
+        assert [json.loads(line)["wolfram_decimal"] for line in out.splitlines()] == expected
+        assert [e["wolfram_decimal"] for e in read_catalog(cat)] == expected
+        assert load_checkpoint(ckpt) == SweepCheckpoint(4, False, 16, 16)
 
     def test_checkpoint_parameter_mismatch(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
@@ -521,8 +555,8 @@ _OPTIONS = {
                "--mixture-file": _PATHS, "--catalog": _PATHS},
     "verify": {"-d": _DIAMETERS, "-w": _WOLFRAMS, "--wolfram": _WOLFRAMS,
                "--max-period": _PERIODS},
-    "enumerate": {"-d": _DIAMETERS, "--exclude-trivial": None, "--allow-long": None,
-                  "--catalog": _PATHS, "--checkpoint": _PATHS},
+    "enumerate": {"-d": _DIAMETERS, "--exclude-trivial": None, "--catalog": _PATHS,
+                  "--checkpoint": _PATHS},
     "simulate": {"-d": _DIAMETERS, "-w": _WOLFRAMS, "--anchor": _INTS, "--pattern": _PATTERNS,
                  "--init": _WORDS, "--steps": ["0", "1", "3", "-1", "x"], "--pbm": _PATHS},
 }

@@ -11,7 +11,6 @@ import brute
 from revca import injectivity
 from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
-    Sweep,
     _Cycles,
     _block_pairs,
     _half_keys,
@@ -24,9 +23,9 @@ from revca.injectivity import (
     decide,
     exhaustive_injective,
     periodic_bijective,
-    scan_chunk,
     scan_unit,
     sweep_chunks,
+    sweep_units,
 )
 from revca.patterns import build_mixture, enumerate_extended, generate_all_patterns
 from revca.rules import (
@@ -523,12 +522,39 @@ class TestExhaustive:
         assert induced == INDUCED_D4
 
     def test_refusals(self):
-        with pytest.raises(ValueError):
-            list(exhaustive_injective(6))
-        with pytest.raises(ValueError):
-            list(exhaustive_injective(5))  # needs allow_long
-        with pytest.raises(ValueError):
-            list(exhaustive_injective(0))
+        # raised at the call, not at the first iteration: the result is a list
+        for d in (-1, 0, 6, 7):
+            with pytest.raises(ValueError, match="exhaustive sweep"):
+                exhaustive_injective(d)
+
+    @pytest.mark.parametrize("d, unit", [(0, (0, 1)), (6, (0, 0, 1)), (-1, (0, 1)),
+                                         (7, (0, 0, 1))])
+    def test_scan_unit_refuses_before_any_allocation(self, d, unit):
+        """A unit of a diameter outside 1..MAX_SWEEP_DIAMETER raises before
+        anything is built: at D = 6 the popcount classes of the 32-bit halves
+        would take 32 GiB, and at D = 0 the shifts would go negative."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exhaustive sweep"):
+                scan_unit(d, unit)
+            with pytest.raises(ValueError, match="exhaustive sweep"):
+                sweep_units(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_sweep_units_of_each_diameter(self, d):
+        """Ranges of sweep_chunks below LONG_SWEEP_DIAMETER, then the blocks
+        of balanced_sweep_blocks; their scans find every injective table."""
+        units = sweep_units(d)
+        assert units == (sweep_chunks(d) if d < injectivity.LONG_SWEEP_DIAMETER
+                         else balanced_sweep_blocks(d))
+        known = {3: INJECTIVE_D3, 4: INJECTIVE_D4, 5: sorted(_d5_reference())}
+        expected = known[d] if d in known else [
+            w for w in range(1 << (1 << d)) if debruijn_injective(from_wolfram(d, w)).injective]
+        assert sorted(w for unit in units for w in scan_unit(d, unit)) == expected
 
 
 class TestBalancedBlocks:
@@ -645,7 +671,7 @@ class TestBitTests:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chain_on_every_table(self, monkeypatch, d):
         _, decided, _ = self._funnel(monkeypatch)
-        found = [w for lo, hi in sweep_chunks(d) for w in scan_chunk(d, lo, hi)]
+        found = [w for unit in sweep_chunks(d) for w in scan_unit(d, unit)]
         expected = [w for w in range(1 << (1 << d)) if self._brute_passes(d, w)]
         assert decided == expected
         assert found == [w for w in expected if debruijn_injective(from_wolfram(d, w)).injective]
@@ -659,7 +685,7 @@ class TestBitTests:
                   + [w - rng.randrange(256) for w in rng.sample(INJECTIVE_D4, 4)])
         expected = []
         for lo in (min(max(0, s), (1 << 16) - 256) for s in starts):
-            assert scan_chunk(4, lo, lo + 256) == [w for w in INJECTIVE_D4 if lo <= w < lo + 256]
+            assert scan_unit(4, (lo, lo + 256)) == [w for w in INJECTIVE_D4 if lo <= w < lo + 256]
             expected += [w for w in range(lo, lo + 256) if self._brute_passes(4, w)]
         assert decided == expected and len(expected) >= 4
 
@@ -697,7 +723,7 @@ class TestBitTests:
         assert got.tolist() == [w for w in range(1 << (1 << d)) if self._brute_passes(d, w)]
 
     def test_unaligned_chunks(self, monkeypatch):
-        """scan_chunk on ranges off the grid of sweep_chunks: the
+        """scan_unit on ranges off the grid of sweep_chunks: the
         benchmark's warm-up range, ranges that cross the boundary of an
         upper half (a multiple of 256) or several, one upper half, the whole
         space and an empty range.  Each returns the injective tables in
@@ -713,14 +739,10 @@ class TestBitTests:
         for _ in range(2):
             for lo, hi in ranges:
                 expected = [w for w in INJECTIVE_D4 if lo <= w < hi]
-                assert scan_chunk(4, lo, hi) == expected, (lo, hi)
                 assert scan_unit(4, (lo, hi)) == expected, (lo, hi)
         inside = [sum(lo <= w < hi for w in INJECTIVE_D4) for lo, hi in ranges]
-        assert calls == 2 * [n for n in inside for _ in range(2) if n]
+        assert calls == 2 * [n for n in inside if n]
         assert inside == [0, 3, 1, 1, 2, 1, 0, 3, 16, 0]
-        # from D = 5 on the keys are not the halves: a range there is refused
-        with pytest.raises(ValueError, match="balanced blocks"):
-            scan_chunk(5, 0, 64)
 
     def test_diameter_5_funnel(self, monkeypatch, capsys):
         """Tables left after each stage of the chain on benchmark-shaped D=5
