@@ -98,7 +98,7 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
     if args.verify and _decision_limit_error(mixture.diameter):
         return EXIT_USAGE
     rt = rules.induce(mixture)
-    record = rules.rule_to_json(rt, [str(m) for m in mixture.members])
+    record = rules.rule_to_json(rt, mixture.members)
     if args.verify:
         verdict = injectivity.debruijn_injective(rt)
         periodic_ok = all(
@@ -248,6 +248,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.pattern and (args.wolfram is not None or args.anchor is not None):
+        print("error: give either --pattern or --wolfram/--anchor, not both", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.pattern:
             mixture = patterns.build_mixture(list(args.pattern))

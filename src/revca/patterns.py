@@ -1,18 +1,19 @@
 """Pattern calculus for constructing reversible 1D binary CA rules.
 
-A pattern is a window template over the symbols ``0``, ``1``, ``X`` and ``a``:
-exactly one flip cell ``X`` (the output-aligned cell, which may hold either
-state), concrete cells ``0``/``1``, and wildcard cells ``a`` permitted only as
-contiguous padding at the two ends.  The wildcard-free stretch around ``X`` is
-the *core*; its cell counts left and right of ``X`` are the radii ``L`` and
-``R``.
+A pattern is its text, a ``str`` over the symbols ``0``, ``1``, ``X`` and
+``a``: exactly one flip cell ``X`` (the output-aligned cell, which may hold
+either state), concrete cells ``0``/``1``, and wildcard cells ``a`` permitted
+only as contiguous padding at the two ends.  The wildcard-free stretch around
+``X`` is the *core*; its cell counts left and right of ``X`` are the radii
+``L`` and ``R``.
 
 All the calculus runs on window values, with the leftmost cell as the most
-significant bit.  A template is the pair ``(value, care)``: ``care`` has a bit
-for each ``0``/``1`` cell and ``value`` the bits of its ``1`` cells, so a
-window ``w`` matches iff ``w & care == value``.  Placing core ``b`` with its
-flip cell ``k`` cells right of core ``a``'s, the two clash iff
-``(va ^ vb) & ca & cb != 0`` once both are shifted into one frame.
+significant bit.  :func:`template`, the one check of pattern text, reads it
+as ``(value, care, anchor)``: ``care`` has a bit for each ``0``/``1`` cell
+and ``value`` the bits of its ``1`` cells, so a window ``w`` matches iff
+``w & care == value``.  Placing core ``b`` with its flip cell ``k`` cells
+right of core ``a``'s, the two clash iff ``(va ^ vb) & ca & cb != 0`` once
+both are shifted into one frame.
 
 A core is an *injective pattern* (stable) when every placement of a copy of
 it at shifts ``k = 1..max(L, R)``, the ones that put a flip cell on the other
@@ -23,12 +24,11 @@ pairwise independent is a *mixture*; the rule induced from it flips exactly
 the anchor cell of every window matching a member, which makes the global map
 an involution and therefore injective.
 
-``generate_injective_patterns`` tests all ``2^(L+R)`` fillings of one split at
-once on a numpy array; the per-core checks stay on Python integers.
-Enumerations and mixtures are limited to diameters up to :data:`MAX_DIAMETER`,
-which also bounds every rule table (see :func:`revca.rules.from_wolfram`).
-All values here are immutable and all functions are pure, so enumerations can
-be partitioned freely across workers and merged.
+The generators test all ``2^(L+R)`` fillings of one split at once on a numpy
+array and write each stable core's text from its value, unparsed; the
+per-core checks stay on Python integers.  Enumerations and mixtures are
+limited to diameters up to :data:`MAX_DIAMETER`, which also bounds every rule
+table (see :func:`revca.rules.from_wolfram`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ FLIP = "X"
 WILD = "a"
 
 # Largest diameter of an enumeration, a mixture or a rule table: gen-extended
-# at this diameter peaks at about 260 MB, and a table holds 2^D output bits.
+# at this diameter peaks at about 125 MB, and a table holds 2^D output bits.
 MAX_DIAMETER = 16
 
 _ALPHABET = frozenset((ZERO, ONE, FLIP, WILD))
@@ -67,51 +67,28 @@ class MixtureError(ValueError):
     """
 
     def __init__(self, clause: str, message: str,
-                 pair: tuple["PatternString", "PatternString"] | None = None):
+                 pair: tuple[str, str] | None = None):
         super().__init__(message)
         self.clause = clause
         self.pair = pair
 
 
-@dataclass(frozen=True)
-class PatternString:
-    """Immutable window template with one flip cell and optional wild padding."""
+def template(text: str) -> tuple[int, int, int]:
+    """``(value, care, anchor)`` of pattern text: window ``w`` matches iff
+    ``w & care == value``, and ``anchor`` is the index of the flip cell.
 
-    symbols: str
-
-    def __post_init__(self) -> None:
-        s = self.symbols
-        if not s:
-            raise PatternError("empty pattern")
-        bad = set(s) - _ALPHABET
-        if bad:
-            raise PatternError(f"invalid symbols {sorted(bad)!r} in {s!r}")
-        if s.count(FLIP) != 1:
-            raise PatternError(f"pattern must contain exactly one {FLIP!r}: {s!r}")
-        if WILD in s.strip(WILD):
-            raise PatternError(f"wildcards only allowed at the ends: {s!r}")
-
-    def __str__(self) -> str:
-        return self.symbols
-
-    @property
-    def diameter(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def anchor(self) -> int:
-        """Index of the flip cell within the template."""
-        return self.symbols.index(FLIP)
-
-    @property
-    def core(self) -> str:
-        return self.symbols.strip(WILD)
-
-    @property
-    def template(self) -> tuple[int, int]:
-        """``(value, care)``: window ``w`` matches iff ``w & care == value``."""
-        s = self.symbols
-        return int(s.translate(_VALUE), 2), int(s.translate(_CARE), 2)
+    Raises :class:`PatternError` for text that is not a pattern.
+    """
+    if not text:
+        raise PatternError("empty pattern")
+    bad = set(text) - _ALPHABET
+    if bad:
+        raise PatternError(f"invalid symbols {sorted(bad)!r} in {text!r}")
+    if text.count(FLIP) != 1:
+        raise PatternError(f"pattern must contain exactly one {FLIP!r}: {text!r}")
+    if WILD in text.strip(WILD):
+        raise PatternError(f"wildcards only allowed at the ends: {text!r}")
+    return int(text.translate(_VALUE), 2), int(text.translate(_CARE), 2), text.index(FLIP)
 
 
 def _check_diameter(diameter: int) -> None:
@@ -119,14 +96,12 @@ def _check_diameter(diameter: int) -> None:
         raise PatternError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
 
 
-def _core(p: PatternString | str) -> tuple[int, int, int, int]:
+def _core(text: str) -> tuple[int, int, int, int]:
     """``(value, care, L, R)`` of a wildcard-free core."""
-    s = str(p)
-    if WILD in s:
-        raise PatternError(f"operation requires a wildcard-free core: {s!r}")
-    value, care = PatternString(s).template
-    left = s.index(FLIP)
-    return value, care, left, len(s) - 1 - left
+    if WILD in text:
+        raise PatternError(f"operation requires a wildcard-free core: {text!r}")
+    value, care, left = template(text)
+    return value, care, left, len(text) - 1 - left
 
 
 def _first_fit(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
@@ -151,12 +126,12 @@ def _interfering_shift(a: tuple[int, int, int, int],
     return _first_fit(a, b, range(-max(a[2], b[3]), max(a[3], b[2]) + 1))
 
 
-def is_injective_pattern(p: PatternString | str) -> bool:
+def is_injective_pattern(p: str) -> bool:
     """True when the core is stable under all self-overlaps (see module doc)."""
     return _unstable_shift(_core(p)) is None
 
 
-def independent(p: PatternString | str, q: PatternString | str) -> bool:
+def independent(p: str, q: str) -> bool:
     """Pairwise non-interference of two cores (self-pair reduces to stability):
     every placement that puts one flip cell on the other core clashes."""
     a, b = _core(p), _core(q)
@@ -165,45 +140,52 @@ def independent(p: PatternString | str, q: PatternString | str) -> bool:
     return _interfering_shift(a, b) is None
 
 
-def extend(p: PatternString | str, k: int, h: int) -> PatternString:
+def extend(p: str, k: int, h: int) -> str:
     """Pad a core with k leading and h trailing wildcards."""
     _core(p)  # rejects anything but a core
     if k < 0 or h < 0:
         raise PatternError("wildcard counts must be >= 0")
-    return PatternString(WILD * k + str(p) + WILD * h)
+    return WILD * k + p + WILD * h
 
 
-def _order_key(p: PatternString) -> tuple[int, int, int]:
-    # stable ordering: anchor, then core value with X read as 0, then core size
-    return (p.anchor, int(p.core.replace(FLIP, ZERO), 2), len(p.core))
-
-
-def generate_injective_patterns(left: int, right: int) -> tuple[PatternString, ...]:
-    """All stable cores with the given radii, ascending by window value.
+def _stable_values(left: int, right: int) -> np.ndarray:
+    """The values, X read as 0, of the stable cores with these radii, ascending.
 
     Tests the 2^(left+right) fillings of the concrete cells (the flip cell is
     not free) at once: filling ``v`` is stable iff
     ``(v ^ (v >> k)) & care & (care >> k) != 0`` for every ``k`` in
     ``1..max(left, right)``.
     """
-    if left < 0 or right < 0:
-        raise PatternError("radii must be >= 0")
     n = left + right
-    _check_diameter(n + 1)
     fill = np.arange(1 << n)
     value = ((fill >> right) << (right + 1)) | (fill & ((1 << right) - 1))
     care = ((1 << (n + 1)) - 1) ^ (1 << right)
     stable = np.ones(fill.shape, bool)
     for k in range(1, max(left, right) + 1):
         stable &= ((value ^ (value >> k)) & (care & (care >> k))) != 0
-    out = []
-    for f in fill[stable].tolist():
-        cells = format(f | 1 << n, "b")[1:]
-        out.append(PatternString(cells[:left] + FLIP + cells[left:]))
-    return tuple(out)
+    return value[stable]
 
 
-def generate_all_patterns(diameter: int) -> tuple[PatternString, ...]:
+def _texts(values: np.ndarray, left: int, size: int) -> list[str]:
+    """The text of each core of ``size`` cells with its flip cell at ``left``,
+    from its value with X read as 0; valid by construction, so unchecked."""
+    cells = np.empty((len(values), size), np.uint8)
+    for i in range(size):
+        cells[:, i] = (values >> (size - 1 - i)) & 1
+    cells += ord(ZERO)
+    cells[:, left] = ord(FLIP)
+    return cells.view(f"S{size}").ravel().astype(str).tolist()
+
+
+def generate_injective_patterns(left: int, right: int) -> tuple[str, ...]:
+    """All stable cores with the given radii, ascending by window value."""
+    if left < 0 or right < 0:
+        raise PatternError("radii must be >= 0")
+    _check_diameter(left + right + 1)
+    return tuple(_texts(_stable_values(left, right), left, left + right + 1))
+
+
+def generate_all_patterns(diameter: int) -> tuple[str, ...]:
     """All stable cores of one diameter, over every (L, R) split of it, by
     anchor and then by value."""
     _check_diameter(diameter)
@@ -211,21 +193,31 @@ def generate_all_patterns(diameter: int) -> tuple[PatternString, ...]:
                  for p in generate_injective_patterns(left, diameter - 1 - left))
 
 
-def enumerate_extended(diameter: int) -> tuple[PatternString, ...]:
+def enumerate_extended(diameter: int) -> tuple[str, ...]:
     """All wildcard-padded cores of smaller diameters brought up to ``diameter``.
 
     Every placement (k, h) with k + h = diameter - d counts separately.  The
     degenerate single-flip core is excluded: padded with wildcards it matches
     every window, so it induces a plain complement rule rather than anything
     new, and including it would double-count the trivial family.
+
+    The patterns are ordered by anchor, then by the core's value with X read
+    as 0, then by the core's size, then by the flip cell's position in the
+    core.  The four fix a pattern, so the order is total.
     """
     _check_diameter(diameter)
-    out: list[PatternString] = []
-    for d in range(2, diameter):
-        for core in generate_all_patterns(d):  # stable cores: no need to re-check
-            for k in range(diameter - d + 1):
-                out.append(PatternString(WILD * k + core.symbols + WILD * (diameter - d - k)))
-    return tuple(sorted(out, key=_order_key))
+    texts: list[str] = []
+    keys = [np.zeros(0, np.int64)]
+    for size in range(2, diameter):
+        for left in range(size):
+            values = _stable_values(left, size - 1 - left)
+            cores = _texts(values, left, size)
+            for k in range(diameter - size + 1):
+                pad = WILD * (diameter - size - k)
+                texts += [WILD * k + c + pad for c in cores]
+                # the order's four keys in one integer: values are below 2^15
+                keys.append(((k + left) << 24) | (values << 8) | (size << 4) | left)
+    return tuple(np.array(texts, object)[np.argsort(np.concatenate(keys))])
 
 
 @dataclass(frozen=True)
@@ -236,38 +228,40 @@ class MixtureSet:
     validation.
     """
 
-    members: tuple[PatternString, ...]
+    members: tuple[str, ...]
     diameter: int
     anchor: int
 
 
-def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
+def build_mixture(candidates: Iterable[str]) -> MixtureSet:
     """Validate a pattern set and return it as a mixture.
 
     Rejections carry the violated clause and the first offending pair:
     diameter or anchor mismatch, an unstable member core, or a pairwise
     interference (the shift at which the pair fits is named in the message).
     A diameter above :data:`MAX_DIAMETER` raises :class:`PatternError` before
-    any member is checked.
+    any member is checked.  The members are ordered by the value of their
+    core with X read as 0, then by its size, then by their text.
     """
-    pats = [PatternString(t) for t in sorted({str(c) for c in candidates})]
-    if not pats:
+    anchors = {p: template(p)[2] for p in sorted(set(candidates))}
+    if not anchors:
         raise MixtureError("empty", "mixture needs at least one pattern")
-    first = pats[0]
-    for p in pats[1:]:
-        if p.diameter != first.diameter:
+    first, *rest = anchors
+    for p in rest:
+        if len(p) != len(first):
             raise MixtureError(
                 "diameter",
-                f"diameter mismatch: {first} has {first.diameter}, {p} has {p.diameter}",
+                f"diameter mismatch: {first} has {len(first)}, {p} has {len(p)}",
                 pair=(first, p))
-        if p.anchor != first.anchor:
+        if anchors[p] != anchors[first]:
             raise MixtureError(
                 "anchor",
-                f"anchor mismatch: {first} flips cell {first.anchor}, {p} flips cell {p.anchor}",
+                f"anchor mismatch: {first} flips cell {anchors[first]}, "
+                f"{p} flips cell {anchors[p]}",
                 pair=(first, p))
-    _check_diameter(first.diameter)
-    cores = {p: _core(p.core) for p in pats}
-    for p in pats:
+    _check_diameter(len(first))
+    cores = {p: _core(p.strip(WILD)) for p in anchors}
+    for p in anchors:
         k = _unstable_shift(cores[p])
         if k is not None:
             raise MixtureError(
@@ -275,11 +269,12 @@ def build_mixture(candidates: Iterable[PatternString | str]) -> MixtureSet:
                 f"{p} is not an injective pattern: its core fits a copy of itself "
                 f"at shift {k}",
                 pair=(p, p))
-    for p, q in itertools.combinations(pats, 2):
+    for p, q in itertools.combinations(anchors, 2):
         k = _interfering_shift(cores[p], cores[q])
         if k is not None:
             raise MixtureError(
                 "independence",
                 f"patterns {p} and {q} are not independent: their cores fit at shift {k}",
                 pair=(p, q))
-    return MixtureSet(tuple(sorted(pats, key=_order_key)), first.diameter, first.anchor)
+    members = sorted(anchors, key=lambda p: (cores[p][0], cores[p][2] + cores[p][3]))
+    return MixtureSet(tuple(members), len(first), anchors[first])

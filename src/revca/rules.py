@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .patterns import MAX_DIAMETER, MixtureSet, PatternString
+from .patterns import MAX_DIAMETER, MixtureSet, template
 
 WolframNumber = int
 
@@ -142,9 +142,9 @@ def induce(mixture: MixtureSet) -> RuleTable:
     """
     d, j = mixture.diameter, mixture.anchor
     bits = list(projection_table(d, j).bits)
-    owner: dict[int, PatternString] = {}
+    owner: dict[int, str] = {}
     for member in mixture.members:
-        value, care = member.template
+        value, care, _ = template(member)
         free = ((1 << d) - 1) ^ care
         sub = free
         while True:  # every submask of the free cells, down to 0
@@ -171,8 +171,8 @@ def _decimal_text(w: WolframNumber) -> str:
     return str(decimal.Decimal(w))
 
 
-def _parse_decimal(text) -> WolframNumber:
-    if isinstance(text, str) and text.isascii() and text.isdigit():
+def _parse_decimal(text: str) -> WolframNumber:
+    if text.isascii() and text.isdigit():
         return int(decimal.Decimal(text))   # no 4300-digit limit
     return int(text)
 
@@ -195,23 +195,24 @@ def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
     """Decode a record; the two encodings must agree bit for bit.
 
     Raises ``ValueError`` for anything that is not a rule record: not a JSON
-    object, a field missing or of the wrong type, or disagreeing encodings.
+    object, a field missing or of the wrong JSON type (``provenance``, when
+    present, is a list of strings), or disagreeing encodings.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a rule record is a JSON object, got {type(obj).__name__}")
-    try:
-        d = int(obj["diameter"])
-        w = _parse_decimal(obj["wolfram_decimal"])
-        anchor = int(obj["anchor"])
-        hex_value = int(obj["table_hex"], 16)
-        provenance = tuple(obj.get("provenance", ()))
-    except KeyError as exc:
-        raise ValueError(f"rule record lacks {exc}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed rule record: {exc}") from None
-    rt = from_wolfram(d, w, anchor=anchor)
-    if hex_value != w:
+    for name, kind in (("diameter", int), ("anchor", int), ("wolfram_decimal", str),
+                       ("table_hex", str)):
+        if name not in obj:
+            raise ValueError(f"rule record lacks {name!r}")
+        if type(obj[name]) is not kind:   # exact: 3.9 is no diameter, false no anchor
+            raise ValueError(f"{name} {obj[name]!r} is not of type {kind.__name__}")
+    provenance = obj.get("provenance", [])
+    if type(provenance) is not list or any(type(p) is not str for p in provenance):
+        raise ValueError(f"provenance {provenance!r} is not a list of strings")
+    w = _parse_decimal(obj["wolfram_decimal"])
+    rt = from_wolfram(obj["diameter"], w, anchor=obj["anchor"])
+    if int(obj["table_hex"], 16) != w:
         raise ValueError(
             f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal "
             f"{obj['wolfram_decimal']!r}")
-    return rt, provenance
+    return rt, tuple(provenance)

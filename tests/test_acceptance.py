@@ -76,7 +76,7 @@ def _mixture_pool(diameter: int, anchor: int):
     pool = []
     for d in range(2, diameter + 1):
         for core in generate_all_patterns(d):
-            k = anchor - core.anchor
+            k = anchor - core.index("X")
             h = diameter - d - k
             if k >= 0 and h >= 0:
                 pool.append(extend(core, k, h))

@@ -57,7 +57,16 @@ def test_corrupt_entry_rejected(tmp_path):
     "[1]",
     '"x"',
     '{"diameter": 3, "anchor": 0, "wolfram_decimal": "240", "table_hex": 240}',
-], ids=["missing-fields", "list", "string", "numeric-table-hex"])
+    '{"diameter": 3.9, "anchor": 1, "wolfram_decimal": "240", "table_hex": "f0"}',
+    '{"diameter": "3", "anchor": 1, "wolfram_decimal": "240", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1.5, "wolfram_decimal": "240", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": false, "wolfram_decimal": "240", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": 240.7, "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": "f0", '
+    '"provenance": "0X1"}',
+], ids=["missing-fields", "list", "string", "numeric-table-hex", "float-diameter",
+        "string-diameter", "float-anchor", "bool-anchor", "float-wolfram-decimal",
+        "string-provenance"])
 def test_non_record_line_raises_value_error(tmp_path, line):
     # valid JSON that is not a rule record, after one good line
     path = tmp_path / "catalog.jsonl"

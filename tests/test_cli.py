@@ -473,6 +473,16 @@ class TestSimulate:
         assert run(capsys, "simulate", "--pattern", "0X011", "--init", "")[0] == 2
         assert run(capsys, "simulate", "--pattern", "0X011", "--init", "002")[0] == 2
 
+    @pytest.mark.parametrize("flags", [["-w", "240"], ["--anchor", "1"],
+                                       ["-d", "5", "-w", "240", "--anchor", "1"]])
+    def test_pattern_with_wolfram_or_anchor_exits_2(self, capsys, flags):
+        # the rule comes from the patterns, so a table or anchor beside them
+        # would be ignored
+        code, out, err = run(capsys, "simulate", "--pattern", "0X011", *flags,
+                             "--init", "00011")
+        assert (code, out) == (2, "")
+        assert err == "error: give either --pattern or --wolfram/--anchor, not both\n"
+
 
 class TestPipeline:
     """gen-patterns piped into induce --verify must never fail verification."""

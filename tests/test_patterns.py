@@ -9,7 +9,6 @@ from revca.patterns import (
     MAX_DIAMETER,
     MixtureError,
     PatternError,
-    PatternString,
     build_mixture,
     enumerate_extended,
     extend,
@@ -17,6 +16,7 @@ from revca.patterns import (
     generate_injective_patterns,
     independent,
     is_injective_pattern,
+    template,
 )
 
 PATTERN_COUNTS = {3: 0, 4: 4, 5: 14, 6: 52, 7: 148, 8: 408, 9: 1040, 10: 2556}
@@ -25,25 +25,22 @@ EXTENDED_COUNTS = {3: 0, 4: 0, 5: 8, 6: 40, 7: 162, 8: 528, 9: 1562, 10: 4268}
 
 class TestParse:
     def test_plain_core(self):
-        p = PatternString("0X011")
-        assert (p.diameter, p.anchor, p.core) == (5, 1, "0X011")
+        assert template("0X011") == (0b00011, 0b10111, 1)
 
     def test_single_flip(self):
-        p = PatternString("X")
-        assert (p.diameter, p.anchor, p.core) == (1, 0, "X")
+        assert template("X") == (0, 0, 0)
 
     def test_extended(self):
-        p = PatternString("a0X011aa")
-        assert (p.diameter, p.anchor, p.core) == (8, 2, "0X011")
+        assert template("a0X011aa") == (0b00011 << 2, 0b10111 << 2, 2)
 
-    def test_roundtrip(self):
+    def test_anchor_is_the_flip_cell(self):
         for text in ("X", "0X011", "a0X011aa", "aaX", "Xa"):
-            assert str(PatternString(text)) == text
+            assert template(text)[2] == text.index("X")
 
     @pytest.mark.parametrize("text", ["", "0011", "0XX1", "0Xa1", "a0aX", "0X2"])
     def test_rejects(self, text):
         with pytest.raises(PatternError):
-            PatternString(text)
+            template(text)
 
 
 class TestTemplate:
@@ -52,7 +49,7 @@ class TestTemplate:
         checked = 0
         for text in texts + ["a0X011aa", "10X1a", "aXa"]:
             try:
-                value, care = PatternString(text).template
+                value, care, _ = template(text)
             except PatternError:
                 continue
             windows = {format(w, f"0{len(text)}b")
@@ -130,7 +127,7 @@ class TestGeneration:
     def test_all_generated_are_injective(self):
         for d in range(1, 8):
             for p in generate_all_patterns(d):
-                assert is_injective_pattern(p.core)
+                assert is_injective_pattern(p)
 
     def test_mirror_symmetry(self):
         for left, right in ((1, 3), (2, 2), (1, 4), (3, 2)):
@@ -154,12 +151,11 @@ class TestExtend:
     def test_examples(self):
         assert str(extend("10X1", 0, 1)) == "10X1a"
         assert str(extend("0X011", 1, 2)) == "a0X011aa"
-        p = PatternString("0X011")
-        assert extend(p, 0, 0) == p
+        assert extend("0X011", 0, 0) == "0X011"
 
     def test_anchor_shift(self):
         p = extend("0X011", 3, 1)
-        assert p.anchor == 4 and p.diameter == 9
+        assert template(p)[2] == 4 and len(p) == 9
 
     def test_counts(self):
         for d, n in EXTENDED_COUNTS.items():
@@ -171,6 +167,27 @@ class TestExtend:
             expect = sum((d - c + 1) * len(generate_all_patterns(c))
                          for c in range(2, d))
             assert len(enumerate_extended(d)) == expect
+
+    def test_order_is_the_total_key(self):
+        # expected output from the brute-force oracle: every stable core of
+        # each size, padded in every placement, sorted by (anchor, core value
+        # with X read as 0, core size, flip cell's position in the core)
+        def key(core):
+            return core.index("X"), int(core.replace("X", "0"), 2)
+
+        cores = {}
+        for size in range(1, 11):
+            cores[size] = [c for left in range(size)
+                           for fill in itertools.product("01", repeat=size - 1)
+                           for c in ["".join(fill[:left]) + "X" + "".join(fill[left:])]
+                           if not brute.interference_offsets(c, c)]
+            assert [str(p) for p in generate_all_patterns(size)] == sorted(cores[size], key=key)
+        for d in range(1, 11):
+            expect = sorted((key(c)[0] + k, key(c)[1], size, key(c)[0],
+                             "a" * k + c + "a" * (d - size - k))
+                            for size in range(2, d) for c in cores[size]
+                            for k in range(d - size + 1))
+            assert [str(p) for p in enumerate_extended(d)] == [e[-1] for e in expect], d
 
     def test_placement_examples(self):
         assert len(enumerate_extended(5)) == 2 * len(generate_all_patterns(4))

@@ -11,7 +11,7 @@ from revca.patterns import (
     generate_all_patterns,
     independent,
     is_injective_pattern,
-    PatternString,
+    template,
 )
 from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json, to_wolfram
 
@@ -47,8 +47,8 @@ words = st.text(alphabet="01", min_size=1, max_size=12)
 # -- round trips ------------------------------------------------------------
 
 @given(pattern_texts())
-def test_pattern_parse_format_round_trip(text):
-    assert str(PatternString(text)) == text
+def test_pattern_template_reads_the_flip_cell(text):
+    assert template(text)[2] == text.index("X")
 
 
 @given(rule_tables())
@@ -66,8 +66,7 @@ def test_json_round_trip(rt):
 
 @given(pattern_texts(max_core=8, max_pad=0))
 def test_injectivity_matches_interference_search(text):
-    core = PatternString(text).core
-    assert is_injective_pattern(core) == (not brute.interference_offsets(core, core))
+    assert is_injective_pattern(text) == (not brute.interference_offsets(text, text))
 
 
 def test_independence_matches_brute_on_random_pairs():

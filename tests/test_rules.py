@@ -1,7 +1,7 @@
 import pytest
 
 import brute
-from revca.patterns import MixtureSet, PatternString, build_mixture, generate_all_patterns
+from revca.patterns import MixtureSet, build_mixture, generate_all_patterns
 from revca.rules import (
     FlipCollisionError,
     RuleTable,
@@ -184,12 +184,11 @@ class TestInduce:
             base = projection_table(m.diameter, m.anchor)
             diff = sum(a != b for a, b in zip(rt.bits, base.bits))
             p = m.members[0]
-            assert diff == 1 << (p.diameter - len(p.core) + 1)
+            assert diff == 1 << (len(p) - len(p.strip("a")) + 1)
 
     def test_collision_aborts(self):
         # bypass validation: these templates both claim windows 10010 and 10110
-        bogus = MixtureSet(
-            (PatternString("10X1a"), PatternString("a0X10")), 5, 2)
+        bogus = MixtureSet(("10X1a", "a0X10"), 5, 2)
         with pytest.raises(FlipCollisionError,
                            match="window 10110 claimed by both 10X1a and a0X10"):
             induce(bogus)
