@@ -55,8 +55,7 @@ def _window_values(cells: np.ndarray, d: int, anchor: int) -> np.ndarray:
 
 def batch_step(rt: RuleTable, cells: np.ndarray) -> np.ndarray:
     """Global map applied to a (configs, n) uint8 cell matrix row-wise."""
-    bits = np.array(rt.bits, dtype=np.uint8)
-    return bits[_window_values(cells, rt.diameter, rt.anchor)]
+    return rt.bits[_window_values(cells, rt.diameter, rt.anchor)]
 
 
 def step(rt: RuleTable, c: str) -> str:

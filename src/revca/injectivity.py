@@ -333,10 +333,10 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """
     d = rt.diameter
     _check_decision_diameter(d)
+    bits = rt.bits
     if d == 1:
-        return InjectivityVerdict(True) if rt.bits[0] != rt.bits[1] \
+        return InjectivityVerdict(True) if bits[0] != bits[1] \
             else InjectivityVerdict(False, ("0", "1"))
-    bits = np.asarray(rt.bits, dtype=np.uint8)
     alive = _peel(d, bits[None])[:, 0]
     if np.count_nonzero(alive) == 1 << (d - 1):
         return InjectivityVerdict(True)

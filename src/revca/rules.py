@@ -1,19 +1,22 @@
 """Rule tables, Wolfram numbering, and induction of rules from pattern mixtures.
 
-A rule of diameter D is a vector of 2^D output bits indexed by window value,
-with the leftmost window cell as the most significant bit.  The Wolfram number
-is ``sum(bits[v] << v)``; it is arbitrary precision because tables outgrow
-machine words from D = 7 on.  The anchor records which window cell the output
-replaces during simulation; it never affects injectivity, so equality and
-deduplication ignore it.
+A rule of diameter D is its Wolfram number: bit v is the output for window
+value v, with the leftmost window cell as the most significant bit of v.  It is
+a Python int, arbitrary precision because tables outgrow machine words from
+D = 7 on, and the only form a :class:`RuleTable` stores; ``RuleTable.bits``
+derives the 2^D output bits from it as a uint8 array.  The anchor records which
+window cell the output replaces during simulation; it never affects
+injectivity, so equality and deduplication ignore it.
 """
 
 from __future__ import annotations
 
 import decimal
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .patterns import MAX_DIAMETER, MixtureSet, template
 
@@ -28,37 +31,43 @@ class FlipCollisionError(RuntimeError):
     """
 
 
-@dataclass(frozen=True, eq=False)
+def _check_diameter(diameter: int) -> None:
+    if not 1 <= diameter <= MAX_DIAMETER:
+        raise ValueError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
+
+
+@dataclass(frozen=True)
 class RuleTable:
-    """Complete local rule: 2^diameter output bits plus a simulation anchor."""
+    """Complete local rule: its Wolfram number plus a simulation anchor."""
 
     diameter: int
-    bits: tuple[int, ...]
-    anchor: int = 0
+    wolfram: WolframNumber
+    anchor: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.diameter < 1:
-            raise ValueError("diameter must be >= 1")
-        if len(self.bits) != 1 << self.diameter:
+        _check_diameter(self.diameter)   # first: 1 << (1 << 64) is no bound to build
+        w = self.wolfram
+        if type(w) is not int or w < 0 or w.bit_length() > 1 << self.diameter:
             raise ValueError(
-                f"need {1 << self.diameter} output bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("output bits must be 0 or 1")
+                f"wolfram number {w!r} is not an int in range for diameter {self.diameter}")
         if not 0 <= self.anchor < self.diameter:
             raise ValueError(f"anchor {self.anchor} out of range")
 
-    # anchor is carried for simulation only and excluded from identity
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RuleTable):
-            return NotImplemented
-        return self.diameter == other.diameter and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.diameter, self.bits))
+    @property
+    def bits(self) -> np.ndarray:
+        """The 2^diameter output bits by window value, a fresh uint8 array."""
+        n = 1 << self.diameter
+        packed = np.frombuffer(self.wolfram.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little")
 
     def __repr__(self) -> str:
         return (f"RuleTable(diameter={self.diameter}, "
-                f"wolfram={_decimal_text(to_wolfram(self))}, anchor={self.anchor})")
+                f"wolfram={_decimal_text(self.wolfram)}, anchor={self.anchor})")
+
+
+def _wolfram_of(bits: np.ndarray) -> WolframNumber:
+    """The Wolfram number of an array of output bits (inverts ``RuleTable.bits``)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _default_anchor(diameter: int) -> int:
@@ -69,18 +78,14 @@ def projection_table(diameter: int, j: int) -> RuleTable:
     """Rule that copies window cell j; its global map is a pure shift."""
     if not 0 <= j < diameter:
         raise ValueError(f"cell index {j} out of range for diameter {diameter}")
-    shift = diameter - 1 - j
-    bits = tuple((v >> shift) & 1 for v in range(1 << diameter))
-    return RuleTable(diameter, bits, anchor=j)
+    bits = (np.arange(1 << diameter) >> (diameter - 1 - j)) & 1
+    return RuleTable(diameter, _wolfram_of(bits), anchor=j)
 
 
 def complement_table(diameter: int, j: int) -> RuleTable:
     """Rule that negates window cell j; a shift composed with cell complement."""
-    if not 0 <= j < diameter:
-        raise ValueError(f"cell index {j} out of range for diameter {diameter}")
-    shift = diameter - 1 - j
-    bits = tuple(1 - ((v >> shift) & 1) for v in range(1 << diameter))
-    return RuleTable(diameter, bits, anchor=j)
+    projection = projection_table(diameter, j).wolfram
+    return RuleTable(diameter, projection ^ ((1 << (1 << diameter)) - 1), anchor=j)
 
 
 def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
@@ -92,43 +97,32 @@ def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
     return tuple(out)
 
 
-def to_wolfram(rt: RuleTable) -> WolframNumber:
-    w = 0
-    for v, b in enumerate(rt.bits):
-        w |= b << v
-    return w
-
-
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
     """The table of a Wolfram number; a diameter outside 1..MAX_DIAMETER
-    raises ``ValueError`` before the 2^diameter bits are built."""
-    if not 1 <= diameter <= MAX_DIAMETER:
-        raise ValueError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
-    if not 0 <= w < 1 << (1 << diameter):
-        raise ValueError(f"wolfram number {w} out of range for diameter {diameter}")
-    bits = tuple((w >> v) & 1 for v in range(1 << diameter))
-    return RuleTable(diameter, bits, _default_anchor(diameter) if anchor is None else anchor)
+    raises ``ValueError`` before the table is built."""
+    _check_diameter(diameter)
+    return RuleTable(diameter, w, _default_anchor(diameter) if anchor is None else anchor)
 
 
 def is_balanced(rt: RuleTable) -> bool:
     """Equal 0/1 output counts; necessary for an injective global map."""
-    return sum(rt.bits) == 1 << (rt.diameter - 1)
+    return rt.wolfram.bit_count() == 1 << (rt.diameter - 1)
 
 
 @functools.cache
-def _trivial_labels(d: int) -> dict[tuple[int, ...], str]:
-    """The label of each shift/complement table of diameter d, by its bits."""
-    labels: dict[tuple[int, ...], str] = {}
+def _trivial_labels(d: int) -> dict[WolframNumber, str]:
+    """The label of each shift/complement table of diameter d, by its number."""
+    labels: dict[WolframNumber, str] = {}
     for j in range(d):
-        labels.setdefault(projection_table(d, j).bits, f"projection({j})")
-        labels.setdefault(complement_table(d, j).bits, f"complement({j})")
+        labels.setdefault(projection_table(d, j).wolfram, f"projection({j})")
+        labels.setdefault(complement_table(d, j).wolfram, f"complement({j})")
     return labels
 
 
 def classify_trivial(rt: RuleTable) -> str:
     """``projection(j)`` or ``complement(j)`` when the table equals one of
     the 2*diameter shift/complement tables, else ``nontrivial``."""
-    return _trivial_labels(rt.diameter).get(tuple(rt.bits), "nontrivial")
+    return _trivial_labels(rt.diameter).get(rt.wolfram, "nontrivial")
 
 
 def induce(mixture: MixtureSet) -> RuleTable:
@@ -141,7 +135,7 @@ def induce(mixture: MixtureSet) -> RuleTable:
     was never validated.
     """
     d, j = mixture.diameter, mixture.anchor
-    bits = list(projection_table(d, j).bits)
+    bits = projection_table(d, j).bits
     owner: dict[int, str] = {}
     for member in mixture.members:
         value, care, _ = template(member)
@@ -153,17 +147,17 @@ def induce(mixture: MixtureSet) -> RuleTable:
                 raise FlipCollisionError(
                     f"window {w:0{d}b} claimed by both {owner[w]} and {member}")
             owner[w] = member
-            bits[w] ^= 1
             if not sub:
                 break
             sub = (sub - 1) & free
-    return RuleTable(d, tuple(bits), anchor=j)
+    bits[list(owner)] ^= 1
+    return RuleTable(d, _wolfram_of(bits), anchor=j)
 
 
 def table_hex(rt: RuleTable) -> str:
     """Output bits as lowercase hex, lowest-index bit last."""
     digits = max(1, (1 << rt.diameter) // 4)
-    return format(to_wolfram(rt), f"0{digits}x")
+    return format(rt.wolfram, f"0{digits}x")
 
 
 def _decimal_text(w: WolframNumber) -> str:
@@ -172,9 +166,9 @@ def _decimal_text(w: WolframNumber) -> str:
 
 
 def _parse_decimal(text: str) -> WolframNumber:
-    if text.isascii() and text.isdigit():
-        return int(decimal.Decimal(text))   # no 4300-digit limit
-    return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal number")
+    return int(decimal.Decimal(text))   # no 4300-digit limit
 
 
 def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
@@ -183,7 +177,7 @@ def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
     return {
         "diameter": rt.diameter,
         "anchor": rt.anchor,
-        "wolfram_decimal": _decimal_text(to_wolfram(rt)),
+        "wolfram_decimal": _decimal_text(rt.wolfram),
         "table_hex": table_hex(rt),
         "provenance": list(provenance),
         "verified_debruijn": False,
@@ -192,11 +186,14 @@ def rule_to_json(rt: RuleTable, provenance: Sequence[str] = ()) -> dict:
 
 
 def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
-    """Decode a record; the two encodings must agree bit for bit.
+    """Decode a record; both encodings must be written exactly as
+    :func:`rule_to_json` writes them, and agree bit for bit.
 
     Raises ``ValueError`` for anything that is not a rule record: not a JSON
     object, a field missing or of the wrong JSON type (``provenance``, when
-    present, is a list of strings), or disagreeing encodings.
+    present, is a list of strings), an encoding in another format (a sign,
+    space, underscore, leading zero, ``0x`` or upper case), or disagreeing
+    encodings.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a rule record is a JSON object, got {type(obj).__name__}")
@@ -209,9 +206,11 @@ def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
     provenance = obj.get("provenance", [])
     if type(provenance) is not list or any(type(p) is not str for p in provenance):
         raise ValueError(f"provenance {provenance!r} is not a list of strings")
-    w = _parse_decimal(obj["wolfram_decimal"])
-    rt = from_wolfram(obj["diameter"], w, anchor=obj["anchor"])
-    if int(obj["table_hex"], 16) != w:
+    rt = from_wolfram(obj["diameter"], _parse_decimal(obj["wolfram_decimal"]),
+                      anchor=obj["anchor"])
+    if obj["wolfram_decimal"] != _decimal_text(rt.wolfram):
+        raise ValueError(f"wolfram_decimal {obj['wolfram_decimal']!r} is not in canonical form")
+    if obj["table_hex"] != table_hex(rt):
         raise ValueError(
             f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal "
             f"{obj['wolfram_decimal']!r}")

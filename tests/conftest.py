@@ -9,6 +9,5 @@ settings.load_profile("default")
 def d5_nontrivial_sweep():
     """Shared result of the diameter-5 balanced sweep, run once per session."""
     from revca.injectivity import exhaustive_injective
-    from revca.rules import to_wolfram
 
-    return sorted(to_wolfram(t) for t in exhaustive_injective(5, exclude_trivial=True))
+    return sorted(t.wolfram for t in exhaustive_injective(5, exclude_trivial=True))

@@ -25,7 +25,6 @@ from revca.rules import (
     is_balanced,
     rule_from_json,
     rule_to_json,
-    to_wolfram,
     trivial_tables,
 )
 
@@ -157,10 +156,10 @@ def test_criterion_5_ground_truth_completeness_d4():
     tables = list(exhaustive_injective(4))
     elapsed = time.time() - t0
     assert elapsed < 60
-    found = [to_wolfram(t) for t in tables]
-    triv = {to_wolfram(t) for t in trivial_tables(4)}
+    found = [t.wolfram for t in tables]
+    triv = {t.wolfram for t in trivial_tables(4)}
     nontrivial = set(found) - triv
-    induced = {to_wolfram(induce(build_mixture([p]))) for p in generate_all_patterns(4)}
+    induced = {induce(build_mixture([p])).wolfram for p in generate_all_patterns(4)}
     complements = {(1 << 16) - 1 - w for w in induced}
     classes = _complement_classes(nontrivial, 4)
 
@@ -168,7 +167,7 @@ def test_criterion_5_ground_truth_completeness_d4():
     assert len(found) == len(set(found)) == 16
     assert triv <= set(found) and len(triv) == 8
     assert len(nontrivial) == 8 and nontrivial == induced | complements
-    not_permuting = [to_wolfram(t) for t in tables
+    not_permuting = [t.wolfram for t in tables
                      if not all(brute.is_permutation(t.bits, 4, t.anchor, n)
                                 for n in range(1, 13))]
     assert not not_permuting
@@ -203,7 +202,7 @@ def test_criterion_6_d5_subset_check(d5_nontrivial_sweep):
     found = set(d5_nontrivial_sweep)
     induced = set()
     for p in list(generate_all_patterns(5)) + list(enumerate_extended(5)):
-        induced.add(to_wolfram(induce(build_mixture([p]))))
+        induced.add(induce(build_mixture([p])).wolfram)
     assert len(induced) == 22
     subset_ok = induced <= found
     mask = (1 << 32) - 1
@@ -269,8 +268,8 @@ def test_involution_classes_are_induced_classes(diameter, request):
     are both."""
     full = (1 << (1 << diameter)) - 1
     if diameter == 4:
-        triv = {to_wolfram(t) for t in trivial_tables(4)}
-        found = {to_wolfram(t) for t in exhaustive_injective(4)} - triv
+        triv = {t.wolfram for t in trivial_tables(4)}
+        found = {t.wolfram for t in exhaustive_injective(4)} - triv
     else:
         found = set(request.getfixturevalue("d5_nontrivial_sweep"))
     classes = _complement_classes(found, diameter)
@@ -285,7 +284,7 @@ def test_involution_classes_are_induced_classes(diameter, request):
 
     mixtures = list(_same_anchor_mixtures(diameter))
     assert len(mixtures) == {4: 4, 5: 26}[diameter]
-    induced = {to_wolfram(induce(build_mixture(m))) for m in mixtures}
+    induced = {induce(build_mixture(m)).wolfram for m in mixtures}
     images = induced | {mirror(w) for w in induced}
     images |= {input_complement(w) for w in images}
     induced_classes = classes & _complement_classes(images, diameter)
@@ -318,7 +317,7 @@ def test_criterion_9_example_reconciliation():
     outcomes = []
     for text, reported in REPORTED_EXAMPLE_NUMBERS.items():
         rt = induce(build_mixture([text]))
-        computed = to_wolfram(rt)
+        computed = rt.wolfram
         verdict = debruijn_injective(rt)
         periodic = all(periodic_bijective(rt, n) for n in range(1, 13))
         involution = all(check_involution(rt, n) for n in range(1, 13))
@@ -348,7 +347,7 @@ def test_criterion_10_property_suite():
         d = rng.randint(1, 6)
         w = rng.getrandbits(1 << d)
         rt = from_wolfram(d, w, rng.randrange(d))
-        assert to_wolfram(rt) == w
+        assert rt.wolfram == w
         back, _ = rule_from_json(rule_to_json(rt))
         assert back == rt
 

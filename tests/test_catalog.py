@@ -64,9 +64,19 @@ def test_corrupt_entry_rejected(tmp_path):
     '{"diameter": 3, "anchor": 1, "wolfram_decimal": 240.7, "table_hex": "f0"}',
     '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": "f0", '
     '"provenance": "0X1"}',
+    # Wolfram 240 in texts that int() reads but rule_to_json never writes
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "2_40", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": " +240 ", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "0240", "table_hex": "f0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": "0xF0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": " f_0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": "F0"}',
+    '{"diameter": 3, "anchor": 1, "wolfram_decimal": "240", "table_hex": "0f0"}',
 ], ids=["missing-fields", "list", "string", "numeric-table-hex", "float-diameter",
         "string-diameter", "float-anchor", "bool-anchor", "float-wolfram-decimal",
-        "string-provenance"])
+        "string-provenance", "underscore-decimal", "signed-spaced-decimal",
+        "zero-padded-decimal", "prefixed-upper-hex", "spaced-underscore-hex",
+        "upper-hex", "zero-padded-hex"])
 def test_non_record_line_raises_value_error(tmp_path, line):
     # valid JSON that is not a rule record, after one good line
     path = tmp_path / "catalog.jsonl"

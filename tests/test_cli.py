@@ -286,7 +286,7 @@ class TestEnumerate:
     def test_diameter_5_nontrivial_in_wolfram_order(self, capsys):
         # ascending although units are balanced blocks, not Wolfram ranges
         code, out, _ = run(capsys, "enumerate", "-d", "5", "--exclude-trivial")
-        trivial = {rules.to_wolfram(t) for t in rules.trivial_tables(5)}
+        trivial = {t.wolfram for t in rules.trivial_tables(5)}
         expected = [w for w in _reference("d5_injective") if w not in trivial]
         assert code == 0 and len(expected) == 52
         assert [int(json.loads(line)["wolfram_decimal"]) for line in out.splitlines()] == expected

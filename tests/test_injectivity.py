@@ -31,7 +31,6 @@ from revca.patterns import build_mixture, enumerate_extended, generate_all_patte
 from revca.rules import (
     from_wolfram,
     induce,
-    to_wolfram,
     trivial_tables,
 )
 
@@ -95,7 +94,7 @@ class TestVerdicts:
         rng = random.Random(406)
         tables = [(d, rng.getrandbits(1 << d)) for d in rng.choices(range(2, 7), k=150)]
         for d in (5, 6):
-            induced = [to_wolfram(induce(build_mixture([p]))) for p in generate_all_patterns(d)]
+            induced = [induce(build_mixture([p])).wolfram for p in generate_all_patterns(d)]
             tables += [(d, w) for w in _near_misses(induced, d, 60, rng)]
         checked = 0
         for d, w in tables:
@@ -105,7 +104,7 @@ class TestVerdicts:
             if v.injective:
                 continue
             size = 1 << (d - 1)
-            graph = brute.pair_graph(list(rt.bits), d)
+            graph = brute.pair_graph(rt.bits.tolist(), d)
 
             def cycle_length(z):
                 # BFS from z's successors back to z
@@ -183,15 +182,16 @@ class TestVerdicts:
             w = rng.getrandbits(1 << d)
             rt = from_wolfram(d, w)
             base = debruijn_injective(rt).injective
+            bits = rt.bits.tolist()   # Python ints: b << v must not wrap
             # left-right window reflection
             refl = [0] * (1 << d)
             for v in range(1 << d):
                 rv = int(format(v, f"0{d}b")[::-1], 2)
-                refl[rv] = rt.bits[v]
+                refl[rv] = bits[v]
             assert debruijn_injective(
                 from_wolfram(d, sum(b << v for v, b in enumerate(refl)))).injective == base
             # complement conjugation: flip inputs and output
-            conj = [1 - rt.bits[(~v) & ((1 << d) - 1)] for v in range(1 << d)]
+            conj = [1 - bits[(~v) & ((1 << d) - 1)] for v in range(1 << d)]
             assert debruijn_injective(
                 from_wolfram(d, sum(b << v for v, b in enumerate(conj)))).injective == base
 
@@ -223,7 +223,7 @@ class TestDecide:
             assert got == [brute.tarjan_injective(t, d) for t in tables]
         assert sum(got) == len(INJECTIVE_D4)
 
-        induced = {d: [list(induce(build_mixture([p])).bits)
+        induced = {d: [induce(build_mixture([p])).bits.tolist()
                        for p in list(generate_all_patterns(d)) + list(enumerate_extended(d))]
                    for d in range(3, 9)}
         assert sum(map(len, induced.values())) == 1364
@@ -296,8 +296,8 @@ class TestBeyondTheOracle:
     def test_every_diameter_2_table(self):
         for w in range(16):
             rt = from_wolfram(2, w)
-            expected = brute.tarjan_injective(list(rt.bits), 2)
-            assert decide(2, np.array(rt.bits)).tolist() == [expected]
+            expected = brute.tarjan_injective(rt.bits.tolist(), 2)
+            assert decide(2, rt.bits).tolist() == [expected]
             verdict = debruijn_injective(rt)
             assert verdict.injective == expected
             if not expected:
@@ -309,7 +309,7 @@ class TestBeyondTheOracle:
         rejected with witnesses that the brute stepper confirms."""
         rng = random.Random(911)
         for d in (9, 10, 11):
-            induced = [to_wolfram(induce(build_mixture([p])))
+            induced = [induce(build_mixture([p])).wolfram
                        for p in rng.sample(list(generate_all_patterns(d)), 2)]
             for w in induced:
                 assert debruijn_injective(from_wolfram(d, w)).injective
@@ -430,7 +430,7 @@ class TestPeriodFilter:
         """Tables with f(1^6) = 1, bit 63 of the Wolfram number: induced
         tables, their near misses and random tables."""
         rng = random.Random(66)
-        induced = [to_wolfram(induce(build_mixture([p]))) for p in generate_all_patterns(6)]
+        induced = [induce(build_mixture([p])).wolfram for p in generate_all_patterns(6)]
         induced = [w for w in induced if w >> 63]
         assert len(induced) >= 20
         near = [w for w in _near_misses(induced, 6, 80, rng) if w >> 63]
@@ -498,14 +498,14 @@ class TestTrivialRules:
 
 class TestExhaustive:
     def test_diameter_3(self):
-        got = [to_wolfram(t) for t in exhaustive_injective(3)]
+        got = [t.wolfram for t in exhaustive_injective(3)]
         assert got == INJECTIVE_D3
         assert list(exhaustive_injective(3, exclude_trivial=True)) == []
 
     def test_diameter_4_ground_truth(self):
-        got = [to_wolfram(t) for t in exhaustive_injective(4)]
+        got = [t.wolfram for t in exhaustive_injective(4)]
         assert got == INJECTIVE_D4
-        triv = {to_wolfram(t) for t in trivial_tables(4)}
+        triv = {t.wolfram for t in trivial_tables(4)}
         nontriv = set(got) - triv
         assert len(triv) == 8 and len(nontriv) == 8
         # the induced rules and their output complements partition the rest
@@ -513,11 +513,11 @@ class TestExhaustive:
         assert nontriv == INDUCED_D4 | comp
 
     def test_diameter_4_excluding_trivial(self):
-        got = {to_wolfram(t) for t in exhaustive_injective(4, exclude_trivial=True)}
+        got = {t.wolfram for t in exhaustive_injective(4, exclude_trivial=True)}
         assert len(got) == 8 and INDUCED_D4 <= got
 
     def test_pattern_induced_matches_sweep_subset(self):
-        induced = {to_wolfram(induce(build_mixture([p])))
+        induced = {induce(build_mixture([p])).wolfram
                    for p in generate_all_patterns(4)}
         assert induced == INDUCED_D4
 
@@ -837,6 +837,6 @@ class TestLongSweep:
         assert all((mask ^ w) in got for w in got)
         induced = set()
         for p in list(generate_all_patterns(5)) + list(enumerate_extended(5)):
-            induced.add(to_wolfram(induce(build_mixture([p]))))
+            induced.add(induce(build_mixture([p])).wolfram)
         assert len(induced) == 22
         assert induced <= got

@@ -13,7 +13,7 @@ from revca.patterns import (
     is_injective_pattern,
     template,
 )
-from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json, to_wolfram
+from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json
 
 
 # -- strategies -------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_pattern_template_reads_the_flip_cell(text):
 
 @given(rule_tables())
 def test_wolfram_round_trip(rt):
-    assert from_wolfram(rt.diameter, to_wolfram(rt), rt.anchor) == rt
+    assert from_wolfram(rt.diameter, rt.wolfram, rt.anchor) == rt
 
 
 @given(rule_tables())

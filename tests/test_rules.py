@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import brute
@@ -5,6 +9,7 @@ from revca.patterns import MixtureSet, build_mixture, generate_all_patterns
 from revca.rules import (
     FlipCollisionError,
     RuleTable,
+    _wolfram_of,
     classify_trivial,
     complement_table,
     from_wolfram,
@@ -14,7 +19,6 @@ from revca.rules import (
     rule_from_json,
     rule_to_json,
     table_hex,
-    to_wolfram,
     trivial_tables,
 )
 
@@ -27,14 +31,14 @@ RULE_240_ROWS = {
 
 class TestTrivialTables:
     def test_projection_wolframs(self):
-        assert to_wolfram(projection_table(3, 0)) == 240
-        assert to_wolfram(projection_table(3, 1)) == 204
-        assert to_wolfram(projection_table(1, 0)) == 2
+        assert projection_table(3, 0).wolfram == 240
+        assert projection_table(3, 1).wolfram == 204
+        assert projection_table(1, 0).wolfram == 2
 
     def test_complement_wolframs(self):
-        assert to_wolfram(complement_table(3, 1)) == 51
-        assert to_wolfram(complement_table(3, 0)) == 15
-        assert to_wolfram(complement_table(1, 0)) == 1
+        assert complement_table(3, 1).wolfram == 51
+        assert complement_table(3, 0).wolfram == 15
+        assert complement_table(1, 0).wolfram == 1
 
     def test_projection_by_direct_summation(self):
         # independent route: sum 2^v over windows whose cell j is set
@@ -43,12 +47,12 @@ class TestTrivialTables:
                 expect = sum(
                     1 << v for v in range(1 << d)
                     if format(v, f"0{d}b")[j] == "1")
-                assert to_wolfram(projection_table(d, j)) == expect
-                assert to_wolfram(complement_table(d, j)) == \
+                assert projection_table(d, j).wolfram == expect
+                assert complement_table(d, j).wolfram == \
                     (1 << (1 << d)) - 1 - expect
 
     def test_projection_5_1(self):
-        assert to_wolfram(projection_table(5, 1)) == 4278255360
+        assert projection_table(5, 1).wolfram == 4278255360
 
     def test_count_and_distinctness(self):
         for d in range(1, 7):
@@ -70,12 +74,26 @@ class TestWolfram:
             assert rt.bits[int(window, 2)] == out
 
     def test_zero(self):
-        assert from_wolfram(3, 0).bits == (0,) * 8
+        assert from_wolfram(3, 0).bits.tolist() == [0] * 8
 
     def test_round_trip_exhaustive_small(self):
         for d in (1, 2, 3):
             for w in range(1 << (1 << d)):
-                assert to_wolfram(from_wolfram(d, w)) == w
+                assert from_wolfram(d, w).wolfram == w
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_bits_round_trip(self, d):
+        """bits unpacks the number, one uint8 per window value, and
+        _wolfram_of packs it back; D = 1 and 2 hold fewer than 8 bits.  The
+        record of each table reads back as the table."""
+        n = 1 << d
+        for w in (0, (1 << n) - 1, 1 << (n - 1), random.Random(d).getrandbits(n)):
+            rt = RuleTable(d, w)
+            bits = rt.bits
+            assert bits.dtype == np.uint8 and bits.shape == (n,)
+            assert bits.tolist() == [(w >> v) & 1 for v in range(n)]
+            assert _wolfram_of(bits) == w
+            assert rule_from_json(rule_to_json(rt)) == (rt, ())
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -86,13 +104,13 @@ class TestWolfram:
     def test_arbitrary_precision(self):
         w = (1 << 256) - 2
         rt = from_wolfram(8, w)
-        assert to_wolfram(rt) == w
+        assert rt.wolfram == w
         assert len(table_hex(rt)) == 64
 
     def test_diameter_limit(self, monkeypatch):
         from revca import patterns
         assert patterns.MAX_DIAMETER == 16
-        assert to_wolfram(from_wolfram(16, 1)) == 1
+        assert from_wolfram(16, 1).wolfram == 1
         for d in (0, 17, 64):
             # 1 << (1 << 64) would raise MemoryError; the limit comes first
             with pytest.raises(ValueError, match=r"outside 1\.\.16"):
@@ -119,7 +137,7 @@ class TestSerialization:
         rt = induce(build_mixture(["0X011" + "a" * 11]))
         obj = rule_to_json(rt)
         assert len(obj["wolfram_decimal"]) > 4300
-        assert int(obj["table_hex"], 16) == to_wolfram(rt)
+        assert int(obj["table_hex"], 16) == rt.wolfram
         assert rule_from_json(obj)[0] == rt
         assert repr(rt).startswith("RuleTable(diameter=16, wolfram=")
 
@@ -136,12 +154,27 @@ class TestRuleTable:
         assert a != from_wolfram(4, 61621)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RuleTable(3, (0,) * 7)
-        with pytest.raises(ValueError):
-            RuleTable(3, (0,) * 7 + (2,))
-        with pytest.raises(ValueError):
-            RuleTable(3, (0,) * 8, anchor=3)
+        RuleTable(3, 255, anchor=2)
+        for w in (256, -1):
+            with pytest.raises(ValueError, match="not an int in range"):
+                RuleTable(3, w)
+        with pytest.raises(ValueError, match="anchor 3 out of range"):
+            RuleTable(3, 240, anchor=3)
+        # an int subtype or a numpy scalar is no Wolfram number
+        for w in (np.uint8(1), np.uint64(240), True):
+            with pytest.raises(ValueError, match="not an int in range"):
+                RuleTable(3, w)
+        # the diameter is checked before the number: at D = 64 the bound
+        # 1 << (1 << 64) could not be built
+        for d in (0, 17, 64):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=r"outside 1\.\.16"):
+                    RuleTable(d, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, d
 
 
 class TestInduce:
@@ -151,7 +184,7 @@ class TestInduce:
         base = projection_table(5, 1)
         flipped = [v for v in range(32) if rt.bits[v] != base.bits[v]]
         assert flipped == [0b00011, 0b01011]
-        assert to_wolfram(rt) == 4278253320
+        assert rt.wolfram == 4278253320
 
     def test_extended_pattern_example(self):
         rt = induce(build_mixture(["10X1a"]))
@@ -159,30 +192,30 @@ class TestInduce:
         base = projection_table(5, 2)
         flipped = [v for v in range(32) if rt.bits[v] != base.bits[v]]
         assert flipped == [0b10010, 0b10011, 0b10110, 0b10111]
-        assert to_wolfram(rt) == 4030525680
+        assert rt.wolfram == 4030525680
 
     def test_single_flip_gives_global_complement(self):
         rt = induce(build_mixture(["X"]))
-        assert to_wolfram(rt) == 1
+        assert rt.wolfram == 1
         assert classify_trivial(rt) == "complement(0)"
 
     def test_matches_direct_construction(self):
         for d in range(3, 7):
             for p in generate_all_patterns(d):
                 m = build_mixture([p])
-                assert list(induce(m).bits) == \
+                assert induce(m).bits.tolist() == \
                     brute.induced_bits(m.members, d, m.anchor)
 
     def test_mixture_matches_direct_construction(self):
         m = build_mixture(["10X111", "a0X10a"])
-        assert list(induce(m).bits) == brute.induced_bits(m.members, 6, 2)
+        assert induce(m).bits.tolist() == brute.induced_bits(m.members, 6, 2)
 
     def test_flip_count(self):
         for text in ("0X011", "10X1a", "a0X011aa"):
             m = build_mixture([text])
             rt = induce(m)
             base = projection_table(m.diameter, m.anchor)
-            diff = sum(a != b for a, b in zip(rt.bits, base.bits))
+            diff = sum(a != b for a, b in zip(rt.bits.tolist(), base.bits.tolist()))
             p = m.members[0]
             assert diff == 1 << (len(p) - len(p.strip("a")) + 1)
 
@@ -213,7 +246,7 @@ class TestBalanceAndTriviality:
         for d in range(1, 7):
             for j in range(d):
                 assert classify_trivial(projection_table(d, j)) \
-                    == classify_trivial(from_wolfram(d, to_wolfram(projection_table(d, j))))
+                    == classify_trivial(from_wolfram(d, projection_table(d, j).wolfram))
                 assert classify_trivial(projection_table(d, j)) == f"projection({j})"
                 assert classify_trivial(complement_table(d, j)) == f"complement({j})"
 
