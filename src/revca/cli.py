@@ -27,6 +27,19 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+# Lines joined into one write by _print_lines: a few hundred kB of pattern text.
+_BLOCK_LINES = 1 << 14
+
+
+def _print_lines(lines: tuple[str, ...]) -> None:
+    """Write each text of a sequence as a line of stdout, as one print() each
+    would, but in blocks of ``_BLOCK_LINES``; stdout is looked up at the call,
+    so a redirected one is used."""
+    out = sys.stdout
+    for lo in range(0, len(lines), _BLOCK_LINES):
+        out.write("\n".join(lines[lo:lo + _BLOCK_LINES]) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -45,8 +58,7 @@ def _cmd_gen_patterns(args: argparse.Namespace) -> int:
     except patterns.PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for p in found:
-        print(p)
+    _print_lines(found)
     print(f"count: {len(found)}", file=sys.stderr)
     return EXIT_OK
 
@@ -57,8 +69,7 @@ def _cmd_gen_extended(args: argparse.Namespace) -> int:
     except patterns.PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for p in found:
-        print(p)
+    _print_lines(found)
     print(f"count: {len(found)}", file=sys.stderr)
     return EXIT_OK
 

@@ -8,9 +8,10 @@ this graph passes through an off-diagonal node (Amoroso & Patt 1972; Sutner
 1991).  :func:`decide` tests this for a whole batch of tables at once by
 peeling: it strips every node without a live in-edge or without a live
 out-edge until nothing changes, and a table is injective iff only diagonal
-nodes survive.  Every node on a cycle survives, and the diagonal is a
-strongly connected copy of the de Bruijn graph, so a surviving off-diagonal
-node always lies on a cycle through an off-diagonal node; the test is exact.
+nodes survive.  That is exact: every node on a cycle survives, and from a
+surviving off-diagonal node live edges lead forward and backward to cycles,
+one of them through an off-diagonal node, or both in the diagonal (a strongly
+connected copy of the de Bruijn graph), which closes a cycle through it.
 For a rejected table, a shortest cycle through a chosen surviving node yields
 two distinct periodic configurations with equal images, returned as the
 witness.  The graph has 4^(D-1) nodes, so diameters through 9 are cheap and
@@ -55,10 +56,10 @@ import numpy as np
 from . import engine
 from .rules import RuleTable, classify_trivial, from_wolfram
 
-LONG_SWEEP_DIAMETER = 5
 MAX_SWEEP_DIAMETER = 5
+LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
-# diameter ``induce --verify`` peaks at about 90 MB, and ``verify`` of a
+# diameter ``induce --verify`` peaks at about 82 MB, and ``verify`` of a
 # table with most nodes left after the peel at about 0.4 GB (the witness).
 MAX_DECISION_DIAMETER = 12
 
@@ -73,10 +74,10 @@ class InjectivityVerdict:
 # Pair-graph construction and the peeling decision.
 
 # Pair-graph nodes peeled together in one slice of a batch (64 tables at
-# D = 4, one from D = 7).  The working arrays of a pass, about 15 bytes a
-# node, scale with this, not with the batch size, so below D = 8 a batch of
-# any length (every D = 4 table at once, say) peels in slices of about
-# 60 kB.  Sweep units send only the handful of tables left by their chain.
+# D = 4, one from D = 7).  The working arrays of a pass, 13 bytes a node,
+# scale with this, not with the batch size, so below D = 8 a batch of any
+# length (every D = 4 table at once, say) peels in slices of about 53 kB.
+# Sweep units send only the handful of tables left by their chain.
 _SLICE_NODES = 1 << 12
 
 
@@ -95,38 +96,44 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     An edge is a window pair with equal outputs.  Split a window as (x, l, y):
     its top cell, its d-2 middle cells and its low cell.  The pair
     (x1 l1 y1, x2 l2 y2) leads from node (x1 l1, x2 l2) to node
-    (l1 y1, l2 y2).  So the node array, read as [x1, x2, l1, l2] and as
-    [y1, y2, l1, l2], meets the equality laid out as [y1, y2, x1, x2, l1, l2]
-    and as [x1, x2, y1, y2, l1, l2] by broadcasting, with no gathers.  A
-    pass strips every node without a live out-edge, then every node without
-    a live in-edge; the loop stops once a pass leaves the number alive
-    unchanged, or leaves only the diagonals.  A diagonal node (u, u) keeps
-    its edges to and from diagonal nodes (those with y1 = y2 and x1 = x2),
-    so no pass strips it, and T diagonals of 2^(d-1) nodes are the end.
+    (l1 y1, l2 y2).  So one contiguous array holds every edge: the outer
+    equality of each table's outputs, [x1, l1, y1][x2, l2, y2], as uint16
+    words holding both values of y2.  A pass ANDs it with the nodes read as
+    [l1 y1][l2 y2], words too, and ORs the y1 halves: the nonzero words are
+    the nodes [x1 l1][x2 l2] with a live out-edge.  Then it ANDs it with the
+    nodes [x1 l1][x2 l2], each byte twice in a word, and ORs the x1 and x2
+    halves: the bytes are the nodes [l1 y1][l2 y2] with a live in-edge.  No
+    gather, copy or strided pass touches the equality.  The loop stops once
+    a pass leaves the number alive unchanged, or leaves only the diagonals.
+    A diagonal node (u, u) keeps its edges to and from diagonal nodes (those
+    with y1 = y2 and x1 = x2), so no pass strips it, and T diagonals of
+    2^(d-1) nodes are the end.
     """
     h = 1 << (d - 2)
     t = len(bits)
-    by = bits.T.reshape(2, h, 2, t).transpose(2, 0, 1, 3)   # [y, x, l, table]
-    eq_out = np.empty((2, 2, 2, 2, h, h, t), dtype=bool)
-    np.equal(by[:, None, :, None, :, None], by[None, :, None, :, None, :], out=eq_out)
-    eq_in = np.ascontiguousarray(eq_out.transpose(2, 3, 0, 1, 4, 5, 6))
-    alive = np.ones((4 * h * h, t), dtype=bool)
-    by_top = alive.reshape(2, h, 2, h, t).transpose(0, 2, 1, 3, 4)
-    by_low = alive.reshape(h, 2, h, 2, t).transpose(1, 3, 0, 2, 4)
-    ends = np.empty((2, 2, h, h, t), dtype=bool)   # contiguous copy of the far ends
-    edges = np.empty(eq_out.shape, dtype=bool)
-    by_far_end = edges.reshape(4, 2, 2, h, h, t)
-    any_edge = np.empty_like(ends)
+    eq = (bits[:, :, None] == bits[:, None, :]).view(np.uint16).reshape(t, 2, h, 2, 2, h)
+    words = np.empty_like(eq)
+    alive = np.ones((t, 2 * h, 2 * h), dtype=bool)
+    far = alive.view(np.uint16).reshape(t, 1, h, 2, 1, h)
+    near = alive.view(np.uint8).reshape(t, 2, h, 1, 2, h)
+    twice, ored = np.empty(near.shape, np.uint16), np.empty(t << (2 * d - 2), np.uint16)
+    out_edge, in_edge = ored.reshape(t, 2, h, 2, h), ored[:t * 2 * h * h].reshape(t, h, 2, h)
+    out_alive, in_alive = out_edge.reshape(alive.shape), in_edge.view(bool).reshape(alive.shape)
+    y1, x1 = (words[:, :, :, 0], words[:, :, :, 1]), (words[:, 0], words[:, 1])
+    x2 = x1[0][:, :, :, 0], x1[0][:, :, :, 1]
     count, diagonals = alive.size, t << (d - 1)
     while True:
-        for eq, far, near in ((eq_out, by_low, by_top), (eq_in, by_top, by_low)):
-            np.copyto(ends, far)
-            np.logical_and(eq, ends[:, :, None, None], out=edges)
-            np.logical_or.reduce(by_far_end, axis=0, out=any_edge)
-            near &= any_edge
+        np.bitwise_and(eq, far, out=words)
+        np.bitwise_or(*y1, out=out_edge)
+        np.logical_and(alive, out_alive, out=alive)
+        np.multiply(near, np.uint16(0x0101), out=twice)
+        np.bitwise_and(eq, twice, out=words)
+        np.bitwise_or(*x1, out=x1[0])
+        np.bitwise_or(*x2, out=in_edge)
+        alive &= in_alive
         now = np.count_nonzero(alive)
         if now in (count, diagonals):
-            return alive
+            return alive.reshape(t, -1).T
         count = now
 
 
@@ -136,7 +143,7 @@ def decide(d: int, tables) -> np.ndarray:
     A 1-D array of 2^d bits is a batch of one.  At d = 1 the map is
     injective iff the two outputs differ.  From d = 2 on, a rule is
     injective iff peeling its equal-output pair graph leaves only diagonal
-    nodes (see :func:`debruijn_injective`).  The diagonal, a copy of the de
+    nodes (see the module docstring).  The diagonal, a copy of the de
     Bruijn graph, always survives, so that is a count of 2^(d-1) survivors.
     The batch is peeled in slices of at most ``_SLICE_NODES`` pair-graph
     nodes.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``ValueError``.
@@ -307,17 +314,9 @@ def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
 def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """Decide injectivity of the global map; witnesses accompany rejections.
 
-    The decision is that of :func:`decide`, on a batch of one.  It peels the
-    equal-output pair graph, whose edges are the window pairs with equal
-    outputs: nodes without a live in-edge or out-edge are stripped until
-    none is left, and the rule is injective iff only diagonal nodes survive.
-    This is exact.  A rule fails to be injective iff some cycle passes
-    through an off-diagonal node, and every node on a cycle survives.
-    Conversely, the diagonal is a copy of the de Bruijn graph and strongly
-    connected, so from a surviving off-diagonal node, walking live edges
-    forward and backward reaches cycles, and either one of them holds an
-    off-diagonal node or both lie in the diagonal, which closes a cycle
-    through the starting node.
+    The decision is that of :func:`decide`, on a batch of one: the rule is
+    injective iff peeling its equal-output pair graph leaves only diagonal
+    nodes, which is exact (see the module docstring).
 
     Only a rejection builds a witness, from the output bits and the
     surviving nodes alone: a shortest cycle through the smallest
@@ -713,7 +712,7 @@ def _decide_tables(diameter: int, tables: np.ndarray) -> list[int]:
 @functools.cache
 def _chain_survivors(diameter: int) -> np.ndarray:
     """The Wolfram numbers, ascending (uint64), of all the tables of a
-    diameter below ``LONG_SWEEP_DIAMETER`` that pass the filter chain:
+    diameter below ``MAX_SWEEP_DIAMETER`` that pass the filter chain:
     passes[upper key, lower key] of :func:`_half_keys` (the words of periods
     1 to 4), then :func:`_chain` (periods 5, 6 and 7).  544 tables pass the
     keys at D = 4 and 16 the chain.
@@ -746,11 +745,11 @@ def _check_sweep_diameter(diameter: int) -> None:
 
 def sweep_units(diameter: int) -> list:
     """The exhaustive sweep of one diameter as an ordered list of work units:
-    the ranges of :func:`sweep_chunks` below ``LONG_SWEEP_DIAMETER``, else
+    the ranges of :func:`sweep_chunks` below ``MAX_SWEEP_DIAMETER``, else
     the blocks of :func:`balanced_sweep_blocks`.  A diameter outside
     1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``."""
     _check_sweep_diameter(diameter)
-    if diameter < LONG_SWEEP_DIAMETER:
+    if diameter < MAX_SWEEP_DIAMETER:
         return sweep_chunks(diameter)
     return balanced_sweep_blocks(diameter)
 
@@ -758,7 +757,7 @@ def sweep_units(diameter: int) -> list:
 def scan_unit(diameter: int, unit) -> list[int]:
     """Injective Wolfram numbers of one sweep work unit, ascending.
 
-    Below ``LONG_SWEEP_DIAMETER`` a unit is a range [lo, hi) of Wolfram
+    Below ``MAX_SWEEP_DIAMETER`` a unit is a range [lo, hi) of Wolfram
     numbers, aligned to :func:`sweep_chunks` or not.  The chain is a
     function of the table alone, so it runs once per diameter
     (:func:`_chain_survivors`), and the unit decides the survivors in its
@@ -769,7 +768,7 @@ def scan_unit(diameter: int, unit) -> list[int]:
     A diameter outside 1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``.
     """
     _check_sweep_diameter(diameter)
-    if diameter < LONG_SWEEP_DIAMETER:
+    if diameter < MAX_SWEEP_DIAMETER:
         lo, hi = unit
         survivors = _chain_survivors(diameter)
         a, b = np.searchsorted(survivors, np.array((lo, hi), dtype=np.uint64))

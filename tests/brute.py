@@ -128,6 +128,20 @@ def pair_graph(bits, diameter: int) -> dict[int, list[int]]:
     return graph
 
 
+def peel_survivors(bits, diameter: int) -> list[bool]:
+    """Which nodes of the graph of :func:`pair_graph` survive stripping, one
+    bool per node: nodes with no successor or no predecessor among the nodes
+    left are removed, all at once, until a round removes none."""
+    graph = pair_graph(bits, diameter)
+    alive = set(graph)
+    while True:
+        entered = {w for v in alive for w in graph[v] if w in alive}
+        kept = {v for v in alive if v in entered and any(w in alive for w in graph[v])}
+        if kept == alive:
+            return [v in alive for v in range(len(graph))]
+        alive = kept
+
+
 def pair_graph_arrays(bits, diameter: int) -> tuple[list[int], list[int]]:
     """The graph of :func:`pair_graph` as (indptr, targets) lists, built
     with numpy: the successors of node v are targets[indptr[v]:indptr[v + 1]],

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
-from revca import engine, injectivity, patterns, rules
+from revca import cli, engine, injectivity, patterns, rules
 from revca.cli import main
 from revca.patterns import enumerate_extended
 
@@ -58,6 +58,18 @@ class TestGenPatterns:
     def test_gen_extended(self, capsys):
         code, out, err = run(capsys, "gen-extended", "--diameter", "5")
         assert code == 0 and len(out.splitlines()) == 8 and "count: 8" in err
+
+    @pytest.mark.parametrize("argv, found", [
+        (["gen-patterns", "-d", "13"], lambda: patterns.generate_all_patterns(13)),
+        (["gen-extended", "-d", "12"], lambda: enumerate_extended(12)),
+    ])
+    def test_lines_across_write_blocks(self, capsys, argv, found):
+        """Listings longer than one block of lines that the CLI writes at
+        once (32,172 and 27,392 patterns) hold each pattern on a line of
+        its own, in order, as one print() each would write them."""
+        code, out, _ = run(capsys, *argv)
+        assert len(found()) > cli._BLOCK_LINES
+        assert code == 0 and out == "".join(p + "\n" for p in found())
 
     @pytest.mark.parametrize("argv", [
         ["gen-patterns", "-d", "17"],

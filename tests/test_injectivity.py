@@ -267,6 +267,28 @@ class TestDecide:
             for row in bits:
                 assert np.array_equal(injectivity._peel(d, row[None])[:, 0], diagonal)
 
+    def test_peel_survivors_match_the_strip_oracle(self):
+        """The survivors themselves, which the witness search of a rejected
+        table runs on, against brute.peel_survivors at D=2..7, in one batch
+        and alone: random tables, induced tables (the projections and
+        complements below D=4, which has the first stable cores) and one-swap
+        near misses of them."""
+        rng = random.Random(2072)
+        partial = 0
+        for d in range(2, 8):
+            cores = list(generate_all_patterns(d)) + list(enumerate_extended(d))
+            injective = ([induce(build_mixture([p])).wolfram for p in rng.sample(cores, 4)]
+                         if cores else [rt.wolfram for rt in trivial_tables(d)])
+            tables = (injective[:4] + _near_misses(injective, d, 8, rng)
+                      + [rng.getrandbits(1 << d) for _ in range(4)])
+            bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
+            want = np.array([brute.peel_survivors(row.tolist(), d) for row in bits]).T
+            assert np.array_equal(injectivity._peel(d, bits), want), d
+            for k, row in enumerate(bits):
+                assert np.array_equal(injectivity._peel(d, row[None])[:, 0], want[:, k]), (d, k)
+            partial += sum(1 << (d - 1) < n < 1 << (2 * d - 2) for n in want.sum(axis=0))
+        assert partial >= 20, partial
+
     def test_injective_tables_batched_with_near_misses(self):
         """A batch mixing the reference tables of D=4 and D=5 with one-swap
         near misses of them, shuffled, so that slices hold both verdicts:
@@ -318,9 +340,11 @@ class TestBeyondTheOracle:
                 _assert_witness(rt, debruijn_injective(rt))
 
     def test_memory_at_diameter_11(self):
-        """The decision's working arrays are bool planes over the 4^11
-        window pairs, about 15 MB at D = 11; one intp index array over the
-        window pairs alone would take 32 MB."""
+        """The decision's working arrays take 13 bytes a pair-graph node, 4
+        each for the equality of the window pairs and for its AND with the
+        nodes and 5 for the rest: a peak of 13 MB over the 4^10 nodes of
+        D = 11.  One intp index array over the 4^11 window pairs alone would
+        take 32 MB."""
         rt = induce(build_mixture(["0X011" + "a" * 6]))
         tracemalloc.start()
         try:
@@ -546,10 +570,10 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_sweep_units_of_each_diameter(self, d):
-        """Ranges of sweep_chunks below LONG_SWEEP_DIAMETER, then the blocks
+        """Ranges of sweep_chunks below MAX_SWEEP_DIAMETER, then the blocks
         of balanced_sweep_blocks; their scans find every injective table."""
         units = sweep_units(d)
-        assert units == (sweep_chunks(d) if d < injectivity.LONG_SWEEP_DIAMETER
+        assert units == (sweep_chunks(d) if d < injectivity.MAX_SWEEP_DIAMETER
                          else balanced_sweep_blocks(d))
         known = {3: INJECTIVE_D3, 4: INJECTIVE_D4, 5: sorted(_d5_reference())}
         expected = known[d] if d in known else [
