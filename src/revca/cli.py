@@ -1,11 +1,16 @@
 """Command-line front end: pattern generation, rule induction, verification,
 exhaustive enumeration, and simulation.
 
-Exit codes: 0 success (and "injective" for verify), 1 not injective (verify),
-2 usage, malformed input or a file that cannot be read or written, 3
-validation failure such as an independence violation, 4 internal
-invariant breach.  Stdout is byte-deterministic for fixed inputs; progress and
-summaries go to stderr, timestamps only into catalog files.
+Handlers only do work and raise; :func:`main` alone maps an exception to an
+exit code.  Exit codes: 0 success (and "injective" for verify); 1 only the
+NotInjective verdict of verify; 2 a ``ValueError`` (usage, malformed input, a
+library refusal such as a limit) or an ``OSError`` (a file that cannot be read
+or written), with one ``error:`` line on stderr; 3 a
+:class:`revca.patterns.MixtureError`, such as an independence violation; 4 any
+other exception, an invariant breach or a bug, with its traceback and one
+``INTERNAL ERROR:`` line, so a crash never reads as NotInjective.  Stdout is
+byte-deterministic for fixed inputs; progress and summaries go to stderr,
+timestamps only into catalog files.
 """
 
 from __future__ import annotations
@@ -44,31 +49,21 @@ def _print_lines(lines: tuple[str, ...]) -> None:
 # Handlers
 
 def _cmd_gen_patterns(args: argparse.Namespace) -> int:
-    if args.diameter is not None and (args.left is not None or args.right is not None):
-        print("error: give either --diameter or --left/--right, not both", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.diameter is not None:
-            found = patterns.generate_all_patterns(args.diameter)
-        elif args.left is not None and args.right is not None:
-            found = patterns.generate_injective_patterns(args.left, args.right)
-        else:
-            print("error: need --diameter or both --left and --right", file=sys.stderr)
-            return EXIT_USAGE
-    except patterns.PatternError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.diameter is not None:
+        if args.left is not None or args.right is not None:
+            raise ValueError("give either --diameter or --left/--right, not both")
+        found = patterns.generate_all_patterns(args.diameter)
+    elif args.left is not None and args.right is not None:
+        found = patterns.generate_injective_patterns(args.left, args.right)
+    else:
+        raise ValueError("need --diameter or both --left and --right")
     _print_lines(found)
     print(f"count: {len(found)}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_gen_extended(args: argparse.Namespace) -> int:
-    try:
-        found = patterns.enumerate_extended(args.diameter)
-    except patterns.PatternError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    found = patterns.enumerate_extended(args.diameter)
     _print_lines(found)
     print(f"count: {len(found)}", file=sys.stderr)
     return EXIT_OK
@@ -76,8 +71,7 @@ def _cmd_gen_extended(args: argparse.Namespace) -> int:
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     if not 3 <= args.max_diameter <= 12:
-        print("error: --max-diameter must be between 3 and 12", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--max-diameter must be between 3 and 12")
     rows = []
     for n in range(3, args.max_diameter + 1):
         rows.append({
@@ -104,10 +98,16 @@ def _read_pattern_lines(text: str) -> list[str]:
     return out
 
 
-def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
+def _check_max_period(max_period: int) -> None:
+    if not 0 <= max_period <= engine.EXHAUSTIVE_BOUND:
+        raise ValueError(f"--max-period {max_period}: must be between 0 and "
+                         f"{engine.EXHAUSTIVE_BOUND}, the exhaustive bound")
+
+
+def _induce_one(texts: list[str], args: argparse.Namespace) -> None:
     mixture = patterns.build_mixture(texts)
-    if args.verify and _decision_limit_error(mixture.diameter):
-        return EXIT_USAGE
+    if args.verify:
+        injectivity._check_decision_diameter(mixture.diameter)
     rt = rules.induce(mixture)
     record = rules.rule_to_json(rt, mixture.members)
     if args.verify:
@@ -115,41 +115,21 @@ def _induce_one(texts: list[str], args: argparse.Namespace) -> int:
         periodic_ok = all(
             injectivity.periodic_bijective(rt, n) for n in range(1, args.max_period + 1))
         if not verdict.injective or not periodic_ok:
-            print(f"INTERNAL ERROR: induced rule for {texts} failed verification "
-                  f"(debruijn={verdict.injective}, periodic={periodic_ok}); "
-                  "this indicates a bug, please report it", file=sys.stderr)
-            return EXIT_INTERNAL
+            raise RuntimeError(f"induced rule for {texts} failed verification "
+                               f"(debruijn={verdict.injective}, periodic={periodic_ok})")
         record["verified_debruijn"] = True
         record["verified_periodic_to"] = args.max_period
     if args.catalog:
         catalog.append_entries(args.catalog, [record])
     _emit({**record, "trivial": rules.classify_trivial(rt),
            "balanced": rules.is_balanced(rt)})
-    return EXIT_OK
-
-
-def _max_period_error(max_period: int) -> bool:
-    """Report a --max-period outside 0..EXHAUSTIVE_BOUND; True if so."""
-    if 0 <= max_period <= engine.EXHAUSTIVE_BOUND:
-        return False
-    print(f"error: --max-period {max_period}: must be between 0 and "
-          f"{engine.EXHAUSTIVE_BOUND}, the exhaustive bound", file=sys.stderr)
-    return True
-
-
-def _decision_limit_error(diameter: int) -> bool:
-    """Report a diameter above the limit of the injectivity decision; True
-    if so."""
-    if diameter <= injectivity.MAX_DECISION_DIAMETER:
-        return False
-    print(f"error: diameter {diameter} above {injectivity.MAX_DECISION_DIAMETER}, "
-          "the limit of the injectivity decision", file=sys.stderr)
-    return True
 
 
 def _cmd_induce(args: argparse.Namespace) -> int:
-    if args.verify and _max_period_error(args.max_period):
-        return EXIT_USAGE
+    if args.verify:
+        _check_max_period(args.max_period)
+    if args.stdin and args.mixture_file:
+        raise ValueError("give either --stdin or --mixture-file, not both")
     groups: list[list[str]] = []
     if args.stdin:
         # each input line is induced on its own (pipe-friendly)
@@ -158,23 +138,10 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         groups = [_read_pattern_lines(Path(args.mixture_file).read_text(encoding="utf-8"))]
     if args.pattern:
         groups.append(list(args.pattern))
-    if not groups or not any(groups):
-        print("error: no patterns given", file=sys.stderr)
-        return EXIT_USAGE
+    if not any(groups):
+        raise ValueError("no patterns given")
     for texts in groups:
-        try:
-            code = _induce_one(texts, args)
-        except patterns.MixtureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except patterns.PatternError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except rules.FlipCollisionError as exc:
-            print(f"INTERNAL ERROR: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        if code != EXIT_OK:
-            return code
+        _induce_one(texts, args)
     return EXIT_OK
 
 
@@ -187,13 +154,9 @@ def _wolfram_number(text: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if _max_period_error(args.max_period) or _decision_limit_error(args.diameter):
-        return EXIT_USAGE
-    try:
-        rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _check_max_period(args.max_period)
+    injectivity._check_decision_diameter(args.diameter)
+    rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram))
     verdict = injectivity.debruijn_injective(rt)
     periodic_ok = all(injectivity.periodic_bijective(rt, n)
                       for n in range(1, args.max_period + 1))
@@ -209,30 +172,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.diameter
-    try:
-        units = injectivity.sweep_units(d)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    units = injectivity.sweep_units(d)
     total = len(units)
     start = 0
     if args.checkpoint:
-        try:
-            cp = catalog.load_checkpoint(args.checkpoint)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        cp = catalog.load_checkpoint(args.checkpoint)
         if cp is None:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, 0, total))
         elif cp.diameter != d or cp.exclude_trivial != args.exclude_trivial:
-            print("error: checkpoint was written for different sweep parameters",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("checkpoint was written for different sweep parameters")
         elif cp.total_units != total:
-            print(f"error: checkpoint was written for {cp.total_units} work units, "
-                  f"this sweep has {total}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"checkpoint was written for {cp.total_units} work units, "
+                             f"this sweep has {total}")
         else:
             start = cp.next_unit
 
@@ -259,32 +211,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.pattern and (args.wolfram is not None or args.anchor is not None):
-        print("error: give either --pattern or --wolfram/--anchor, not both", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.pattern:
-            mixture = patterns.build_mixture(list(args.pattern))
-            if args.diameter is not None and args.diameter != mixture.diameter:
-                print("error: --diameter disagrees with the patterns", file=sys.stderr)
-                return EXIT_USAGE
-            rt = rules.induce(mixture)
-        elif args.wolfram is not None:
-            if args.diameter is None:
-                print("error: --wolfram needs --diameter", file=sys.stderr)
-                return EXIT_USAGE
-            rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram),
-                                    args.anchor)
-        else:
-            print("error: need --pattern or --wolfram", file=sys.stderr)
-            return EXIT_USAGE
-        rows = engine.space_time(rt, args.init, args.steps)
-    except patterns.MixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, patterns.PatternError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.pattern:
+        if args.wolfram is not None or args.anchor is not None:
+            raise ValueError("give either --pattern or --wolfram/--anchor, not both")
+        mixture = patterns.build_mixture(list(args.pattern))
+        if args.diameter is not None and args.diameter != mixture.diameter:
+            raise ValueError("--diameter disagrees with the patterns")
+        rt = rules.induce(mixture)
+    elif args.wolfram is not None:
+        if args.diameter is None:
+            raise ValueError("--wolfram needs --diameter")
+        rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram), args.anchor)
+    else:
+        raise ValueError("need --pattern or --wolfram")
+    rows = engine.space_time(rt, args.init, args.steps)
     if args.pbm:
         raster = f"P1\n{len(args.init)} {len(rows)}\n" + "\n".join(rows) + "\n"
         Path(args.pbm).write_text(raster, encoding="ascii")
@@ -361,12 +301,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place where an exception becomes an exit
+    code (see the module docstring).  ``KeyboardInterrupt`` and
+    ``SystemExit`` (argparse's usage errors) propagate."""
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except OSError as exc:  # a file that cannot be read or written
+    except patterns.MixtureError as exc:   # a ValueError, so caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"INTERNAL ERROR: unexpected {type(exc).__name__} (traceback above); "
+              "this indicates a bug, please report it", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import MAX_DIAMETER, MixtureSet, template
+from .patterns import MixtureSet, _check_diameter, template
 
 WolframNumber = int
 
@@ -29,11 +29,6 @@ class FlipCollisionError(RuntimeError):
     Validated mixtures cannot trigger this; seeing it means an invalid set
     slipped past :func:`revca.patterns.build_mixture`.
     """
-
-
-def _check_diameter(diameter: int) -> None:
-    if not 1 <= diameter <= MAX_DIAMETER:
-        raise ValueError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,9 @@ def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
 
 
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
-    """The table of a Wolfram number; a diameter outside 1..MAX_DIAMETER
-    raises ``ValueError`` before the table is built."""
+    """The table of a Wolfram number; a diameter outside
+    1..``patterns.MAX_DIAMETER`` raises ``PatternError``, a ``ValueError``,
+    before the table is built."""
     _check_diameter(diameter)
     return RuleTable(diameter, w, _default_anchor(diameter) if anchor is None else anchor)
 

@@ -178,6 +178,16 @@ class TestInduce:
         assert sorted(obj["provenance"]) == ["10X111", "a0X10a"]
 
 
+    def test_stdin_with_mixture_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        # one source of patterns per run: the file was silently ignored
+        f = tmp_path / "mix.txt"
+        f.write_text("0X110\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0X011\n"))
+        code, out, err = run(capsys, "induce", "--stdin", "--mixture-file", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: give either --stdin or --mixture-file, not both\n"
+
+
 class TestVerify:
     def test_injective_trivial(self, capsys):
         code, out, _ = run(capsys, "verify", "-d", "3", "-w", "240")
@@ -407,11 +417,54 @@ class TestEnumerate:
 
 
 def test_cli_import_leaves_out_multiprocessing():
+    # nor traceback, which main imports only to report an unexpected exception
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, revca.cli; print('multiprocessing' in sys.modules)"],
+         "import sys, revca.cli; print('multiprocessing' in sys.modules, "
+         "'traceback' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
+
+
+class TestInternalErrors:
+    """An exception that no handler expects exits 4 with its traceback and
+    one INTERNAL ERROR line, never 1, the NotInjective code of verify."""
+
+    def _assert_internal(self, code, out, err):
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("; this indicates a bug, please report it\n")
+        assert err.splitlines()[-1].startswith("INTERNAL ERROR: ")
+
+    def test_induced_rule_failing_verification(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(injectivity, "debruijn_injective",
+                            lambda rt: injectivity.InjectivityVerdict(False, ("0", "0")))
+        path = tmp_path / "cat.jsonl"
+        code, out, err = run(capsys, "induce", "0X011", "--verify", "--catalog", str(path))
+        self._assert_internal(code, out, err)
+        assert "RuntimeError: induced rule for ['0X011'] failed verification" in err
+        assert not path.exists()
+
+    def test_crash_in_the_decision_is_not_a_verdict(self, capsys, monkeypatch):
+        def crash(d, bits):
+            raise IndexError("peel out of range")
+
+        monkeypatch.setattr(injectivity, "_peel", crash)
+        code, out, err = run(capsys, "verify", "-d", "5", "-w", "90")
+        self._assert_internal(code, out, err)
+        assert "IndexError: peel out of range" in err
+        assert "INTERNAL ERROR: unexpected IndexError" in err
+
+    @pytest.mark.parametrize("argv", [["induce", "10X1a", "a0X10"],
+                                      ["simulate", "--pattern", "10X1a", "a0X10",
+                                       "--init", "00000"]], ids=lambda v: v[0])
+    def test_flip_collision(self, capsys, monkeypatch, argv):
+        # an overlapping set that skipped validation reaches rules.induce
+        monkeypatch.setattr(patterns, "build_mixture",
+                            lambda texts: patterns.MixtureSet(("10X1a", "a0X10"), 5, 2))
+        code, out, err = run(capsys, *argv)
+        self._assert_internal(code, out, err)
+        assert "FlipCollisionError: window 10110 claimed by both" in err
 
 
 class TestUnwritablePaths:
@@ -627,8 +680,9 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300)
 @given(argv=_argv(), stdin=st.sampled_from(_STDIN))
 def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv, stdin):
-    """Any argv over the real commands and options ends with an exit code
-    in {0, 1, 2, 3, 4} and no traceback."""
+    """Any argv over the real commands and options ends with a documented
+    exit code and no traceback.  Exit 4 is documented too, but it reports a
+    bug, so a case that reaches it fails."""
     argv = [str(fuzz_dir / a) if a in _PATHS else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -641,4 +695,6 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv, stdin):
     finally:
         sys.stdin = saved
     assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+    assert code != 4, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    assert "INTERNAL ERROR" not in err.getvalue(), argv
