@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .patterns import InputError
 from .rules import rule_from_json
 
 CHECKPOINT_VERSION = 1
@@ -36,7 +37,7 @@ def append_entries(path: str | Path, records: list[dict]) -> None:
 def read_catalog(path: str | Path) -> list[dict]:
     """The records of a catalog file, each checked by
     :func:`revca.rules.rule_from_json`.  A line that is not a rule record
-    raises ``ValueError`` naming its line number."""
+    raises ``InputError`` naming its line number."""
     out = []
     with Path(path).open(encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
@@ -47,7 +48,7 @@ def read_catalog(path: str | Path) -> list[dict]:
                 record = json.loads(line)
                 rule_from_json(record)  # validates the record and its encodings
             except ValueError as exc:
-                raise ValueError(f"{path}, line {number}: {exc}") from None
+                raise InputError(f"{path}, line {number}: {exc}") from None
             # interned keys are shared by every record; decoded anew for each
             # line, they would take about 40% of a record's memory
             out.append({sys.intern(k): v for k, v in record.items()})
@@ -92,7 +93,7 @@ def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:
 def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
     """The checkpoint in ``path``, or None if there is no such file.
 
-    Content that is not a checkpoint of this version raises ``ValueError``,
+    Content that is not a checkpoint of this version raises ``InputError``,
     as does a field of the wrong JSON type: ``diameter``, ``next_unit`` and
     ``total_units`` must be integers and ``exclude_trivial`` a boolean.
     """
@@ -102,16 +103,16 @@ def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
     try:
         d = json.loads(p.read_text(encoding="utf-8"))
         if d.get("version") != CHECKPOINT_VERSION or d.get("kind") != "sweep":
-            raise ValueError(f"version {d.get('version')!r}, kind {d.get('kind')!r}")
+            raise InputError(f"version {d.get('version')!r}, kind {d.get('kind')!r}")
         for name, kind in (("diameter", int), ("exclude_trivial", bool),
                            ("next_unit", int), ("total_units", int)):
             if type(d[name]) is not kind:   # exact: a JSON true is not unit 1
-                raise ValueError(f"{name} {d[name]!r} is not of type {kind.__name__}")
+                raise InputError(f"{name} {d[name]!r} is not of type {kind.__name__}")
         cp = SweepCheckpoint(d["diameter"], d["exclude_trivial"], d["next_unit"],
                              d["total_units"])
         if not 0 <= cp.next_unit <= cp.total_units:
-            raise ValueError(f"next_unit {cp.next_unit} outside 0..{cp.total_units}")
+            raise InputError(f"next_unit {cp.next_unit} outside 0..{cp.total_units}")
         return cp
     except (AttributeError, KeyError, ValueError) as exc:
-        raise ValueError(
+        raise InputError(
             f"{p} is not a version-{CHECKPOINT_VERSION} sweep checkpoint: {exc!r}") from exc

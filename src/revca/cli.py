@@ -3,14 +3,15 @@ exhaustive enumeration, and simulation.
 
 Handlers only do work and raise; :func:`main` alone maps an exception to an
 exit code.  Exit codes: 0 success (and "injective" for verify); 1 only the
-NotInjective verdict of verify; 2 a ``ValueError`` (usage, malformed input, a
-library refusal such as a limit) or an ``OSError`` (a file that cannot be read
-or written), with one ``error:`` line on stderr; 3 a
+NotInjective verdict of verify; 2 a :class:`revca.patterns.InputError` (usage,
+malformed input, a library refusal such as a limit) or an ``OSError`` (a file
+that cannot be read or written), with one ``error:`` line on stderr; 3 a
 :class:`revca.patterns.MixtureError`, such as an independence violation; 4 any
-other exception, an invariant breach or a bug, with its traceback and one
-``INTERNAL ERROR:`` line, so a crash never reads as NotInjective.  Stdout is
-byte-deterministic for fixed inputs; progress and summaries go to stderr,
-timestamps only into catalog files.
+other exception, a stray ``ValueError`` included, with its traceback and one
+``INTERNAL ERROR:`` line: an invariant breach or a bug, so a crash never reads
+as NotInjective or as a refusal of input.  Stdout is byte-deterministic for
+fixed inputs; progress and summaries go to stderr, timestamps only into
+catalog files.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, engine, injectivity, patterns, rules
+from .patterns import InputError, MixtureError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,12 +53,12 @@ def _print_lines(lines: tuple[str, ...]) -> None:
 def _cmd_gen_patterns(args: argparse.Namespace) -> int:
     if args.diameter is not None:
         if args.left is not None or args.right is not None:
-            raise ValueError("give either --diameter or --left/--right, not both")
+            raise InputError("give either --diameter or --left/--right, not both")
         found = patterns.generate_all_patterns(args.diameter)
     elif args.left is not None and args.right is not None:
         found = patterns.generate_injective_patterns(args.left, args.right)
     else:
-        raise ValueError("need --diameter or both --left and --right")
+        raise InputError("need --diameter or both --left and --right")
     _print_lines(found)
     print(f"count: {len(found)}", file=sys.stderr)
     return EXIT_OK
@@ -71,7 +73,7 @@ def _cmd_gen_extended(args: argparse.Namespace) -> int:
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     if not 3 <= args.max_diameter <= 12:
-        raise ValueError("--max-diameter must be between 3 and 12")
+        raise InputError("--max-diameter must be between 3 and 12")
     rows = []
     for n in range(3, args.max_diameter + 1):
         rows.append({
@@ -100,7 +102,7 @@ def _read_pattern_lines(text: str) -> list[str]:
 
 def _check_max_period(max_period: int) -> None:
     if not 0 <= max_period <= engine.EXHAUSTIVE_BOUND:
-        raise ValueError(f"--max-period {max_period}: must be between 0 and "
+        raise InputError(f"--max-period {max_period}: must be between 0 and "
                          f"{engine.EXHAUSTIVE_BOUND}, the exhaustive bound")
 
 
@@ -129,17 +131,21 @@ def _cmd_induce(args: argparse.Namespace) -> int:
     if args.verify:
         _check_max_period(args.max_period)
     if args.stdin and args.mixture_file:
-        raise ValueError("give either --stdin or --mixture-file, not both")
+        raise InputError("give either --stdin or --mixture-file, not both")
     groups: list[list[str]] = []
-    if args.stdin:
-        # each input line is induced on its own (pipe-friendly)
-        groups = [[t] for t in _read_pattern_lines(sys.stdin.read())]
-    elif args.mixture_file:
-        groups = [_read_pattern_lines(Path(args.mixture_file).read_text(encoding="utf-8"))]
+    if args.stdin or args.mixture_file:
+        try:
+            text = sys.stdin.read() if args.stdin else \
+                Path(args.mixture_file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(str(exc)) from exc
+        lines = _read_pattern_lines(text)
+        # each stdin line is induced on its own (pipe-friendly)
+        groups = [[t] for t in lines] if args.stdin else [lines]
     if args.pattern:
         groups.append(list(args.pattern))
     if not any(groups):
-        raise ValueError("no patterns given")
+        raise InputError("no patterns given")
     for texts in groups:
         _induce_one(texts, args)
     return EXIT_OK
@@ -147,10 +153,13 @@ def _cmd_induce(args: argparse.Namespace) -> int:
 
 def _wolfram_number(text: str) -> int:
     """A ``--wolfram`` value as ``int(text, 0)`` reads it, without Python's
-    4300-digit limit on decimals."""
+    4300-digit limit on decimals; text it cannot read raises ``InputError``."""
     if text.isascii() and text.isdigit() and not text.startswith("0"):
         return rules._parse_decimal(text)
-    return int(text, 0)
+    try:
+        return int(text, 0)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -181,9 +190,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, 0, total))
         elif cp.diameter != d or cp.exclude_trivial != args.exclude_trivial:
-            raise ValueError("checkpoint was written for different sweep parameters")
+            raise InputError("checkpoint was written for different sweep parameters")
         elif cp.total_units != total:
-            raise ValueError(f"checkpoint was written for {cp.total_units} work units, "
+            raise InputError(f"checkpoint was written for {cp.total_units} work units, "
                              f"this sweep has {total}")
         else:
             start = cp.next_unit
@@ -213,17 +222,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.pattern:
         if args.wolfram is not None or args.anchor is not None:
-            raise ValueError("give either --pattern or --wolfram/--anchor, not both")
+            raise InputError("give either --pattern or --wolfram/--anchor, not both")
         mixture = patterns.build_mixture(list(args.pattern))
         if args.diameter is not None and args.diameter != mixture.diameter:
-            raise ValueError("--diameter disagrees with the patterns")
+            raise InputError("--diameter disagrees with the patterns")
         rt = rules.induce(mixture)
     elif args.wolfram is not None:
         if args.diameter is None:
-            raise ValueError("--wolfram needs --diameter")
+            raise InputError("--wolfram needs --diameter")
         rt = rules.from_wolfram(args.diameter, _wolfram_number(args.wolfram), args.anchor)
     else:
-        raise ValueError("need --pattern or --wolfram")
+        raise InputError("need --pattern or --wolfram")
     rows = engine.space_time(rt, args.init, args.steps)
     if args.pbm:
         raster = f"P1\n{len(args.init)} {len(rows)}\n" + "\n".join(rows) + "\n"
@@ -307,10 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except patterns.MixtureError as exc:   # a ValueError, so caught first
+    except MixtureError as exc:   # an InputError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

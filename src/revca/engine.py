@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .patterns import InputError
 from .rules import RuleTable
 
 # Longest period whose 2^n configurations the periodic checks enumerate.
@@ -25,13 +26,9 @@ EXHAUSTIVE_BOUND = 20
 _SLICE_CELLS = 1 << 16
 
 
-class ExhaustiveBoundError(ValueError):
-    """Requested period exceeds the exhaustive bound; sample instead."""
-
-
 def _check_word(c: str) -> str:
     if not c or set(c) - {"0", "1"}:
-        raise ValueError(f"configuration must be a nonempty binary word: {c!r}")
+        raise InputError(f"configuration must be a nonempty binary word: {c!r}")
     return c
 
 
@@ -67,7 +64,7 @@ def step(rt: RuleTable, c: str) -> str:
 def space_time(rt: RuleTable, init: str, steps: int) -> list[str]:
     """Trajectory [init, step(init), ..., step^steps(init)]."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise InputError("steps must be >= 0")
     rows = [_check_word(init)]
     for _ in range(steps):
         rows.append(step(rt, rows[-1]))
@@ -96,9 +93,9 @@ def pack_configs(cells: np.ndarray) -> np.ndarray:
 def periodic_images(rt: RuleTable, n: int) -> np.ndarray:
     """Packed image of every length-n configuration, indexed by its code."""
     if n < 1:
-        raise ValueError("period must be >= 1")
+        raise InputError("period must be >= 1")
     if n > EXHAUSTIVE_BOUND:
-        raise ExhaustiveBoundError(
+        raise InputError(
             f"2^{n} configurations exceed the exhaustive bound {EXHAUSTIVE_BOUND}; "
             "use random sampling for long periods")
     cells = all_configs(n)

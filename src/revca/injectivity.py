@@ -24,20 +24,19 @@ words of periods 3 and 4, and with them those of periods 1 and 2, as a lookup
 on one key per half (the bits the words read: 10 of each 16-bit half at
 D = 5, the whole half at D <= 4); then permutation of the words of periods
 5, 6 and 7.  What depends only on the diameter or on a popcount class is
-built once and cached; what a unit decides is never cached.  At D <= 4 a
-unit is a range of Wolfram numbers, and the key lookup implies balance
-there; the chain runs once per diameter over every table, and a unit
-decides the survivors in its range.  At D = 5 a unit is a block of
-balanced tables that lists only the pairs of halves whose keys pass.  The
-period filters are lookups too: the map commutes with rotation, so it
-permutes the words of length n iff the images of one word per necklace
-(rotation class) fall in pairwise distinct necklaces.  The images' codes
-are the OR of one tabulated row per byte of a table (a limb), and so of one
-row per half.  Per popcount class, the lower halves keep their period-5
-rows and limb indices and the upper halves their keys and limb indices;
-periods 6 and 7 run on the few survivors' limb indices.  Wolfram numbers
-are built only for the tables left for the decision.  D >= 6 is refused
-outright.
+built once and cached; what a unit decides is never cached.  The tables
+are listed in blocks of balanced tables, each block as the pairs of halves
+whose keys pass.  At D = 5 a unit is one block.  At D <= 4 a unit is a
+range of Wolfram numbers; the chain runs once per diameter over every
+block, and a unit decides the survivors in its range.  The period filters
+are lookups too: the map commutes with rotation, so it permutes the words
+of length n iff the images of one word per necklace (rotation class) fall
+in pairwise distinct necklaces.  The images' codes are the OR of one
+tabulated row per byte of a table (a limb), and so of one row per half.
+Per popcount class, the lower halves keep their period-5 rows and limb
+indices and the upper halves their keys and limb indices; periods 6 and 7
+run on the few survivors' limb indices.  Wolfram numbers are built only
+for the tables left for the decision.  D >= 6 is refused outright.
 :func:`sweep_units` lists the work units of a diameter and :func:`scan_unit`
 scans one; the library and the command line both scan them in order, in the
 calling process.
@@ -54,6 +53,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import engine
+from .patterns import InputError
 from .rules import RuleTable, classify_trivial, from_wolfram
 
 MAX_SWEEP_DIAMETER = 5
@@ -85,7 +85,7 @@ def _check_decision_diameter(d: int) -> None:
     """Refuse a pair graph above ``MAX_DECISION_DIAMETER`` before anything
     is allocated."""
     if d > MAX_DECISION_DIAMETER:
-        raise ValueError(f"diameter {d} above {MAX_DECISION_DIAMETER}, the limit of the "
+        raise InputError(f"diameter {d} above {MAX_DECISION_DIAMETER}, the limit of the "
                          "injectivity decision")
 
 
@@ -146,14 +146,14 @@ def decide(d: int, tables) -> np.ndarray:
     nodes (see the module docstring).  The diagonal, a copy of the de
     Bruijn graph, always survives, so that is a count of 2^(d-1) survivors.
     The batch is peeled in slices of at most ``_SLICE_NODES`` pair-graph
-    nodes.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``ValueError``.
+    nodes.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``InputError``.
     """
     _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
     if bits.ndim == 1:
         bits = bits[None]
     if bits.ndim != 2 or bits.shape[1] != 1 << d:
-        raise ValueError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
+        raise InputError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
     if d == 1:
         return bits[:, 0] != bits[:, 1]
     step = max(1, _SLICE_NODES >> (2 * (d - 1)))
@@ -327,7 +327,7 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     unbounded lattice as well.  Witness length never exceeds the pair-graph
     node count.  At diameter 1 the pair graph has a single node and the rule
     is injective iff its two outputs differ.  A diameter above
-    ``MAX_DECISION_DIAMETER`` raises ``ValueError`` before the graph is
+    ``MAX_DECISION_DIAMETER`` raises ``InputError`` before the graph is
     built.
     """
     d = rt.diameter
@@ -433,7 +433,7 @@ def _period_lookups(d: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     codes packed in lane value c, so a padded copy sets nothing new.
     """
     if not 1 <= n <= 8:
-        raise ValueError(f"the period filter takes periods 1..8, got {n}")
+        raise InputError(f"the period filter takes periods 1..8, got {n}")
     reps, hit = _necklaces(n)
     windows = _rep_windows(d, n)
     groups = -(-len(reps) // (_GROUP_BITS // n))
@@ -486,9 +486,8 @@ def _covers(d: int, n: int, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(necklaces.take(lanes), axis=0) == (1 << len(_necklaces(n)[0])) - 1
 
 
-def _permutes_pairs(d: int, n: int, halves: np.ndarray) -> np.ndarray:
-    """Mask of the tables (D <= 6) that permute all length-n words, given
-    as the columns (lower half, upper half) of a (2, T) uint64 array.
+def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words.
 
     A necessary-condition filter ahead of the exact decision, on bits, never
     on a cell matrix.  The map commutes with rotation, so it sends necklaces
@@ -497,25 +496,19 @@ def _permutes_pairs(d: int, n: int, halves: np.ndarray) -> np.ndarray:
     representatives lie in pairwise distinct necklaces: then the necklace
     map is a bijection, the sizes add up to 2^n on both sides, and each
     necklace maps onto one of its own size.  The images' codes are the OR of
-    the rows of the halves' limbs (see :func:`_rows`), their necklaces
-    one lookup per lane, and the table permutes the words iff the ORed
-    necklaces are all of them.  Slices hold ``engine._SLICE_CELLS`` (group,
-    table) pairs.  The anchor does not matter here, so the windows are those
-    of anchor 0.
+    the rows of the limbs of the tables' halves (see :func:`_rows`), their
+    necklaces one lookup per lane, and the table permutes the words iff the
+    ORed necklaces are all of them.  Slices hold ``engine._SLICE_CELLS``
+    (group, table) pairs.  The anchor does not matter here, so the windows
+    are those of anchor 0.
     """
+    width = 1 << (d - 1)
+    halves = np.stack((tables & np.uint64((1 << width) - 1), tables >> np.uint64(width)))
     per = max(1, engine._SLICE_CELLS // _period_lookups(d, n)[0])
-    out = np.empty(halves.shape[1], dtype=bool)
+    out = np.empty(len(tables), dtype=bool)
     for lo in range(0, len(out), per):
         out[lo:lo + per] = _covers(d, n, _rows(d, n, _limb_index(d, halves[:, lo:lo + per])))
     return out
-
-
-def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words:
-    :func:`_permutes_pairs` on their halves."""
-    width = 1 << (d - 1)
-    return _permutes_pairs(d, n, np.stack((tables & np.uint64((1 << width) - 1),
-                                           tables >> np.uint64(width))))
 
 
 def balanced_sweep_blocks(diameter: int) -> list[tuple[int, int, int]]:
@@ -673,7 +666,7 @@ def _chain(diameter: int, lower: _Halves, upper: _Halves,
     codes of each half, in slices of ``engine._SLICE_CELLS`` (group, table)
     pairs.  The later filters carry the pair indices of the survivors and
     gather their limb-index columns once, for the test of
-    :func:`_permutes_pairs`.  Permutation of the words of these periods is,
+    :func:`_permutes_period`.  Permutation of the words of these periods is,
     like the rest, a necessary condition, so no filter drops an injective
     table.  Only the tables left at the end are built as Wolfram numbers,
     and a stage that leaves nothing ends the chain.
@@ -712,33 +705,22 @@ def _decide_tables(diameter: int, tables: np.ndarray) -> list[int]:
 @functools.cache
 def _chain_survivors(diameter: int) -> np.ndarray:
     """The Wolfram numbers, ascending (uint64), of all the tables of a
-    diameter below ``MAX_SWEEP_DIAMETER`` that pass the filter chain:
-    passes[upper key, lower key] of :func:`_half_keys` (the words of periods
-    1 to 4), then :func:`_chain` (periods 5, 6 and 7).  544 tables pass the
-    keys at D = 4 and 16 the chain.
-
-    The length-4 words read every window, so the keys are the whole halves
-    and the flattened matrix is indexed by the Wolfram number, whose low and
-    high bits are then the pair of halves.  Each half is one limb.  Balance
-    needs no test of its own: the 16 words read each window 64 / 2^D times
-    in all, so a table that permutes them, whose images hold 32 ones in
-    their 64 cells, has 2^(D-1) ones.
-    """
-    width = 1 << (diameter - 1)
-    values = np.arange(1 << width, dtype=np.uint64)
-    tables = np.flatnonzero(_half_keys(diameter)[2].ravel())
-    lower, upper = (_halves(diameter, values, _limb_index(diameter, values[None], k))
-                    for k in (0, 1))
-    return _chain(diameter, lower, upper, (tables & ((1 << width) - 1), tables >> width))
+    diameter below ``MAX_SWEEP_DIAMETER`` that pass the filter chain, listed
+    as at D = 5: :func:`_block_pairs` (balance and the words of periods 1 to
+    4), then :func:`_chain` (periods 5, 6 and 7), on every block of
+    :func:`balanced_sweep_blocks`.  544 tables pass the keys at D = 4 and 16
+    the chain."""
+    return np.sort(np.concatenate([_chain(diameter, *_block_pairs(diameter, block))
+                                   for block in balanced_sweep_blocks(diameter)]))
 
 
 def _check_sweep_diameter(diameter: int) -> None:
     """Refuse a sweep outside 1..``MAX_SWEEP_DIAMETER`` before anything is
     allocated."""
     if diameter < 1:
-        raise ValueError(f"exhaustive sweep needs diameter >= 1, got {diameter}")
+        raise InputError(f"exhaustive sweep needs diameter >= 1, got {diameter}")
     if diameter > MAX_SWEEP_DIAMETER:
-        raise ValueError(
+        raise InputError(
             f"exhaustive sweep refused for diameter {diameter}: "
             f"2^(2^{diameter}) tables are out of reach")
 
@@ -747,7 +729,7 @@ def sweep_units(diameter: int) -> list:
     """The exhaustive sweep of one diameter as an ordered list of work units:
     the ranges of :func:`sweep_chunks` below ``MAX_SWEEP_DIAMETER``, else
     the blocks of :func:`balanced_sweep_blocks`.  A diameter outside
-    1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``."""
+    1..``MAX_SWEEP_DIAMETER`` raises ``InputError``."""
     _check_sweep_diameter(diameter)
     if diameter < MAX_SWEEP_DIAMETER:
         return sweep_chunks(diameter)
@@ -765,7 +747,7 @@ def scan_unit(diameter: int, unit) -> list[int]:
     :func:`balanced_sweep_blocks`: balance holds by construction, periods 1
     to 4 are a lookup on the keys of the block's halves (see
     :func:`_block_pairs`), and :func:`_chain` and the decision do the rest.
-    A diameter outside 1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``.
+    A diameter outside 1..``MAX_SWEEP_DIAMETER`` raises ``InputError``.
     """
     _check_sweep_diameter(diameter)
     if diameter < MAX_SWEEP_DIAMETER:
@@ -780,7 +762,7 @@ def exhaustive_injective(diameter: int, exclude_trivial: bool = False) -> list[R
     """Every rule table of one diameter whose global map is injective, in
     ascending Wolfram order, without the projection and complement tables if
     asked.  Diameter 5 scans the 601M balanced tables; a diameter outside
-    1..``MAX_SWEEP_DIAMETER`` raises ``ValueError``."""
+    1..``MAX_SWEEP_DIAMETER`` raises ``InputError``."""
     found = sorted(w for unit in sweep_units(diameter) for w in scan_unit(diameter, unit))
     tables = [from_wolfram(diameter, w) for w in found]
     if exclude_trivial:

@@ -53,11 +53,13 @@ _VALUE = str.maketrans("01Xa", "0100")
 _CARE = str.maketrans("01Xa", "1100")
 
 
-class PatternError(ValueError):
-    """Malformed pattern text or an operation applied outside its domain."""
+class InputError(ValueError):
+    """Input from outside the program that revca refuses: malformed text, a
+    value outside its domain, or a size past a limit.  The command line
+    exits 2 on it; any other ``ValueError`` is a bug."""
 
 
-class MixtureError(ValueError):
+class MixtureError(InputError):
     """A candidate pattern set failed mixture validation.
 
     Carries the violated clause, the offending pair (when pairwise), and a
@@ -77,29 +79,29 @@ def template(text: str) -> tuple[int, int, int]:
     """``(value, care, anchor)`` of pattern text: window ``w`` matches iff
     ``w & care == value``, and ``anchor`` is the index of the flip cell.
 
-    Raises :class:`PatternError` for text that is not a pattern.
+    Raises :class:`InputError` for text that is not a pattern.
     """
     if not text:
-        raise PatternError("empty pattern")
+        raise InputError("empty pattern")
     bad = set(text) - _ALPHABET
     if bad:
-        raise PatternError(f"invalid symbols {sorted(bad)!r} in {text!r}")
+        raise InputError(f"invalid symbols {sorted(bad)!r} in {text!r}")
     if text.count(FLIP) != 1:
-        raise PatternError(f"pattern must contain exactly one {FLIP!r}: {text!r}")
+        raise InputError(f"pattern must contain exactly one {FLIP!r}: {text!r}")
     if WILD in text.strip(WILD):
-        raise PatternError(f"wildcards only allowed at the ends: {text!r}")
+        raise InputError(f"wildcards only allowed at the ends: {text!r}")
     return int(text.translate(_VALUE), 2), int(text.translate(_CARE), 2), text.index(FLIP)
 
 
 def _check_diameter(diameter: int) -> None:
     if not 1 <= diameter <= MAX_DIAMETER:
-        raise PatternError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
+        raise InputError(f"diameter {diameter} outside 1..{MAX_DIAMETER}")
 
 
 def _core(text: str) -> tuple[int, int, int, int]:
     """``(value, care, L, R)`` of a wildcard-free core."""
     if WILD in text:
-        raise PatternError(f"operation requires a wildcard-free core: {text!r}")
+        raise InputError(f"operation requires a wildcard-free core: {text!r}")
     value, care, left = template(text)
     return value, care, left, len(text) - 1 - left
 
@@ -144,7 +146,7 @@ def extend(p: str, k: int, h: int) -> str:
     """Pad a core with k leading and h trailing wildcards."""
     _core(p)  # rejects anything but a core
     if k < 0 or h < 0:
-        raise PatternError("wildcard counts must be >= 0")
+        raise InputError("wildcard counts must be >= 0")
     return WILD * k + p + WILD * h
 
 
@@ -180,7 +182,7 @@ def _texts(values: np.ndarray, left: int, size: int) -> list[str]:
 def generate_injective_patterns(left: int, right: int) -> tuple[str, ...]:
     """All stable cores with the given radii, ascending by window value."""
     if left < 0 or right < 0:
-        raise PatternError("radii must be >= 0")
+        raise InputError("radii must be >= 0")
     _check_diameter(left + right + 1)
     return tuple(_texts(_stable_values(left, right), left, left + right + 1))
 
@@ -239,7 +241,7 @@ def build_mixture(candidates: Iterable[str]) -> MixtureSet:
     Rejections carry the violated clause and the first offending pair:
     diameter or anchor mismatch, an unstable member core, or a pairwise
     interference (the shift at which the pair fits is named in the message).
-    A diameter above :data:`MAX_DIAMETER` raises :class:`PatternError` before
+    A diameter above :data:`MAX_DIAMETER` raises :class:`InputError` before
     any member is checked.  The members are ordered by the value of their
     core with X read as 0, then by its size, then by their text.
     """

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import MixtureSet, _check_diameter, template
+from .patterns import InputError, MixtureSet, _check_diameter, template
 
 WolframNumber = int
 
@@ -43,10 +43,12 @@ class RuleTable:
         _check_diameter(self.diameter)   # first: 1 << (1 << 64) is no bound to build
         w = self.wolfram
         if type(w) is not int or w < 0 or w.bit_length() > 1 << self.diameter:
-            raise ValueError(
-                f"wolfram number {w!r} is not an int in range for diameter {self.diameter}")
+            # repr() refuses an int of over 4300 digits, which --wolfram can give
+            shown = _decimal_text(w) if type(w) is int else repr(w)
+            raise InputError(
+                f"wolfram number {shown} is not an int in range for diameter {self.diameter}")
         if not 0 <= self.anchor < self.diameter:
-            raise ValueError(f"anchor {self.anchor} out of range")
+            raise InputError(f"anchor {self.anchor} out of range")
 
     @property
     def bits(self) -> np.ndarray:
@@ -72,7 +74,7 @@ def _default_anchor(diameter: int) -> int:
 def projection_table(diameter: int, j: int) -> RuleTable:
     """Rule that copies window cell j; its global map is a pure shift."""
     if not 0 <= j < diameter:
-        raise ValueError(f"cell index {j} out of range for diameter {diameter}")
+        raise InputError(f"cell index {j} out of range for diameter {diameter}")
     bits = (np.arange(1 << diameter) >> (diameter - 1 - j)) & 1
     return RuleTable(diameter, _wolfram_of(bits), anchor=j)
 
@@ -94,8 +96,8 @@ def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
 
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
     """The table of a Wolfram number; a diameter outside
-    1..``patterns.MAX_DIAMETER`` raises ``PatternError``, a ``ValueError``,
-    before the table is built."""
+    1..``patterns.MAX_DIAMETER`` raises ``InputError`` before the table is
+    built."""
     _check_diameter(diameter)
     return RuleTable(diameter, w, _default_anchor(diameter) if anchor is None else anchor)
 
@@ -163,7 +165,7 @@ def _decimal_text(w: WolframNumber) -> str:
 
 def _parse_decimal(text: str) -> WolframNumber:
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not a decimal number")
+        raise InputError(f"{text!r} is not a decimal number")
     return int(decimal.Decimal(text))   # no 4300-digit limit
 
 
@@ -185,29 +187,29 @@ def rule_from_json(obj: dict) -> tuple[RuleTable, tuple[str, ...]]:
     """Decode a record; both encodings must be written exactly as
     :func:`rule_to_json` writes them, and agree bit for bit.
 
-    Raises ``ValueError`` for anything that is not a rule record: not a JSON
+    Raises ``InputError`` for anything that is not a rule record: not a JSON
     object, a field missing or of the wrong JSON type (``provenance``, when
     present, is a list of strings), an encoding in another format (a sign,
     space, underscore, leading zero, ``0x`` or upper case), or disagreeing
     encodings.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"a rule record is a JSON object, got {type(obj).__name__}")
+        raise InputError(f"a rule record is a JSON object, got {type(obj).__name__}")
     for name, kind in (("diameter", int), ("anchor", int), ("wolfram_decimal", str),
                        ("table_hex", str)):
         if name not in obj:
-            raise ValueError(f"rule record lacks {name!r}")
+            raise InputError(f"rule record lacks {name!r}")
         if type(obj[name]) is not kind:   # exact: 3.9 is no diameter, false no anchor
-            raise ValueError(f"{name} {obj[name]!r} is not of type {kind.__name__}")
+            raise InputError(f"{name} {obj[name]!r} is not of type {kind.__name__}")
     provenance = obj.get("provenance", [])
     if type(provenance) is not list or any(type(p) is not str for p in provenance):
-        raise ValueError(f"provenance {provenance!r} is not a list of strings")
+        raise InputError(f"provenance {provenance!r} is not a list of strings")
     rt = from_wolfram(obj["diameter"], _parse_decimal(obj["wolfram_decimal"]),
                       anchor=obj["anchor"])
     if obj["wolfram_decimal"] != _decimal_text(rt.wolfram):
-        raise ValueError(f"wolfram_decimal {obj['wolfram_decimal']!r} is not in canonical form")
+        raise InputError(f"wolfram_decimal {obj['wolfram_decimal']!r} is not in canonical form")
     if obj["table_hex"] != table_hex(rt):
-        raise ValueError(
+        raise InputError(
             f"table_hex {obj['table_hex']!r} disagrees with wolfram_decimal "
             f"{obj['wolfram_decimal']!r}")
     return rt, tuple(provenance)

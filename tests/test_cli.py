@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
-from revca import cli, engine, injectivity, patterns, rules
+from revca import catalog, cli, engine, injectivity, patterns, rules
 from revca.cli import main
 from revca.patterns import enumerate_extended
 
@@ -187,6 +188,23 @@ class TestInduce:
         assert (code, out) == (2, "")
         assert err == "error: give either --stdin or --mixture-file, not both\n"
 
+    def test_undecodable_mixture_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "mix.txt"
+        f.write_bytes(b"\xff0X011\n")
+        code, out, err = run(capsys, "induce", "--mixture-file", str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1
+
+    def test_undecodable_stdin_exits_2(self, capsys, monkeypatch):
+        # a strict decoder: an interpreter's own stdin may use surrogateescape
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff0X011\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, "induce", "--stdin")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_injective_trivial(self, capsys):
@@ -234,6 +252,13 @@ class TestVerify:
     def test_malformed(self, capsys):
         assert run(capsys, "verify", "-d", "3", "-w", "256")[0] == 2
         assert run(capsys, "verify", "-d", "3", "-w", "porridge")[0] == 2
+
+    @pytest.mark.parametrize("value", ["zz", ""])
+    def test_unreadable_wolfram_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "verify", "-d", "3", "-w", value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid literal for int() with base 0: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestDiameterLimits:
@@ -455,6 +480,28 @@ class TestInternalErrors:
         assert "IndexError: peel out of range" in err
         assert "INTERNAL ERROR: unexpected IndexError" in err
 
+    def test_stray_value_error_is_not_a_refusal(self, capsys, monkeypatch):
+        # numpy's shape-mismatch error is a ValueError, but no refusal of input
+        def crash(d, bits):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(injectivity, "_peel", crash)
+        code, out, err = run(capsys, "verify", "-d", "5", "-w", "90")
+        self._assert_internal(code, out, err)
+        assert "ValueError: operands could not be broadcast together" in err
+        assert "INTERNAL ERROR: unexpected ValueError" in err
+
+    def test_stray_value_error_in_the_periodic_checks(self, capsys, tmp_path, monkeypatch):
+        def crash(rt, cells):
+            raise ValueError("cannot reshape array")
+
+        monkeypatch.setattr(engine, "batch_step", crash)
+        path = tmp_path / "cat.jsonl"
+        code, out, err = run(capsys, "induce", "0X011", "--verify", "--catalog", str(path))
+        self._assert_internal(code, out, err)
+        assert "ValueError: cannot reshape array" in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("argv", [["induce", "10X1a", "a0X10"],
                                       ["simulate", "--pattern", "10X1a", "a0X10",
                                        "--init", "00000"]], ids=lambda v: v[0])
@@ -465,6 +512,32 @@ class TestInternalErrors:
         code, out, err = run(capsys, *argv)
         self._assert_internal(code, out, err)
         assert "FlipCollisionError: window 10110 claimed by both" in err
+
+
+def test_refusals_are_input_errors():
+    """Every refusal in src/revca raises patterns.InputError (or its
+    MixtureError), never the builtin ValueError, which numpy, json and int()
+    raise too; cli.main maps exit 2 by InputError, never by ValueError; and
+    the package defines exactly three exception classes."""
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "ValueError"), \
+                    f"{path.name}:{node.lineno} raises ValueError"
+            if isinstance(node, ast.FunctionDef) and path.name == "cli.py" \
+                    and node.name == "main":
+                for handler in (n for n in ast.walk(node) if isinstance(n, ast.ExceptHandler)):
+                    names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                    assert "ValueError" not in names, f"cli.py:{handler.lineno}"
+    defined = {obj for module in (catalog, cli, engine, injectivity, patterns, rules)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("revca")}
+    assert defined == {patterns.InputError, patterns.MixtureError, rules.FlipCollisionError}
+    assert patterns.InputError.__bases__ == (ValueError,)
+    assert patterns.MixtureError.__bases__ == (patterns.InputError,)
 
 
 class TestUnwritablePaths:
@@ -524,6 +597,13 @@ class TestSimulate:
         code, out, _ = run(capsys, "verify", "-d", "12", "-w", rules._decimal_text((1 << 4096) - 1))
         assert code == 1 and out.startswith("NotInjective\n")
         assert run(capsys, "verify", "-d", "3", "-w", "0204")[0] == 2   # as int(text, 0)
+
+    def test_wolfram_past_the_table_and_the_digit_limit_exits_2(self, capsys):
+        # the refusal names the number, not repr()'s own 4300-digit error
+        code, out, err = run(capsys, "simulate", "-d", "1", "-w", "9" * 5000, "--init", "0101")
+        assert (code, out) == (2, "")
+        assert err == f"error: wolfram number {'9' * 5000} is not an int in range for " \
+                      "diameter 1\n"
 
     def test_pbm(self, capsys, tmp_path):
         target = tmp_path / "orbit.pbm"

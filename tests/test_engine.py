@@ -3,7 +3,6 @@ import pytest
 
 import brute
 from revca.engine import (
-    ExhaustiveBoundError,
     all_configs,
     batch_step,
     check_involution,
@@ -11,7 +10,7 @@ from revca.engine import (
     space_time,
     step,
 )
-from revca.patterns import build_mixture
+from revca.patterns import InputError, build_mixture
 from revca.rules import from_wolfram, induce, projection_table
 
 
@@ -113,7 +112,7 @@ class TestInvolution:
             assert check_involution(rule(3, 204, anchor=1), n)
 
     def test_bound(self):
-        with pytest.raises(ExhaustiveBoundError):
+        with pytest.raises(InputError, match="exceed the exhaustive bound"):
             check_involution(rule(3, 204), 21)
 
 

@@ -16,7 +16,6 @@ from revca.injectivity import (
     _half_keys,
     _masks_by_popcount,
     _necklaces,
-    _permutes_pairs,
     _permutes_period,
     balanced_sweep_blocks,
     debruijn_injective,
@@ -27,7 +26,7 @@ from revca.injectivity import (
     sweep_chunks,
     sweep_units,
 )
-from revca.patterns import build_mixture, enumerate_extended, generate_all_patterns
+from revca.patterns import InputError, build_mixture, enumerate_extended, generate_all_patterns
 from revca.rules import (
     from_wolfram,
     induce,
@@ -376,8 +375,7 @@ class TestPeriodic:
                 brute.is_permutation(rt.bits, d, rt.anchor, n)
 
     def test_bound(self):
-        from revca.engine import ExhaustiveBoundError
-        with pytest.raises(ExhaustiveBoundError):
+        with pytest.raises(InputError, match="exceed the exhaustive bound"):
             periodic_bijective(from_wolfram(3, 204), 30)
 
 
@@ -417,18 +415,12 @@ class TestPeriodFilter:
 
     @staticmethod
     def _check(tables, d):
-        """Through the wrapper on Wolfram numbers, and through the pair
-        function on the (lower, upper) halves split here."""
         batch = np.array(tables, dtype=np.uint64)
-        width = 1 << (d - 1)
-        halves = np.array([[w & (1 << width) - 1 for w in tables], [w >> width for w in tables]],
-                          dtype=np.uint64)
         for n in range(1, 9):
             expected = [brute.is_permutation([w >> v & 1 for v in range(1 << d)], d, 0, n)
                         for w in tables]
             assert True in expected and False in expected, (d, n)
             assert _permutes_period(batch, d, n).tolist() == expected, (d, n)
-            assert _permutes_pairs(d, n, halves).tolist() == expected, (d, n)
 
     def test_every_diameter_3_table(self):
         self._check(list(range(256)), 3)

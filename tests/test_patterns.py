@@ -7,8 +7,8 @@ import pytest
 import brute
 from revca.patterns import (
     MAX_DIAMETER,
+    InputError,
     MixtureError,
-    PatternError,
     build_mixture,
     enumerate_extended,
     extend,
@@ -39,7 +39,7 @@ class TestParse:
 
     @pytest.mark.parametrize("text", ["", "0011", "0XX1", "0Xa1", "a0aX", "0X2"])
     def test_rejects(self, text):
-        with pytest.raises(PatternError):
+        with pytest.raises(InputError):
             template(text)
 
 
@@ -50,7 +50,7 @@ class TestTemplate:
         for text in texts + ["a0X011aa", "10X1a", "aXa"]:
             try:
                 value, care, _ = template(text)
-            except PatternError:
+            except InputError:
                 continue
             windows = {format(w, f"0{len(text)}b")
                        for w in range(1 << len(text)) if w & care == value}
@@ -75,7 +75,7 @@ class TestInjectivePattern:
         assert is_injective_pattern("X")
 
     def test_rejects_wildcards(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(InputError):
             is_injective_pattern("a0X011")
 
     def test_matches_brute_force(self):
@@ -120,7 +120,7 @@ class TestGeneration:
                      lambda: enumerate_extended(MAX_DIAMETER + 1),
                      lambda: generate_all_patterns(0),
                      lambda: build_mixture(["0X011" + "a" * (MAX_DIAMETER - 4)])):
-            with pytest.raises(PatternError):
+            with pytest.raises(InputError, match=r"outside 1\.\.16"):
                 call()
         assert build_mixture(["0X011" + "a" * (MAX_DIAMETER - 5)]).diameter == MAX_DIAMETER
 
