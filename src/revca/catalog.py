@@ -36,15 +36,15 @@ def append_entries(path: str | Path, records: list[dict]) -> None:
 
 def read_catalog(path: str | Path) -> list[dict]:
     """The records of a catalog file, each checked by
-    :func:`revca.rules.rule_from_json`.  A line that is not a rule record
-    raises ``InputError`` naming its line number."""
+    :func:`revca.rules.rule_from_json`.  A line that is not a rule record,
+    UTF-8 included, raises ``InputError`` naming its line number."""
     out = []
-    with Path(path).open(encoding="utf-8") as f:
+    with Path(path).open("rb") as f:
         for number, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
                 rule_from_json(record)  # validates the record and its encodings
             except ValueError as exc:

@@ -90,8 +90,8 @@ def _check_decision_diameter(d: int) -> None:
 
 
 def _peel(d: int, bits: np.ndarray) -> np.ndarray:
-    """Surviving nodes of the equal-output pair graphs of a (T, 2^d) batch,
-    d >= 2, as a (4^(d-1), T) bool array: row p1 * 2^(d-1) + p2, table last.
+    """Surviving nodes of the equal-output pair graphs of a (T, 2^d) batch
+    as a (4^(d-1), T) bool array: row p1 * 2^(d-1) + p2, table last.
 
     An edge is a window pair with equal outputs.  Split a window as (x, l, y):
     its top cell, its d-2 middle cells and its low cell.  The pair
@@ -104,16 +104,20 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     nodes [x1 l1][x2 l2], each byte twice in a word, and ORs the x1 and x2
     halves: the bytes are the nodes [l1 y1][l2 y2] with a live in-edge.  No
     gather, copy or strided pass touches the equality.  The loop stops once
-    a pass leaves the number alive unchanged, or leaves only the diagonals.
+    a pass leaves the number alive unchanged, or leaves only the diagonals;
+    at d = 1, whose one node is diagonal, that holds before the first pass.
     A diagonal node (u, u) keeps its edges to and from diagonal nodes (those
     with y1 = y2 and x1 = x2), so no pass strips it, and T diagonals of
     2^(d-1) nodes are the end.
     """
-    h = 1 << (d - 2)
     t = len(bits)
+    alive = np.ones((t, 1 << (d - 1), 1 << (d - 1)), dtype=bool)
+    count, diagonals = alive.size, t << (d - 1)
+    if count == diagonals:
+        return alive.reshape(t, -1).T
+    h = 1 << (d - 2)
     eq = (bits[:, :, None] == bits[:, None, :]).view(np.uint16).reshape(t, 2, h, 2, 2, h)
     words = np.empty_like(eq)
-    alive = np.ones((t, 2 * h, 2 * h), dtype=bool)
     far = alive.view(np.uint16).reshape(t, 1, h, 2, 1, h)
     near = alive.view(np.uint8).reshape(t, 2, h, 1, 2, h)
     twice, ored = np.empty(near.shape, np.uint16), np.empty(t << (2 * d - 2), np.uint16)
@@ -121,7 +125,6 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     out_alive, in_alive = out_edge.reshape(alive.shape), in_edge.view(bool).reshape(alive.shape)
     y1, x1 = (words[:, :, :, 0], words[:, :, :, 1]), (words[:, 0], words[:, 1])
     x2 = x1[0][:, :, :, 0], x1[0][:, :, :, 1]
-    count, diagonals = alive.size, t << (d - 1)
     while True:
         np.bitwise_and(eq, far, out=words)
         np.bitwise_or(*y1, out=out_edge)
@@ -140,27 +143,24 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
 def decide(d: int, tables) -> np.ndarray:
     """Injectivity of the global map of each row of a (T, 2^d) 0/1 array.
 
-    A 1-D array of 2^d bits is a batch of one.  At d = 1 the map is
-    injective iff the two outputs differ.  From d = 2 on, a rule is
-    injective iff peeling its equal-output pair graph leaves only diagonal
-    nodes (see the module docstring).  The diagonal, a copy of the de
-    Bruijn graph, always survives, so that is a count of 2^(d-1) survivors.
-    The batch is peeled in slices of at most ``_SLICE_NODES`` pair-graph
-    nodes.  A diameter above ``MAX_DECISION_DIAMETER`` raises ``InputError``.
+    Two kinds of rows are settled as not injective before the pair graph:
+    those with f(0^d) = f(1^d), as in :func:`debruijn_injective`, and the
+    unbalanced ones, since an injective map is surjective and so its table
+    is balanced (Hedlund 1969).  The others are peeled in slices of at most
+    ``_SLICE_NODES`` pair-graph nodes, and a row is injective iff only its
+    2^(d-1) diagonal nodes survive (see the module docstring).  A diameter
+    above ``MAX_DECISION_DIAMETER`` raises ``InputError``.
     """
     _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
-    if bits.ndim == 1:
-        bits = bits[None]
     if bits.ndim != 2 or bits.shape[1] != 1 << d:
         raise InputError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
-    if d == 1:
-        return bits[:, 0] != bits[:, 1]
+    out = (bits[:, 0] != bits[:, -1]) & (bits.sum(axis=1) == 1 << (d - 1))
+    rest = np.flatnonzero(out)
     step = max(1, _SLICE_NODES >> (2 * (d - 1)))
-    out = np.empty(len(bits), dtype=bool)
-    for lo in range(0, len(bits), step):
-        alive = _peel(d, bits[lo:lo + step])
-        out[lo:lo + step] = np.count_nonzero(alive, axis=0) == 1 << (d - 1)
+    for lo in range(0, len(rest), step):
+        rows = rest[lo:lo + step]
+        out[rows] = np.count_nonzero(_peel(d, bits.take(rows, axis=0)), axis=0) == 1 << (d - 1)
     return out
 
 
@@ -272,18 +272,16 @@ def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
     that survive its peel.
 
     Only surviving nodes and their live edges enter the search.  The cycle
-    runs through the smallest off-diagonal node with a self-loop if there is
-    one (a length-1 witness), else through the smallest surviving
-    off-diagonal node that lies on a cycle.  Successors are searched in the
-    order of their input bits (b1, b2).  Candidates are tried in ascending
-    order.  A breadth-first search from a candidate that no earlier search
-    reached leaves out the nodes those searches reached, which cannot reach
-    it; when it finds no cycle, a search for strong components from the
-    candidate settles every node it reaches, so a later candidate among
-    them needs no search unless it lies on a cycle.
+    runs through the smallest surviving off-diagonal node that lies on a
+    cycle; the table has f(0^d) != f(1^d), so none of them loops to itself.
+    Successors are searched in the order of their input bits (b1, b2).
+    Candidates are tried in ascending order.  A breadth-first search from a
+    candidate that no earlier search reached leaves out the nodes those
+    searches reached, which cannot reach it; when it finds no cycle, a
+    search for strong components from the candidate settles every node it
+    reaches, so a later candidate among them needs no search unless it lies
+    on a cycle.
     """
-    if bits[0] == bits[-1]:   # f(0^d) = f(1^d): node (0^(d-1), 1^(d-1)) loops to itself
-        return "0", "1"
     half = 1 << (d - 1)
     nodes = np.flatnonzero(alive).astype(np.int32)
     u1, u2 = np.divmod(nodes, np.int32(half))
@@ -314,28 +312,24 @@ def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
 def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     """Decide injectivity of the global map; witnesses accompany rejections.
 
-    The decision is that of :func:`decide`, on a batch of one: the rule is
-    injective iff peeling its equal-output pair graph leaves only diagonal
-    nodes, which is exact (see the module docstring).
-
-    Only a rejection builds a witness, from the output bits and the
-    surviving nodes alone: a shortest cycle through the smallest
-    off-diagonal node with a self-loop, else through the smallest surviving
-    off-diagonal node on a cycle.  Its two words are distinct and have equal
-    images.  The verdict covers periodic configurations of every length at
-    once, and by the standard periodic/unbounded correspondence the
-    unbounded lattice as well.  Witness length never exceeds the pair-graph
-    node count.  At diameter 1 the pair graph has a single node and the rule
-    is injective iff its two outputs differ.  A diameter above
-    ``MAX_DECISION_DIAMETER`` raises ``InputError`` before the graph is
-    built.
+    A table with f(0^D) = f(1^D) is settled before any array is built: its
+    node (0^(D-1), 1^(D-1)) loops to itself, so it is not injective, with
+    the witness ``0``, ``1`` (at D = 1, where that node is the diagonal one,
+    this test is the whole decision).  Any other table is peeled as by
+    :func:`decide`, unbalanced ones too, so that a rejection's witness is
+    the one its survivors give: a shortest cycle through the smallest
+    surviving off-diagonal node on a cycle.  The two words are distinct and
+    have equal images.  The verdict covers periodic configurations of every
+    length at once, and by the standard periodic/unbounded correspondence
+    the unbounded lattice as well.  Witness length never exceeds the
+    pair-graph node count.  A diameter above ``MAX_DECISION_DIAMETER``
+    raises ``InputError`` before the graph is built.
     """
     d = rt.diameter
     _check_decision_diameter(d)
     bits = rt.bits
-    if d == 1:
-        return InjectivityVerdict(True) if bits[0] != bits[1] \
-            else InjectivityVerdict(False, ("0", "1"))
+    if bits[0] == bits[-1]:
+        return InjectivityVerdict(False, ("0", "1"))
     alive = _peel(d, bits[None])[:, 0]
     if np.count_nonzero(alive) == 1 << (d - 1):
         return InjectivityVerdict(True)

@@ -11,7 +11,7 @@ from revca.catalog import (
     read_catalog,
     save_checkpoint,
 )
-from revca.patterns import build_mixture
+from revca.patterns import InputError, build_mixture
 from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json
 
 
@@ -82,6 +82,17 @@ def test_non_record_line_raises_value_error(tmp_path, line):
     path = tmp_path / "catalog.jsonl"
     path.write_text(json.dumps(rule_to_json(from_wolfram(3, 240))) + "\n" + line + "\n")
     with pytest.raises(ValueError, match="line 2"):
+        read_catalog(path)
+
+
+@pytest.mark.parametrize("good_lines", [0, 1])
+def test_undecodable_line_names_its_number(tmp_path, good_lines):
+    # a byte that is not UTF-8 is a bad line like any other, not a bare
+    # UnicodeDecodeError
+    path = tmp_path / "catalog.jsonl"
+    good = (json.dumps(rule_to_json(from_wolfram(3, 240))) + "\n").encode()
+    path.write_bytes(good * good_lines + b"\xff{}\n")
+    with pytest.raises(InputError, match=f"line {good_lines + 1}: 'utf-8' codec"):
         read_catalog(path)
 
 

@@ -225,6 +225,16 @@ class TestVerify:
         assert out.splitlines()[0] == "NotInjective"
         assert any(line.startswith("witness: ") for line in out.splitlines())
 
+    def test_self_loop_settled_before_the_pair_graph(self, capsys, monkeypatch):
+        # f(0^5) = f(1^5): node (0000, 1111) loops to itself, so "0 1" is the
+        # witness and the pair graph is never peeled
+        def fail(d, bits):
+            raise AssertionError("a table with f(0^D) = f(1^D) must not be peeled")
+
+        monkeypatch.setattr(injectivity, "_peel", fail)
+        code, out, _ = run(capsys, "verify", "-d", "5", "-w", "90")
+        assert code == 1 and out.splitlines()[:2] == ["NotInjective", "witness: 0 1"]
+
     def test_max_period_over_bound_exits_2(self, capsys):
         # a crash here used to end with exit 1, the NotInjective code
         code, out, err = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "25")
@@ -470,12 +480,14 @@ class TestInternalErrors:
         assert "RuntimeError: induced rule for ['0X011'] failed verification" in err
         assert not path.exists()
 
+    # 90 + 2^31: f(0^5) != f(1^5), so the decision peels it (and rejects it
+    # with the witness 000000 010001)
     def test_crash_in_the_decision_is_not_a_verdict(self, capsys, monkeypatch):
         def crash(d, bits):
             raise IndexError("peel out of range")
 
         monkeypatch.setattr(injectivity, "_peel", crash)
-        code, out, err = run(capsys, "verify", "-d", "5", "-w", "90")
+        code, out, err = run(capsys, "verify", "-d", "5", "-w", "2147483738")
         self._assert_internal(code, out, err)
         assert "IndexError: peel out of range" in err
         assert "INTERNAL ERROR: unexpected IndexError" in err
@@ -486,7 +498,7 @@ class TestInternalErrors:
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(injectivity, "_peel", crash)
-        code, out, err = run(capsys, "verify", "-d", "5", "-w", "90")
+        code, out, err = run(capsys, "verify", "-d", "5", "-w", "2147483738")
         self._assert_internal(code, out, err)
         assert "ValueError: operands could not be broadcast together" in err
         assert "INTERNAL ERROR: unexpected ValueError" in err

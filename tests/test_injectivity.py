@@ -11,6 +11,7 @@ import brute
 from revca import injectivity
 from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
+    InjectivityVerdict,
     _Cycles,
     _block_pairs,
     _half_keys,
@@ -63,9 +64,27 @@ class TestVerdicts:
         assert debruijn_injective(induce(build_mixture(["0X011"]))).injective
 
     def test_diameter_one(self):
-        assert debruijn_injective(from_wolfram(1, 2)).injective
-        assert debruijn_injective(from_wolfram(1, 1)).injective
-        assert not debruijn_injective(from_wolfram(1, 0)).injective
+        """All 4 D = 1 tables through both entries: f(0) = f(1), the self-loop
+        test, is the whole decision, and its witness is 0, 1."""
+        bits = np.array([[w & 1, w >> 1] for w in range(4)], dtype=np.uint8)
+        assert decide(1, bits).tolist() == [False, True, True, False]
+        for w in range(4):
+            v = debruijn_injective(from_wolfram(1, w))
+            assert v == (InjectivityVerdict(True) if w in (1, 2)
+                         else InjectivityVerdict(False, ("0", "1")))
+
+    def test_self_loop_allocates_nothing(self):
+        """f(0^12) = f(1^12) is settled before any pair-graph array; a peel
+        of the 4^11 nodes first would peak at about 52 MB."""
+        rt = from_wolfram(12, 0)
+        tracemalloc.start()
+        try:
+            v = debruijn_injective(rt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v == InjectivityVerdict(False, ("0", "1"))
+        assert peak < 1 << 20, peak
 
     def test_witnesses_collide(self):
         rng = random.Random(404)
@@ -241,7 +260,7 @@ class TestDecide:
             rng.shuffle(mixed)
             batch = np.array([bits for bits, _ in mixed], dtype=np.uint8).reshape(-1, 1 << d)
             verdicts = decide(d, batch).tolist()
-            assert verdicts == [bool(decide(d, row)[0]) for row in batch]
+            assert verdicts == [bool(decide(d, row[None])[0]) for row in batch]
             n_max = 12 if d <= 4 else 8
             for (bits, is_induced), injective in zip(mixed, verdicts):
                 assert injective == brute.tarjan_injective(bits, d), (d, bits)
@@ -249,8 +268,31 @@ class TestDecide:
                 if injective:
                     assert all(brute.is_permutation(bits, d, 0, n)
                                for n in range(1, n_max + 1)), (d, bits)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             decide(3, np.zeros((2, 16), dtype=np.uint8))
+        with pytest.raises(InputError):
+            decide(3, np.zeros(8, dtype=np.uint8))   # a row, not a (1, 8) batch
+
+    def test_only_balanced_loop_free_rows_are_peeled(self, monkeypatch):
+        """Of the 65,536 D = 4 tables, decide peels only the 6,864 balanced
+        ones with f(0000) != f(1111) (2 * C(14, 7)); the rest are settled as
+        not injective before the pair graph, and every verdict is that of
+        debruijn_injective, which peels unbalanced tables too."""
+        peel, peeled = injectivity._peel, []
+
+        def spy(d, bits):
+            peeled.extend(bits.tolist())
+            return peel(d, bits)
+
+        monkeypatch.setattr(injectivity, "_peel", spy)
+        bits = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
+        verdicts = decide(4, bits).tolist()
+        assert len(peeled) == 6864 == 2 * math.comb(14, 7)
+        assert all(sum(row) == 8 and row[0] != row[-1] for row in peeled)
+        monkeypatch.setattr(injectivity, "_peel", peel)
+        assert verdicts == [debruijn_injective(from_wolfram(4, w)).injective
+                            for w in range(1 << 16)]
+        assert [w for w, v in enumerate(verdicts) if v] == INJECTIVE_D4
 
     def test_peel_leaves_the_diagonals_of_injective_tables(self):
         """The peel stops once only diagonal nodes (u, u) are left: on the
@@ -298,7 +340,7 @@ class TestDecide:
             rng.shuffle(mixed)
             batch = np.array([[w >> v & 1 for v in range(1 << d)] for w in mixed], dtype=np.uint8)
             verdicts = decide(d, batch).tolist()
-            assert verdicts == [bool(decide(d, row)[0]) for row in batch]
+            assert verdicts == [bool(decide(d, row[None])[0]) for row in batch]
             assert verdicts == [brute.tarjan_injective(row.tolist(), d) for row in batch]
             assert verdicts.count(True) >= len(tables) and False in verdicts
 
@@ -318,12 +360,13 @@ class TestBeyondTheOracle:
         for w in range(16):
             rt = from_wolfram(2, w)
             expected = brute.tarjan_injective(rt.bits.tolist(), 2)
-            assert decide(2, rt.bits).tolist() == [expected]
+            assert decide(2, rt.bits[None]).tolist() == [expected]
             verdict = debruijn_injective(rt)
             assert verdict.injective == expected
             if not expected:
                 _assert_witness(rt, verdict)
-        assert [w for w in range(16) if decide(2, from_wolfram(2, w).bits)[0]] == [3, 5, 10, 12]
+        bits = np.array([from_wolfram(2, w).bits for w in range(16)])
+        assert np.flatnonzero(decide(2, bits)).tolist() == [3, 5, 10, 12]
 
     def test_induced_and_near_misses_at_9_to_11(self):
         """Induced tables are accepted; one-swap perturbations of them are
