@@ -104,11 +104,12 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
     nodes [x1 l1][x2 l2], each byte twice in a word, and ORs the x1 and x2
     halves: the bytes are the nodes [l1 y1][l2 y2] with a live in-edge.  No
     gather, copy or strided pass touches the equality.  The loop stops once
-    a pass leaves the number alive unchanged, or leaves only the diagonals;
-    at d = 1, whose one node is diagonal, that holds before the first pass.
+    a pass leaves the number alive unchanged, or leaves only the diagonals.
     A diagonal node (u, u) keeps its edges to and from diagonal nodes (those
     with y1 = y2 and x1 = x2), so no pass strips it, and T diagonals of
-    2^(d-1) nodes are the end.
+    2^(d-1) nodes are the end.  When only diagonals are alive from the
+    start, at d = 1 (one node, diagonal) or for an empty batch, the early
+    return is what keeps the batch away from the h = 2^(d-2) split below.
     """
     t = len(bits)
     alive = np.ones((t, 1 << (d - 1), 1 << (d - 1)), dtype=bool)
@@ -143,19 +144,18 @@ def _peel(d: int, bits: np.ndarray) -> np.ndarray:
 def decide(d: int, tables) -> np.ndarray:
     """Injectivity of the global map of each row of a (T, 2^d) 0/1 array.
 
-    Two kinds of rows are settled as not injective before the pair graph:
-    those with f(0^d) = f(1^d), as in :func:`debruijn_injective`, and the
-    unbalanced ones, since an injective map is surjective and so its table
-    is balanced (Hedlund 1969).  The others are peeled in slices of at most
-    ``_SLICE_NODES`` pair-graph nodes, and a row is injective iff only its
-    2^(d-1) diagonal nodes survive (see the module docstring).  A diameter
-    above ``MAX_DECISION_DIAMETER`` raises ``InputError``.
+    Rows with f(0^d) = f(1^d) are settled as not injective before the pair
+    graph, as in :func:`debruijn_injective`.  The others are peeled in
+    slices of at most ``_SLICE_NODES`` pair-graph nodes, and a row is
+    injective iff only its 2^(d-1) diagonal nodes survive (see the module
+    docstring).  A diameter above ``MAX_DECISION_DIAMETER`` raises
+    ``InputError``.
     """
     _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[1] != 1 << d:
         raise InputError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
-    out = (bits[:, 0] != bits[:, -1]) & (bits.sum(axis=1) == 1 << (d - 1))
+    out = bits[:, 0] != bits[:, -1]
     rest = np.flatnonzero(out)
     step = max(1, _SLICE_NODES >> (2 * (d - 1)))
     for lo in range(0, len(rest), step):
@@ -316,14 +316,14 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     node (0^(D-1), 1^(D-1)) loops to itself, so it is not injective, with
     the witness ``0``, ``1`` (at D = 1, where that node is the diagonal one,
     this test is the whole decision).  Any other table is peeled as by
-    :func:`decide`, unbalanced ones too, so that a rejection's witness is
-    the one its survivors give: a shortest cycle through the smallest
-    surviving off-diagonal node on a cycle.  The two words are distinct and
-    have equal images.  The verdict covers periodic configurations of every
-    length at once, and by the standard periodic/unbounded correspondence
-    the unbounded lattice as well.  Witness length never exceeds the
-    pair-graph node count.  A diameter above ``MAX_DECISION_DIAMETER``
-    raises ``InputError`` before the graph is built.
+    :func:`decide`, and a rejection's witness is the one its survivors
+    give: a shortest cycle through the smallest surviving off-diagonal node
+    on a cycle.  The two words are distinct and have equal images.  The
+    verdict covers periodic configurations of every length at once, and by
+    the standard periodic/unbounded correspondence the unbounded lattice as
+    well.  Witness length never exceeds the pair-graph node count.  A
+    diameter above ``MAX_DECISION_DIAMETER`` raises ``InputError`` before
+    the graph is built.
     """
     d = rt.diameter
     _check_decision_diameter(d)
