@@ -142,6 +142,46 @@ def peel_survivors(bits, diameter: int) -> list[bool]:
         alive = kept
 
 
+def reach_words(bits, diameter: int, k: int) -> tuple[list[set[int]], list[set[int]]]:
+    """(forward, backward): for each (diameter-1)-cell word p, numbered as
+    in :func:`pair_graph`, the set of k-cell output words of the k windows
+    that follow p, and of the k windows that precede it, over every choice
+    of the k cells appended after p, or put before it.  A word is read from
+    p outward: the output of the window next to p is its most significant
+    bit."""
+    forward, backward = [], []
+    for p in range(1 << (diameter - 1)):
+        word = format(p, f"0{diameter - 1}b") if diameter > 1 else ""
+        after, before = set(), set()
+        for cells in itertools.product("01", repeat=k):
+            line = word + "".join(cells)
+            after.add(int("".join(str(bits[int(line[i:i + diameter], 2)])
+                                  for i in range(k)), 2))
+            line = "".join(cells) + word
+            before.add(int("".join(str(bits[int(line[i:i + diameter], 2)])
+                                   for i in reversed(range(k))), 2))
+        forward.append(after)
+        backward.append(before)
+    return forward, backward
+
+
+def walk_ends(bits, diameter: int, k: int) -> list[bool]:
+    """Which nodes of the graph of :func:`pair_graph` have a walk of k edges
+    out and a walk of k edges in, one bool per node, by stepping the
+    successor lists k times each way."""
+    graph = pair_graph(bits, diameter)
+    out = dict.fromkeys(graph, True)
+    into = dict.fromkeys(graph, True)
+    for _ in range(k):
+        out = {v: any(out[w] for w in graph[v]) for v in graph}
+        entered = dict.fromkeys(graph, False)
+        for v in graph:
+            for w in graph[v]:
+                entered[w] = entered[w] or into[v]
+        into = entered
+    return [out[v] and into[v] for v in range(len(graph))]
+
+
 def pair_graph_arrays(bits, diameter: int) -> tuple[list[int], list[int]]:
     """The graph of :func:`pair_graph` as (indptr, targets) lists, built
     with numpy: the successors of node v are targets[indptr[v]:indptr[v + 1]],

@@ -275,19 +275,22 @@ class TestDecide:
 
     def test_only_loop_free_rows_are_peeled(self, monkeypatch):
         """Of the 65,536 D = 4 tables, decide peels only the 32,768 with
-        f(0000) != f(1111); the rest are settled as not injective before
-        the pair graph, and every verdict is that of debruijn_injective."""
-        peel, peeled = injectivity._peel, []
+        f(0000) != f(1111), each from every node; the rest are settled as
+        not injective before the pair graph, and every verdict is that of
+        debruijn_injective."""
+        peel, peeled, starts = injectivity._peel, [], []
 
-        def spy(d, bits):
+        def spy(d, bits, alive=None):
             peeled.extend(bits.tolist())
-            return peel(d, bits)
+            starts.append(alive)
+            return peel(d, bits, alive)
 
         monkeypatch.setattr(injectivity, "_peel", spy)
         bits = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
         verdicts = decide(4, bits).tolist()
         assert len(peeled) == 1 << 15
         assert all(row[0] != row[-1] for row in peeled)
+        assert starts and all(alive is None for alive in starts)
         monkeypatch.setattr(injectivity, "_peel", peel)
         assert verdicts == [debruijn_injective(from_wolfram(4, w)).injective
                             for w in range(1 << 16)]
@@ -296,8 +299,9 @@ class TestDecide:
     def test_peel_leaves_the_diagonals_of_injective_tables(self):
         """The peel stops once only diagonal nodes (u, u) are left: on the
         16 injective D=4 tables and the 62 injective D=5 tables of
-        perfbench/reference.json, in one batch and alone, it leaves exactly
-        the diagonal of each."""
+        perfbench/reference.json, in one batch and alone, from every node
+        and alone from the start set, it leaves exactly the diagonal of
+        each."""
         for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
             bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
             diagonal = np.zeros(1 << (2 * d - 2), dtype=bool)
@@ -306,15 +310,19 @@ class TestDecide:
                                                                       len(tables)))
             for row in bits:
                 assert np.array_equal(injectivity._peel(d, row[None])[:, 0], diagonal)
+                start = injectivity._start(d, row)
+                assert np.array_equal(injectivity._peel(d, row[None], start)[:, 0], diagonal)
 
     def test_peel_survivors_match_the_strip_oracle(self):
         """The survivors themselves, which the witness search of a rejected
         table runs on, against brute.peel_survivors at D=2..7, in one batch
-        and alone: random tables, induced tables (the projections and
+        and alone, from every node and alone from the start set, which holds
+        every survivor: random tables, induced tables (the projections and
         complements below D=4, which has the first stable cores) and one-swap
-        near misses of them."""
+        near misses of them.  Some starts lie strictly between the survivors
+        and all nodes, so that the peel from them has nodes to strip."""
         rng = random.Random(2072)
-        partial = 0
+        partial = between = 0
         for d in range(2, 8):
             cores = list(generate_all_patterns(d)) + list(enumerate_extended(d))
             injective = ([induce(build_mixture([p])).wolfram for p in rng.sample(cores, 4)]
@@ -326,8 +334,14 @@ class TestDecide:
             assert np.array_equal(injectivity._peel(d, bits), want), d
             for k, row in enumerate(bits):
                 assert np.array_equal(injectivity._peel(d, row[None])[:, 0], want[:, k]), (d, k)
+                start = injectivity._start(d, row)
+                assert not (want[:, k] & ~start.ravel()).any(), (d, k)
+                between += want[:, k].sum() < start.sum() < start.size
+                assert np.array_equal(injectivity._peel(d, row[None], start)[:, 0],
+                                      want[:, k]), (d, k)
             partial += sum(1 << (d - 1) < n < 1 << (2 * d - 2) for n in want.sum(axis=0))
         assert partial >= 20, partial
+        assert between >= 10, between
 
     def test_injective_tables_batched_with_near_misses(self):
         """A batch mixing the reference tables of D=4 and D=5 with one-swap
@@ -384,8 +398,9 @@ class TestBeyondTheOracle:
         """The decision's working arrays take 13 bytes a pair-graph node, 4
         each for the equality of the window pairs and for its AND with the
         nodes and 5 for the rest: a peak of 13 MB over the 4^10 nodes of
-        D = 11.  One intp index array over the 4^11 window pairs alone would
-        take 32 MB."""
+        D = 11.  The start set adds none: its masks are compared in slices
+        that are freed before the peel makes its arrays.  One intp index
+        array over the 4^11 window pairs alone would take 32 MB."""
         rt = induce(build_mixture(["0X011" + "a" * 6]))
         tracemalloc.start()
         try:
@@ -394,6 +409,89 @@ class TestBeyondTheOracle:
         finally:
             tracemalloc.stop()
         assert rt.diameter == 11 and peak < 64 << 20
+
+    def test_memory_at_diameter_12(self):
+        """At the decision limit the peak is the peel's: 52.04 MB traced
+        before the peel had a start set, 52.07 MB with it, the difference
+        being its 32 kB of cached step indices.  The bound, 52.1 MB, leaves
+        no room for the start's slices of masks to outlive it."""
+        rt = induce(build_mixture(["0X011" + "a" * 7]))
+        tracemalloc.start()
+        try:
+            assert debruijn_injective(rt).injective
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rt.diameter == 12 and peak < 52.1 * (1 << 20), peak
+
+
+def _induced(d, count, rng):
+    """Wolfram numbers of count tables induced by one core each, or of the
+    projections and complements where the diameter has no cores."""
+    cores = list(generate_all_patterns(d))
+    if not cores:
+        return [rt.wolfram for rt in trivial_tables(d)][:count]
+    return [induce(build_mixture([p])).wolfram for p in rng.sample(cores, count)]
+
+
+class TestStart:
+    """The start set of the one-table peel: the masks of the output words of
+    each state's continuations against brute.reach_words, and the verdicts
+    and witnesses of the peel from it beyond the strip oracle's diameters."""
+
+    def test_masks_match_the_word_oracle(self):
+        """The forward and backward masks of words of k = 1..6 outputs at
+        D = 2..8: random tables, induced tables and one-swap near misses."""
+        rng = random.Random(6401)
+        for d in range(2, 9):
+            count = 2 if d < 8 else 1
+            induced = _induced(d, count, rng)
+            tables = (induced + _near_misses(induced, d, count, rng)
+                      + [rng.getrandbits(1 << d) for _ in range(count)])
+            for w in tables:
+                bits = from_wolfram(d, w).bits
+                for k in range(1, 7):
+                    words = brute.reach_words(bits.tolist(), d, k)
+                    for masks, want in zip(injectivity._reach_masks(d, bits, k), words):
+                        assert masks.tolist() == [sum(1 << x for x in s) for s in want], (d, w, k)
+
+    @pytest.mark.parametrize("nodes", [None, 16], ids=["default-slices", "16-node-slices"])
+    def test_start_is_the_nodes_with_six_edge_walks(self, monkeypatch, nodes):
+        """The start set against brute.walk_ends at D = 2..7, in the default
+        slices and in slices of 16 nodes, so that every slice of the
+        comparison is written: random tables, induced tables and one-swap
+        near misses."""
+        if nodes is not None:
+            monkeypatch.setattr(injectivity, "_START_NODES", nodes)
+        rng = random.Random(6402)
+        for d in range(2, 8):
+            induced = _induced(d, 2, rng)
+            tables = (induced + _near_misses(induced, d, 2, rng)
+                      + [rng.getrandbits(1 << d) for _ in range(2)])
+            for w in tables:
+                bits = from_wolfram(d, w).bits
+                want = brute.walk_ends(bits.tolist(), d, injectivity._WORD_STEPS)
+                assert injectivity._start(d, bits).ravel().tolist() == want, (d, w)
+
+    def test_verdicts_and_witnesses_at_8_to_10(self):
+        """debruijn_injective, which peels from the start set, against the
+        peel from every node and the witness of its survivors: induced
+        tables and one-swap near misses at D = 8..10."""
+        rng = random.Random(8100)
+        rejected = 0
+        for d in (8, 9, 10):
+            induced = _induced(d, 2, rng)
+            for w in induced + _near_misses(induced, d, 4, rng):
+                rt = from_wolfram(d, w)
+                if rt.bits[0] == rt.bits[-1]:
+                    want = InjectivityVerdict(False, ("0", "1"))
+                else:
+                    alive = injectivity._peel(d, rt.bits[None])[:, 0]
+                    want = (InjectivityVerdict(True) if alive.sum() == 1 << (d - 1) else
+                            InjectivityVerdict(False, injectivity._witness(d, rt.bits, alive)))
+                    rejected += not want.injective
+                assert debruijn_injective(rt) == want, (d, w)
+        assert rejected >= 6, rejected
 
 
 class TestPeriodic:
