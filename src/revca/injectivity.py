@@ -5,24 +5,23 @@ are ordered pairs of (D-1)-bit window prefixes, and an edge joins two pairs
 when each side can be advanced by one input bit while producing the same
 output bit.  The global map fails to be injective exactly when some cycle of
 this graph passes through an off-diagonal node (Amoroso & Patt 1972; Sutner
-1991).  :func:`decide` tests this for a whole batch of tables at once by
-peeling: it strips every node without a live in-edge or without a live
-out-edge until nothing changes, and a table is injective iff only diagonal
-nodes survive.  That is exact: every node on a cycle survives, and from a
-surviving off-diagonal node live edges lead forward and backward to cycles,
-one of them through an off-diagonal node, or both in the diagonal (a strongly
-connected copy of the de Bruijn graph), which closes a cycle through it.
-:func:`debruijn_injective` peels one table, and starts from fewer nodes: only
-those with a path of six edges out and one in, which a mask per state of the
-six-output words its continuations produce finds with two ANDs per node.
-Every surviving node has paths of every length both ways, so that start
-holds all of them and the peel ends on the same survivors in fewer passes.
-:func:`decide` peels batches of small tables, whose passes cost less than
-the masks, from every node.  For a rejected table, a shortest cycle through
-a chosen surviving node yields two distinct periodic configurations with
-equal images, returned as the witness.  The graph has 4^(D-1) nodes, so
-diameters through 9 are cheap and ``MAX_DECISION_DIAMETER`` (12) is the
-largest one decided.
+1991).  Both :func:`debruijn_injective` and :func:`decide` test this one
+table at a time by peeling: strip every node without a live in-edge or
+without a live out-edge until nothing changes; a table is injective iff only
+diagonal nodes survive.  That is exact: every node on a cycle survives, and
+from a surviving off-diagonal node live edges lead forward and backward to
+cycles, one of them through an off-diagonal node, or both in the diagonal (a
+strongly connected copy of the de Bruijn graph), which closes a cycle
+through it.  The peel starts from few nodes: only those with a path of six
+edges out and one in, which a mask per state of the six-output words its
+continuations produce finds with two ANDs per node.  Every surviving node
+has paths of every length both ways, so that start holds all of them.  The
+start's nodes, each with its successors and predecessors among them, are
+the one graph of a table: the peel gathers over those lists, and for a
+rejected table a shortest cycle through a chosen surviving node, searched
+on the same successor lists, yields two distinct periodic configurations
+with equal images, returned as the witness.  The whole graph has 4^(D-1)
+nodes, so ``MAX_DECISION_DIAMETER`` (12) is the largest diameter decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
 chain of necessary conditions for injectivity before the exact decision, on
@@ -66,8 +65,8 @@ from .rules import RuleTable, classify_trivial, from_wolfram
 MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
-# diameter ``induce --verify`` peaks at about 82 MB, and ``verify`` of a
-# table with most nodes left after the peel at about 0.4 GB (the witness).
+# diameter ``induce --verify`` peaks at about 51 MB, and ``verify`` of a
+# random table, whose start holds most nodes, at 0.36-0.55 GB (the witness).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -79,14 +78,6 @@ class InjectivityVerdict:
 
 # ---------------------------------------------------------------------------
 # Pair-graph construction and the peeling decision.
-
-# Pair-graph nodes peeled together in one slice of a batch (64 tables at
-# D = 4, one from D = 7).  The working arrays of a pass, 13 bytes a node,
-# scale with this, not with the batch size, so below D = 8 a batch of any
-# length (every D = 4 table at once, say) peels in slices of about 53 kB.
-# Sweep units send only the handful of tables left by their chain.
-_SLICE_NODES = 1 << 12
-
 
 def _check_decision_diameter(d: int) -> None:
     """Refuse a pair graph above ``MAX_DECISION_DIAMETER`` before anything
@@ -147,28 +138,24 @@ def _reach_masks(d: int, bits: np.ndarray,
 
 def _start(d: int, bits: np.ndarray) -> np.ndarray:
     """The nodes the peel of one table (2^d output bits) starts from, as a
-    (1, 2^(d-1), 2^(d-1)) bool array: the nodes (p1, p2) with a path of
+    (2^(d-1), 2^(d-1)) bool array: the nodes (p1, p2) with a path of
     ``_WORD_STEPS`` edges out and one in.
 
-    A path of k edges out of (p1, p2) is two k-output continuations, one of
-    each state, with equal words, so it exists iff the forward masks of
-    :func:`_reach_masks` meet, and a path in iff the backward masks do.
-    Every node that survives the peel from all nodes has live edges in and
-    out, so paths of every length both ways: it is in this set.  The peel
-    from a set keeps the largest subset in which every node has an edge in
-    and one out, and that subset of all nodes lies in this set, so the peel
-    from here ends on the same survivors.  A diagonal node (u, u) meets its
-    own masks, so the start holds the diagonal.  The masks are compared in
-    slices of ``_START_NODES`` nodes, so the 8-byte words of the comparison
-    stay far below the peel's own arrays.
+    A path of k edges out is a k-output word that both states' continuations
+    produce, so it exists iff their forward masks of :func:`_reach_masks`
+    meet, and a path in iff their backward masks do.  The peel keeps the
+    largest set of nodes that each have an edge in and one out, so paths of
+    every length both ways: it lies in this set, and the peel from here ends
+    on the same survivors.  A diagonal node meets its own masks.  The masks
+    are compared in slices of ``_START_NODES`` nodes.
     """
     forward, backward = _reach_masks(d, bits)
     half = len(forward)
-    alive = np.empty((1, half, half), dtype=bool)
+    alive = np.empty((half, half), dtype=bool)
     rows = max(1, _START_NODES >> (d - 1))
     meet = np.empty((min(rows, half), half), dtype=np.uint64)
     for lo in range(0, half, rows):
-        block, part = alive[0, lo:lo + rows], meet[:min(rows, half - lo)]
+        block, part = alive[lo:lo + rows], meet[:min(rows, half - lo)]
         np.bitwise_and(forward[lo:lo + rows, None], forward, out=part)
         np.not_equal(part, 0, out=block)
         np.bitwise_and(backward[lo:lo + rows, None], backward, out=part)
@@ -176,88 +163,103 @@ def _start(d: int, bits: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _peel(d: int, bits: np.ndarray, alive: np.ndarray | None = None) -> np.ndarray:
-    """Surviving nodes of the equal-output pair graphs of a (T, 2^d) batch
-    as a (4^(d-1), T) bool array: row p1 * 2^(d-1) + p2, table last.  The
-    peel starts from every node, or from the nodes of alive, a contiguous
-    (T, 2^(d-1), 2^(d-1)) bool array such as :func:`_start`'s, which it
-    overwrites.
+class _Graph(NamedTuple):
+    """One table's pair graph on the nodes of :func:`_start`, peeled.
 
-    An edge is a window pair with equal outputs.  Split a window as (x, l, y):
-    its top cell, its d-2 middle cells and its low cell.  The pair
-    (x1 l1 y1, x2 l2 y2) leads from node (x1 l1, x2 l2) to node
-    (l1 y1, l2 y2).  So one contiguous array holds every edge: the outer
-    equality of each table's outputs, [x1, l1, y1][x2, l2, y2], as uint16
-    words holding both values of y2.  A pass ANDs it with the nodes read as
-    [l1 y1][l2 y2], words too, and ORs the y1 halves: the nonzero words are
-    the nodes [x1 l1][x2 l2] with a live out-edge.  Then it ANDs it with the
-    nodes [x1 l1][x2 l2], each byte twice in a word, and ORs the x1 and x2
-    halves: the bytes are the nodes [l1 y1][l2 y2] with a live in-edge.  No
-    gather, copy or strided pass touches the equality.  The loop stops once
-    a pass leaves the number alive unchanged, or leaves only the diagonals.
-    A diagonal node (u, u) keeps its edges to and from diagonal nodes (those
-    with y1 = y2 and x1 = x2), so no pass strips it, and T diagonals of
-    2^(d-1) nodes are the end.  Every start holds the diagonals.  When it
-    holds nothing else (at d = 1, whose one node is diagonal, for an empty
-    batch, or when :func:`_start` leaves only the diagonal), the peel takes
-    no pass, and that early return is what keeps the batch away from the
-    h = 2^(d-2) split below.
+    nodes: the node numbers p1 * 2^(d-1) + p2, ascending (int32).  succ:
+    (4, n) int32, column i the positions in nodes of the successors
+    (2 p1 + b1, 2 p2 + b2) mod 2^(d-1) of node i for (b1, b2) = 00, 01, 10,
+    11, or -1 for an edge of unequal outputs or out of the start; None when
+    the start is the diagonal alone.  alive: n + 1 bools, the survivors,
+    then the False that -1 reads.
     """
-    t = len(bits)
-    if alive is None:
-        alive = np.ones((t, 1 << (d - 1), 1 << (d - 1)), dtype=bool)
-        count = alive.size
+    nodes: np.ndarray
+    succ: np.ndarray | None
+    alive: np.ndarray
+
+
+# The input bit b of the two windows that step from a state, as a column.
+_BIT = np.array([[0], [1]], dtype=np.int32)
+
+# Nodes whose edges :func:`_peel` lists at once: the temporaries of
+# :func:`_edges`, about 100 bytes a node, stay near 6 MB at any diameter.
+_EDGE_NODES = 1 << 16
+
+
+def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray,
+           forward: bool) -> np.ndarray:
+    """(4, len(nodes)) positions, as :class:`_Graph` holds them, of the nodes
+    one edge after each node (forward) or before it; position[v] is that of
+    node v, or -1.  A state p steps by its windows p·b to (p·b) mod 2^(d-1),
+    or back by b·p from (b·p) >> 1; the four edges pair a step of p1 with
+    one of p2."""
+    half = 1 << (d - 1)
+    p1, p2 = nodes >> (d - 1), nodes & (half - 1)
+    if forward:
+        w1, w2 = (p1 << 1) | _BIT, (p2 << 1) | _BIT
+        s1, s2 = w1 & (half - 1), w2 & (half - 1)
     else:
-        count = np.count_nonzero(alive)
-    diagonals = t << (d - 1)
-    if count == diagonals:
-        return alive.reshape(t, -1).T
-    h = 1 << (d - 2)
-    eq = (bits[:, :, None] == bits[:, None, :]).view(np.uint16).reshape(t, 2, h, 2, 2, h)
-    words = np.empty_like(eq)
-    far = alive.view(np.uint16).reshape(t, 1, h, 2, 1, h)
-    near = alive.view(np.uint8).reshape(t, 2, h, 1, 2, h)
-    twice, ored = np.empty(near.shape, np.uint16), np.empty(t << (2 * d - 2), np.uint16)
-    out_edge, in_edge = ored.reshape(t, 2, h, 2, h), ored[:t * 2 * h * h].reshape(t, h, 2, h)
-    out_alive, in_alive = out_edge.reshape(alive.shape), in_edge.view(bool).reshape(alive.shape)
-    y1, x1 = (words[:, :, :, 0], words[:, :, :, 1]), (words[:, 0], words[:, 1])
-    x2 = x1[0][:, :, :, 0], x1[0][:, :, :, 1]
-    while True:
-        np.bitwise_and(eq, far, out=words)
-        np.bitwise_or(*y1, out=out_edge)
-        np.logical_and(alive, out_alive, out=alive)
-        np.multiply(near, np.uint16(0x0101), out=twice)
-        np.bitwise_and(eq, twice, out=words)
-        np.bitwise_or(*x1, out=x1[0])
-        np.bitwise_or(*x2, out=in_edge)
-        alive &= in_alive
-        now = np.count_nonzero(alive)
-        if now in (count, diagonals):
-            return alive.reshape(t, -1).T
-        count = now
+        w1, w2 = p1 | _BIT << (d - 1), p2 | _BIT << (d - 1)
+        s1, s2 = w1 >> 1, w2 >> 1
+    edges = position.take((s1 * half)[:, None] + s2)
+    edges[bits.take(w1)[:, None] != bits.take(w2)] = -1
+    return edges.reshape(4, -1)
+
+
+def _peel(d: int, bits: np.ndarray) -> _Graph:
+    """The pair graph of one table (2^d output bits) on the nodes of
+    :func:`_start`, peeled.
+
+    Successors and, for the peel alone, predecessors are listed as in
+    :class:`_Graph`, in slices of ``_EDGE_NODES`` nodes.  A pass gathers the
+    flags of both lists and strips the nodes without a live successor or
+    predecessor, until a pass strips none or leaves only the diagonal, whose
+    nodes keep their diagonal edges.  A start of the diagonal alone (always
+    at d = 1) lists no edge.
+    """
+    half = 1 << (d - 1)
+    start = _start(d, bits)
+    nodes = np.flatnonzero(start).astype(np.int32)
+    n = len(nodes)
+    alive = np.ones(n + 1, dtype=bool)
+    alive[n] = False
+    if n == half:
+        return _Graph(nodes, None, alive)
+    position = np.full(start.size, -1, dtype=np.int32)
+    position[nodes] = np.arange(n, dtype=np.int32)
+    del start
+    succ, pred = np.empty((4, n), dtype=np.int32), np.empty((4, n), dtype=np.int32)
+    for lo in range(0, n, _EDGE_NODES):
+        part = slice(lo, lo + _EDGE_NODES)
+        succ[:, part] = _edges(d, bits, nodes[part], position, True)
+        pred[:, part] = _edges(d, bits, nodes[part], position, False)
+    del position
+    count = n
+    while count > half:
+        alive[:n] &= np.logical_or.reduce(alive.take(succ))
+        alive[:n] &= np.logical_or.reduce(alive.take(pred))
+        count, before = np.count_nonzero(alive), count
+        if count == before:
+            break
+    return _Graph(nodes, succ, alive)
 
 
 def decide(d: int, tables) -> np.ndarray:
     """Injectivity of the global map of each row of a (T, 2^d) 0/1 array.
 
     Rows with f(0^d) = f(1^d) are settled as not injective before the pair
-    graph, as in :func:`debruijn_injective`.  The others are peeled from
-    every node (the start of :func:`_start` costs a batch of small tables
-    more than it saves) in slices of at most ``_SLICE_NODES`` pair-graph
-    nodes, and a row is injective iff only its 2^(d-1) diagonal nodes
-    survive (see the module docstring).  A diameter above ``MAX_DECISION_DIAMETER`` raises
-    ``InputError``.
+    graph, as in :func:`debruijn_injective`.  The others are peeled one at a
+    time by :func:`_peel`, and a row is injective iff only its 2^(d-1)
+    diagonal nodes survive (see the module docstring).  A diameter above
+    ``MAX_DECISION_DIAMETER`` raises ``InputError``.
     """
     _check_decision_diameter(d)
     bits = np.asarray(tables, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[1] != 1 << d:
         raise InputError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
     out = bits[:, 0] != bits[:, -1]
-    rest = np.flatnonzero(out)
-    step = max(1, _SLICE_NODES >> (2 * (d - 1)))
-    for lo in range(0, len(rest), step):
-        rows = rest[lo:lo + step]
-        out[rows] = np.count_nonzero(_peel(d, bits.take(rows, axis=0)), axis=0) == 1 << (d - 1)
+    for row in np.flatnonzero(out).tolist():
+        out[row] = np.count_nonzero(_peel(d, bits[row]).alive) == 1 << (d - 1)
     return out
 
 
@@ -364,31 +366,27 @@ def _shortest_cycle(d: int, nodes: Sequence[int], indptr: Sequence[int],
     return c1, c2
 
 
-def _witness(d: int, bits: np.ndarray, alive: np.ndarray) -> tuple[str, str]:
-    """Witness of a rejected table, from its 2^d output bits and the nodes
-    that survive its peel.
+def _witness(d: int, graph: _Graph) -> tuple[str, str]:
+    """Witness of a rejected table, from its graph of :func:`_peel`.
 
-    Only surviving nodes and their live edges enter the search.  The cycle
-    runs through the smallest surviving off-diagonal node that lies on a
-    cycle; the table has f(0^d) != f(1^d), so none of them loops to itself.
-    Successors are searched in the order of their input bits (b1, b2).
-    Candidates are tried in ascending order.  A breadth-first search from a
-    candidate that no earlier search reached leaves out the nodes those
-    searches reached, which cannot reach it; when it finds no cycle, a
-    search for strong components from the candidate settles every node it
-    reaches, so a later candidate among them needs no search unless it lies
-    on a cycle.
+    Only surviving nodes and their live edges, read from the graph's
+    successor lists, enter the search.  The cycle runs through the smallest
+    surviving off-diagonal node that lies on a cycle; the table has
+    f(0^d) != f(1^d), so none of them loops to itself.  Successors are
+    searched in the order of their input bits.  Candidates are tried in
+    ascending order.  A breadth-first search from a candidate that no
+    earlier search reached leaves out the nodes those searches reached,
+    which cannot reach it; when it finds no cycle, a search for strong
+    components from the candidate settles every node it reaches, so a later
+    candidate among them needs no search unless it lies on a cycle.
     """
-    half = 1 << (d - 1)
-    nodes = np.flatnonzero(alive).astype(np.int32)
-    u1, u2 = np.divmod(nodes, np.int32(half))
-    wa = (u1[:, None] << 1) | np.array([0, 0, 1, 1], dtype=np.int32)
-    wb = (u2[:, None] << 1) | np.array([0, 1, 0, 1], dtype=np.int32)
-    succ = (wa % half) * half + wb % half
-    live = (bits[wa] == bits[wb]) & alive[succ]
+    kept = graph.alive[:-1]
+    nodes, succ = graph.nodes[kept], graph.succ[:, kept].T
+    live = graph.alive.take(succ)
     indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(live.sum(axis=1), out=indptr[1:])
-    targets = np.searchsorted(nodes, succ[live]).astype(np.int32)
+    np.cumsum(np.count_nonzero(live, axis=1), out=indptr[1:])
+    targets = (np.cumsum(graph.alive, dtype=np.int32) - 1).take(succ[live])
+    u1, u2 = np.divmod(nodes, np.int32(1 << (d - 1)))
     nodes, indptr, targets = (memoryview(a) for a in (nodes, indptr, targets))
     cycles = None   # made when the first search finds no cycle
     for z in np.flatnonzero(u1 != u2).tolist():
@@ -412,30 +410,25 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     A table with f(0^D) = f(1^D) is settled before any array is built: its
     node (0^(D-1), 1^(D-1)) loops to itself, so it is not injective, with
     the witness ``0``, ``1`` (at D = 1, where that node is the diagonal one,
-    this test is the whole decision).  Any other table is peeled as by
-    :func:`decide`, but from the nodes of :func:`_start`, those with paths
-    of six edges out and in, not from every node.  Every node the peel from
-    every node keeps lies in that start, so the survivors, the verdict and
-    the witness are the same, in fewer passes: at D = 9 a median of 5
-    instead of 11 on induced tables and their one-swap near misses.  A
-    rejection's witness is the one the survivors give: a shortest cycle
-    through the smallest surviving off-diagonal node on a cycle.  The two
-    words are distinct and have equal images.  The verdict covers periodic
-    configurations of every length at once, and by the standard
-    periodic/unbounded correspondence the unbounded lattice as well.
-    Witness length never exceeds the pair-graph node count.  A diameter
-    above ``MAX_DECISION_DIAMETER`` raises ``InputError`` before the graph
-    is built.
+    this test is the whole decision).  Any other table is peeled by
+    :func:`_peel`, as in :func:`decide`, and a rejection's witness is
+    searched on the same graph: a shortest cycle through the smallest
+    surviving off-diagonal node on a cycle, two distinct words with equal
+    images, no longer than the pair graph has nodes.  The verdict covers
+    periodic configurations of every length at once, and by the standard
+    periodic/unbounded correspondence the unbounded lattice as well.  A
+    diameter above ``MAX_DECISION_DIAMETER`` raises ``InputError`` before
+    the graph is built.
     """
     d = rt.diameter
     _check_decision_diameter(d)
     bits = rt.bits
     if bits[0] == bits[-1]:
         return InjectivityVerdict(False, ("0", "1"))
-    alive = _peel(d, bits[None], _start(d, bits))[:, 0]
-    if np.count_nonzero(alive) == 1 << (d - 1):
+    graph = _peel(d, bits)
+    if np.count_nonzero(graph.alive) == 1 << (d - 1):
         return InjectivityVerdict(True)
-    return InjectivityVerdict(False, _witness(d, bits, alive))
+    return InjectivityVerdict(False, _witness(d, graph))
 
 
 # ---------------------------------------------------------------------------

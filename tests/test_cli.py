@@ -228,7 +228,7 @@ class TestVerify:
     def test_self_loop_settled_before_the_pair_graph(self, capsys, monkeypatch):
         # f(0^5) = f(1^5): node (0000, 1111) loops to itself, so "0 1" is the
         # witness and the pair graph is never peeled
-        def fail(d, bits, alive):
+        def fail(d, bits):
             raise AssertionError("a table with f(0^D) = f(1^D) must not be peeled")
 
         monkeypatch.setattr(injectivity, "_peel", fail)
@@ -309,7 +309,7 @@ class TestDiameterLimits:
         assert code == 0 and json.loads(out)["diameter"] == 16
         reached = []
 
-        def stop(d, bits, alive):
+        def stop(d, bits):
             reached.append(d)
             raise KeyboardInterrupt
 
@@ -483,7 +483,7 @@ class TestInternalErrors:
     # 90 + 2^31: f(0^5) != f(1^5), so the decision peels it (and rejects it
     # with the witness 000000 010001)
     def test_crash_in_the_decision_is_not_a_verdict(self, capsys, monkeypatch):
-        def crash(d, bits, alive):
+        def crash(d, bits):
             raise IndexError("peel out of range")
 
         monkeypatch.setattr(injectivity, "_peel", crash)
@@ -494,7 +494,7 @@ class TestInternalErrors:
 
     def test_stray_value_error_is_not_a_refusal(self, capsys, monkeypatch):
         # numpy's shape-mismatch error is a ValueError, but no refusal of input
-        def crash(d, bits, alive):
+        def crash(d, bits):
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(injectivity, "_peel", crash)

@@ -275,22 +275,20 @@ class TestDecide:
 
     def test_only_loop_free_rows_are_peeled(self, monkeypatch):
         """Of the 65,536 D = 4 tables, decide peels only the 32,768 with
-        f(0000) != f(1111), each from every node; the rest are settled as
-        not injective before the pair graph, and every verdict is that of
-        debruijn_injective."""
-        peel, peeled, starts = injectivity._peel, [], []
+        f(0000) != f(1111), each alone, as debruijn_injective does; the rest
+        are settled as not injective before the pair graph, and every
+        verdict is that of debruijn_injective."""
+        peel, peeled = injectivity._peel, []
 
-        def spy(d, bits, alive=None):
-            peeled.extend(bits.tolist())
-            starts.append(alive)
-            return peel(d, bits, alive)
+        def spy(d, bits):
+            peeled.append(bits.tolist())
+            return peel(d, bits)
 
         monkeypatch.setattr(injectivity, "_peel", spy)
         bits = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
         verdicts = decide(4, bits).tolist()
         assert len(peeled) == 1 << 15
-        assert all(row[0] != row[-1] for row in peeled)
-        assert starts and all(alive is None for alive in starts)
+        assert all(len(row) == 16 and row[0] != row[-1] for row in peeled)
         monkeypatch.setattr(injectivity, "_peel", peel)
         assert verdicts == [debruijn_injective(from_wolfram(4, w)).injective
                             for w in range(1 << 16)]
@@ -299,28 +297,26 @@ class TestDecide:
     def test_peel_leaves_the_diagonals_of_injective_tables(self):
         """The peel stops once only diagonal nodes (u, u) are left: on the
         16 injective D=4 tables and the 62 injective D=5 tables of
-        perfbench/reference.json, in one batch and alone, from every node
-        and alone from the start set, it leaves exactly the diagonal of
-        each."""
+        perfbench/reference.json, decided in one batch and peeled alone
+        from the start set, it leaves exactly the diagonal of each."""
         for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
             bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
             diagonal = np.zeros(1 << (2 * d - 2), dtype=bool)
             diagonal[::(1 << (d - 1)) + 1] = True
-            assert np.array_equal(injectivity._peel(d, bits), np.tile(diagonal[:, None],
-                                                                      len(tables)))
+            assert decide(d, bits).all()
             for row in bits:
-                assert np.array_equal(injectivity._peel(d, row[None])[:, 0], diagonal)
-                start = injectivity._start(d, row)
-                assert np.array_equal(injectivity._peel(d, row[None], start)[:, 0], diagonal)
+                assert np.array_equal(_survivors(d, row), diagonal)
 
     def test_peel_survivors_match_the_strip_oracle(self):
         """The survivors themselves, which the witness search of a rejected
-        table runs on, against brute.peel_survivors at D=2..7, in one batch
-        and alone, from every node and alone from the start set, which holds
-        every survivor: random tables, induced tables (the projections and
+        table runs on, against brute.peel_survivors at D=2..7, decided in
+        one batch and peeled alone from the start set, which holds every
+        survivor: random tables, induced tables (the projections and
         complements below D=4, which has the first stable cores) and one-swap
         near misses of them.  Some starts lie strictly between the survivors
-        and all nodes, so that the peel from them has nodes to strip."""
+        and all nodes, so that the peel from them has nodes to strip, and
+        the edge lists of the start's nodes are those of brute.pair_graph
+        among them."""
         rng = random.Random(2072)
         partial = between = 0
         for d in range(2, 8):
@@ -331,17 +327,38 @@ class TestDecide:
                       + [rng.getrandbits(1 << d) for _ in range(4)])
             bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
             want = np.array([brute.peel_survivors(row.tolist(), d) for row in bits]).T
-            assert np.array_equal(injectivity._peel(d, bits), want), d
+            assert decide(d, bits).tolist() == [row[0] != row[-1] and want[:, k].sum() == 1 << (d - 1)
+                                                for k, row in enumerate(bits)], d
             for k, row in enumerate(bits):
-                assert np.array_equal(injectivity._peel(d, row[None])[:, 0], want[:, k]), (d, k)
                 start = injectivity._start(d, row)
                 assert not (want[:, k] & ~start.ravel()).any(), (d, k)
                 between += want[:, k].sum() < start.sum() < start.size
-                assert np.array_equal(injectivity._peel(d, row[None], start)[:, 0],
-                                      want[:, k]), (d, k)
+                assert np.array_equal(_survivors(d, row), want[:, k]), (d, k)
+                _assert_edges(d, row, injectivity._peel(d, row))
             partial += sum(1 << (d - 1) < n < 1 << (2 * d - 2) for n in want.sum(axis=0))
         assert partial >= 20, partial
         assert between >= 10, between
+
+    def test_edge_slices_list_the_same_graph(self, monkeypatch):
+        """The edge lists built in slices of 16 nodes equal those built at
+        once, and give the same survivors and verdicts: random tables and
+        one-swap near misses of induced tables at D = 5..8, whose starts
+        span several slices."""
+        rng = random.Random(2073)
+        graphs, rows = [], []
+        for d in range(5, 9):
+            induced = _induced(d, 2, rng)
+            for w in _near_misses(induced, d, 3, rng) + [rng.getrandbits(1 << d)]:
+                row = from_wolfram(d, w).bits
+                rows.append((d, row))
+                graphs.append(injectivity._peel(d, row))
+        monkeypatch.setattr(injectivity, "_EDGE_NODES", 16)
+        sliced = 0
+        for (d, row), graph in zip(rows, graphs):
+            again = injectivity._peel(d, row)
+            assert all(np.array_equal(a, b) for a, b in zip(graph, again)), d
+            sliced += graph.succ is not None and len(graph.nodes) > 16
+        assert sliced >= 8, sliced
 
     def test_injective_tables_batched_with_near_misses(self):
         """A batch mixing the reference tables of D=4 and D=5 with one-swap
@@ -356,6 +373,30 @@ class TestDecide:
             assert verdicts == [bool(decide(d, row[None])[0]) for row in batch]
             assert verdicts == [brute.tarjan_injective(row.tolist(), d) for row in batch]
             assert verdicts.count(True) >= len(tables) and False in verdicts
+
+
+def _survivors(d, bits):
+    """The nodes that injectivity._peel leaves of one table, as one bool per
+    node of the whole pair graph, the form of brute.peel_survivors."""
+    graph = injectivity._peel(d, bits)
+    out = np.zeros(1 << (2 * d - 2), dtype=bool)
+    out[graph.nodes[graph.alive[:-1]]] = True
+    return out
+
+
+def _assert_edges(d, bits, graph):
+    """The successors that a graph of injectivity._peel lists for each node
+    of the start, as node numbers, are those of brute.pair_graph among the
+    start's nodes, in the same order; it lists none when the start holds
+    only the diagonal."""
+    nodes = graph.nodes.tolist()
+    if graph.succ is None:
+        assert nodes == [u * ((1 << (d - 1)) + 1) for u in range(1 << (d - 1))]
+        return
+    oracle, members = brute.pair_graph(bits.tolist(), d), set(nodes)
+    for i, v in enumerate(nodes):
+        got = [nodes[j] for j in graph.succ[:, i].tolist() if j >= 0]
+        assert got == [w for w in oracle[v] if w in members], (d, v)
 
 
 def _assert_witness(rt, verdict):
@@ -395,12 +436,14 @@ class TestBeyondTheOracle:
                 _assert_witness(rt, debruijn_injective(rt))
 
     def test_memory_at_diameter_11(self):
-        """The decision's working arrays take 13 bytes a pair-graph node, 4
-        each for the equality of the window pairs and for its AND with the
-        nodes and 5 for the rest: a peak of 13 MB over the 4^10 nodes of
-        D = 11.  The start set adds none: its masks are compared in slices
-        that are freed before the peel makes its arrays.  One intp index
-        array over the 4^11 window pairs alone would take 32 MB."""
+        """The decision of an induced table holds 5 bytes a pair-graph node:
+        the start's bool per node and, while the start's nodes get their
+        edge lists, an int32 position per node.  The start's masks are
+        compared in slices that are freed with it, and the lists of an
+        induced table's few start nodes are small.  Measured: 5.14 MB traced
+        over the 4^10 nodes of D = 11; the bound, 5.5 MB, leaves room for
+        the small arrays only.  One intp index array over the 4^11 window
+        pairs alone would take 32 MB."""
         rt = induce(build_mixture(["0X011" + "a" * 6]))
         tracemalloc.start()
         try:
@@ -408,13 +451,13 @@ class TestBeyondTheOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rt.diameter == 11 and peak < 64 << 20
+        assert rt.diameter == 11 and peak < 5.5 * (1 << 20), peak
 
     def test_memory_at_diameter_12(self):
-        """At the decision limit the peak is the peel's: 52.04 MB traced
-        before the peel had a start set, 52.07 MB with it, the difference
-        being its 32 kB of cached step indices.  The bound, 52.1 MB, leaves
-        no room for the start's slices of masks to outlive it."""
+        """At the decision limit the peak is the same 5 bytes a node: 4 MB
+        of start and 16 MB of positions, 20.41 MB traced (52.07 MB when the
+        peel ran on dense arrays of 13 bytes a node).  The bound, 21 MB,
+        leaves no room for a second array over every node."""
         rt = induce(build_mixture(["0X011" + "a" * 7]))
         tracemalloc.start()
         try:
@@ -422,7 +465,7 @@ class TestBeyondTheOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rt.diameter == 12 and peak < 52.1 * (1 << 20), peak
+        assert rt.diameter == 12 and peak < 21 << 20, peak
 
 
 def _induced(d, count, rng):
@@ -475,22 +518,19 @@ class TestStart:
 
     def test_verdicts_and_witnesses_at_8_to_10(self):
         """debruijn_injective, which peels from the start set, against the
-        peel from every node and the witness of its survivors: induced
-        tables and one-swap near misses at D = 8..10."""
+        Tarjan oracle, with every witness checked by the brute stepper:
+        induced tables and one-swap near misses at D = 8..10."""
         rng = random.Random(8100)
         rejected = 0
         for d in (8, 9, 10):
             induced = _induced(d, 2, rng)
             for w in induced + _near_misses(induced, d, 4, rng):
                 rt = from_wolfram(d, w)
-                if rt.bits[0] == rt.bits[-1]:
-                    want = InjectivityVerdict(False, ("0", "1"))
-                else:
-                    alive = injectivity._peel(d, rt.bits[None])[:, 0]
-                    want = (InjectivityVerdict(True) if alive.sum() == 1 << (d - 1) else
-                            InjectivityVerdict(False, injectivity._witness(d, rt.bits, alive)))
-                    rejected += not want.injective
-                assert debruijn_injective(rt) == want, (d, w)
+                verdict = debruijn_injective(rt)
+                assert verdict.injective == brute.tarjan_injective(rt.bits.tolist(), d), (d, w)
+                if not verdict.injective:
+                    _assert_witness(rt, verdict)
+                    rejected += rt.bits[0] != rt.bits[-1]
         assert rejected >= 6, rejected
 
 
