@@ -17,11 +17,15 @@ edges out and one in, which a mask per state of the six-output words its
 continuations produce finds with two ANDs per node.  Every surviving node
 has paths of every length both ways, so that start holds all of them.  The
 start's nodes, each with its successors and predecessors among them, are
-the one graph of a table: the peel gathers over those lists, and for a
-rejected table a shortest cycle through a chosen surviving node, searched
-on the same successor lists, yields two distinct periodic configurations
-with equal images, returned as the witness.  The whole graph has 4^(D-1)
-nodes, so ``MAX_DECISION_DIAMETER`` (12) is the largest diameter decided.
+the one graph of a table: the peel gathers over those lists.  For a
+rejected table the same strip, on the successor lists alone with the
+diagonal left out, finds an off-diagonal node on a cycle: one on a cycle
+of off-diagonal nodes if any node remains, else any off-diagonal survivor,
+whose paths both ways reach the diagonal.  A shortest cycle through it,
+searched on the same successor lists, yields two distinct periodic
+configurations with equal images, returned as the witness.  The whole
+graph has 4^(D-1) nodes, so ``MAX_DECISION_DIAMETER`` (12) is the largest
+diameter decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
 chain of necessary conditions for injectivity before the exact decision, on
@@ -51,10 +55,9 @@ calling process.
 from __future__ import annotations
 
 import functools
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +69,7 @@ MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
 # diameter ``induce --verify`` peaks at about 51 MB, and ``verify`` of a
-# random table, whose start holds most nodes, at 0.36-0.55 GB (the witness).
+# random table, whose start holds most nodes, at about 0.26 GB (the peel).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -206,16 +209,28 @@ def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray,
     return edges.reshape(4, -1)
 
 
+def _strip(alive: np.ndarray, lists: tuple[np.ndarray, ...], floor: int) -> None:
+    """Strip from alive, as :class:`_Graph` holds it, the nodes without a
+    live entry in each of the (4, n) lists of positions, pass by pass, until
+    a pass strips none or at most floor nodes remain."""
+    count = np.count_nonzero(alive)
+    while count > floor:
+        for edges in lists:
+            alive[:-1] &= np.logical_or.reduce(alive.take(edges))
+        count, before = np.count_nonzero(alive), count
+        if count == before:
+            break
+
+
 def _peel(d: int, bits: np.ndarray) -> _Graph:
     """The pair graph of one table (2^d output bits) on the nodes of
     :func:`_start`, peeled.
 
     Successors and, for the peel alone, predecessors are listed as in
-    :class:`_Graph`, in slices of ``_EDGE_NODES`` nodes.  A pass gathers the
-    flags of both lists and strips the nodes without a live successor or
-    predecessor, until a pass strips none or leaves only the diagonal, whose
-    nodes keep their diagonal edges.  A start of the diagonal alone (always
-    at d = 1) lists no edge.
+    :class:`_Graph`, in slices of ``_EDGE_NODES`` nodes.  :func:`_strip`
+    strips the nodes without a live successor or predecessor until a pass
+    strips none or leaves only the diagonal, whose nodes keep their diagonal
+    edges.  A start of the diagonal alone (always at d = 1) lists no edge.
     """
     half = 1 << (d - 1)
     start = _start(d, bits)
@@ -234,13 +249,7 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
         succ[:, part] = _edges(d, bits, nodes[part], position, True)
         pred[:, part] = _edges(d, bits, nodes[part], position, False)
     del position
-    count = n
-    while count > half:
-        alive[:n] &= np.logical_or.reduce(alive.take(succ))
-        alive[:n] &= np.logical_or.reduce(alive.take(pred))
-        count, before = np.count_nonzero(alive), count
-        if count == before:
-            break
+    _strip(alive, (succ, pred), half)
     return _Graph(nodes, succ, alive)
 
 
@@ -269,139 +278,60 @@ def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << d]
 
 
-class _Cycles:
-    """Which nodes of a graph lie on a cycle, by Tarjan's strong components,
-    iterative, one search root at a time; the successors of node v are
-    targets[indptr[v]:indptr[v + 1]].
-
-    Once the search from a root ends, every node it reached has
-    ``index[v] >= 0`` and its component, and ``cyclic[v]`` says whether it
-    lies on a cycle: whether its component has two or more nodes or it has
-    a self-loop.  A reached node reaches only reached nodes.
-    """
-
-    def __init__(self, indptr: Sequence[int], targets: Sequence[int]) -> None:
-        n = len(indptr) - 1
-        self.indptr, self.targets = indptr, targets
-        self.index = array("i", [-1]) * n
-        self.cyclic = bytearray(n)
-        self._low = array("i", [0]) * n
-        self._on_stack = bytearray(n)
-        self._counter = 0
-
-    def search(self, root: int) -> None:
-        """Find the components of every node reachable from an unreached
-        root."""
-        indptr, targets = self.indptr, self.targets
-        index, low, on_stack, cyclic = self.index, self._low, self._on_stack, self.cyclic
-        counter = self._counter
-        index[root] = low[root] = counter
-        counter += 1
-        stack = [root]
-        on_stack[root] = True
-        work = [(root, indptr[root])]
-        while work:
-            v, i = work[-1]
-            end = indptr[v + 1]
-            while i < end:
-                w = targets[i]
-                i += 1
-                if index[w] < 0:   # descend; v resumes at edge i
-                    work[-1] = (v, i)
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, indptr[w]))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:   # v roots a component: pop it
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        cyclic[v] = v in targets[indptr[v]:end]
-                        continue
-                    cyclic[w] = True
-                    while w != v:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        cyclic[w] = True
-        self._counter = counter
-
-
-def _shortest_cycle(d: int, nodes: Sequence[int], indptr: Sequence[int],
-                    targets: Sequence[int], z: int, skip: Sequence[int] | None = None):
+def _shortest_cycle(d: int, graph: _Graph, z: int) -> tuple[str, str]:
     """Two distinct equal-image periodic words from a shortest cycle through
-    nodes[z], or None when no cycle passes through it; indptr and targets
-    hold the successors of each node by its index in nodes.  Nodes w with
-    ``skip[w] >= 0`` are left out of the search: they must be nodes that
-    cannot reach z, so the cycle found is the same."""
-    v_count = 1 << (d - 1)
+    node z (a position in graph.nodes) of a rejected table's graph, by a
+    breadth-first search over the survivors and their live successors, each
+    node's in the order of their input bits.  z is not marked, so the
+    search ends when it meets z again."""
+    n = len(graph.nodes)
+    succ, alive = memoryview(graph.succ.reshape(-1)), memoryview(graph.alive)
     parent: dict[int, int] = {}
     frontier = deque([z])
-    while frontier and z not in parent:
+    while z not in parent:
+        if not frontier:
+            raise AssertionError("rejected table without a cycle through its witness node")
         u = frontier.popleft()
-        for w in targets[indptr[u]:indptr[u + 1]]:
-            if w not in parent and (skip is None or skip[w] < 0):
+        for w in succ[u::n]:
+            if alive[w] and w not in parent:
                 parent[w] = u
                 frontier.append(w)
-    if z not in parent:
-        return None
-    # reconstruct z -> ... -> z
-    path = [z]
-    u = parent[z]
+    path, u = [z], parent[z]
     while u != z:
         path.append(u)
         u = parent[u]
-    path.append(z)
-    path.reverse()
-    # the bit consumed on each edge is the low bit of the successor's prefix
-    c1 = "".join(str((nodes[i] // v_count) & 1) for i in path[1:])
-    c2 = "".join(str((nodes[i] % v_count) & 1) for i in path[1:])
-    return c1, c2
+    # path runs back from z; each edge consumes the low bit of its head's prefixes
+    u1, u2 = np.divmod(graph.nodes.take(path[::-1]), 1 << (d - 1))
+    return "".join(map(str, (u1 & 1).tolist())), "".join(map(str, (u2 & 1).tolist()))
 
 
 def _witness(d: int, graph: _Graph) -> tuple[str, str]:
-    """Witness of a rejected table, from its graph of :func:`_peel`.
+    """Witness of a rejected table, from its graph of :func:`_peel`: a
+    shortest cycle through a surviving off-diagonal node z on a cycle.
 
-    Only surviving nodes and their live edges, read from the graph's
-    successor lists, enter the search.  The cycle runs through the smallest
-    surviving off-diagonal node that lies on a cycle; the table has
-    f(0^d) != f(1^d), so none of them loops to itself.  Successors are
-    searched in the order of their input bits.  Candidates are tried in
-    ascending order.  A breadth-first search from a candidate that no
-    earlier search reached leaves out the nodes those searches reached,
-    which cannot reach it; when it finds no cycle, a search for strong
-    components from the candidate settles every node it reaches, so a later
-    candidate among them needs no search unless it lies on a cycle.
+    The off-diagonal survivors are stripped, by :func:`_strip`, of the nodes
+    without a live successor among them.  If nodes remain, each has one, so
+    a walk from the smallest along its first live successor in the order of
+    input bits repeats a node, and z is that node: it lies on a cycle of
+    off-diagonal nodes.  If none remain, every off-diagonal survivor has
+    paths forward and backward to the diagonal, which is strongly connected,
+    so each lies on a cycle, and z is the smallest.  The table has
+    f(0^d) != f(1^d), so z has no self-loop.
     """
-    kept = graph.alive[:-1]
-    nodes, succ = graph.nodes[kept], graph.succ[:, kept].T
-    live = graph.alive.take(succ)
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(live, axis=1), out=indptr[1:])
-    targets = (np.cumsum(graph.alive, dtype=np.int32) - 1).take(succ[live])
-    u1, u2 = np.divmod(nodes, np.int32(1 << (d - 1)))
-    nodes, indptr, targets = (memoryview(a) for a in (nodes, indptr, targets))
-    cycles = None   # made when the first search finds no cycle
-    for z in np.flatnonzero(u1 != u2).tolist():
-        if cycles is not None and cycles.index[z] >= 0:
-            if cycles.cyclic[z]:
-                return _shortest_cycle(d, nodes, indptr, targets, z)
-            continue
-        witness = _shortest_cycle(d, nodes, indptr, targets, z,
-                                  None if cycles is None else cycles.index)
-        if witness is not None:
-            return witness
-        if cycles is None:
-            cycles = _Cycles(indptr, targets)
-        cycles.search(z)
-    raise AssertionError("rejected table without a cycle through an off-diagonal node")
+    n = len(graph.nodes)
+    u1, u2 = np.divmod(graph.nodes, 1 << (d - 1))
+    alive = graph.alive.copy()
+    alive[:-1][u1 == u2] = False
+    _strip(alive, (graph.succ,), 0)
+    if alive.any():
+        succ, left = memoryview(graph.succ.reshape(-1)), memoryview(alive)
+        z, seen = int(alive.argmax()), set()
+        while z not in seen:
+            seen.add(z)
+            z = next(w for w in succ[z::n] if left[w])
+    else:
+        z = int(np.argmax(graph.alive[:-1] & (u1 != u2)))
+    return _shortest_cycle(d, graph, z)
 
 
 def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
@@ -412,8 +342,8 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     the witness ``0``, ``1`` (at D = 1, where that node is the diagonal one,
     this test is the whole decision).  Any other table is peeled by
     :func:`_peel`, as in :func:`decide`, and a rejection's witness is
-    searched on the same graph: a shortest cycle through the smallest
-    surviving off-diagonal node on a cycle, two distinct words with equal
+    searched on the same graph by :func:`_witness`: a shortest cycle through
+    a surviving off-diagonal node on a cycle, two distinct words with equal
     images, no longer than the pair graph has nodes.  The verdict covers
     periodic configurations of every length at once, and by the standard
     periodic/unbounded correspondence the unbounded lattice as well.  A

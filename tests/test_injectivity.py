@@ -12,7 +12,6 @@ from revca import injectivity
 from revca.engine import _SLICE_CELLS, step
 from revca.injectivity import (
     InjectivityVerdict,
-    _Cycles,
     _block_pairs,
     _half_keys,
     _masks_by_popcount,
@@ -104,11 +103,10 @@ class TestVerdicts:
         v = debruijn_injective(from_wolfram(3, 90))
         assert v.witness == ("0", "1")
 
-    def test_witness_cycle_runs_through_the_smallest_cyclic_node(self):
+    def test_witness_cycle_closes_at_the_walk_or_diamond_node(self):
         """With f(0^D) != f(1^D) the witness is a shortest cycle of
-        brute.pair_graph through its smallest off-diagonal node on a cycle:
-        on random tables, and on one-swap near misses of induced tables,
-        whose smaller off-diagonal survivors mostly lie on no cycle."""
+        brute.pair_graph through the node of :func:`_witness_node`, on
+        random tables and on one-swap near misses of induced tables."""
         rng = random.Random(406)
         tables = [(d, rng.getrandbits(1 << d)) for d in rng.choices(range(2, 7), k=150)]
         for d in (5, 6):
@@ -121,7 +119,6 @@ class TestVerdicts:
             v = debruijn_injective(rt)
             if v.injective:
                 continue
-            size = 1 << (d - 1)
             graph = brute.pair_graph(rt.bits.tolist(), d)
 
             def cycle_length(z):
@@ -133,45 +130,26 @@ class TestVerdicts:
                     length += 1
                 return length if frontier else None
 
-            z = next(u for u in sorted(graph) if u // size != u % size and cycle_length(u))
-            # the node the witness's cycle closes at: the last d-1 cells of each word
-            w1, w2 = v.witness
-            reps = -(-(d - 1) // len(w1))
-            p, q = (int((c * reps)[len(c) * reps - (d - 1):], 2) for c in (w1, w2))
-            assert p * size + q == z and len(w1) == cycle_length(z), (d, w)
+            z = _witness_node(rt.bits.tolist(), d)
+            assert _closing_node(v.witness, d) == z, (d, w)
+            assert len(v.witness[0]) == cycle_length(z), (d, w)
             checked += 1
         assert checked >= 150
 
-    def test_cycles_by_strong_components(self):
-        """_Cycles against plain reachability, searched from random roots in
-        turn: a reached node lies on a cycle iff it is reachable from its
-        successors, and the reached nodes are closed under successors."""
-        rng = random.Random(407)
-        for _ in range(300):
-            n = rng.randint(1, 12)
-            succ = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
-            indptr = [0]
-            for s in succ:
-                indptr.append(indptr[-1] + len(s))
-
-            def reach(v):
-                seen, todo = set(), list(succ[v])
-                while todo:
-                    u = todo.pop()
-                    if u not in seen:
-                        seen.add(u)
-                        todo += succ[u]
-                return seen
-
-            cycles = _Cycles(indptr, [t for s in succ for t in s])
-            reached = set()
-            for root in rng.sample(range(n), n):
-                if root in reached:
-                    continue
-                cycles.search(root)
-                reached |= {root} | reach(root)
-                assert {v for v in range(n) if cycles.index[v] >= 0} == reached
-                assert all(bool(cycles.cyclic[v]) == (v in reach(v)) for v in reached)
+    def test_diamond_witness(self):
+        """D = 3 Wolfram 140 and 220: no cycle runs through off-diagonal
+        nodes alone, so the witness's cycle runs through the diagonal and
+        closes at the smallest off-diagonal survivor."""
+        for w in (140, 220):
+            rt = from_wolfram(3, w)
+            bits = rt.bits.tolist()
+            off = [v for v, alive in enumerate(brute.peel_survivors(bits, 3))
+                   if alive and v // 4 != v % 4]
+            assert off and not _off_diagonal_cycle_nodes(bits, 3), w
+            v = debruijn_injective(rt)
+            assert v == InjectivityVerdict(False, ("100", "110")), w
+            assert _closing_node(v.witness, 3) == min(off), w
+            _assert_witness(rt, v)
 
     def test_decision_limit(self, monkeypatch):
         """Above MAX_DECISION_DIAMETER (12) the pair graph's 4^(D-1) nodes
@@ -399,6 +377,46 @@ def _assert_edges(d, bits, graph):
         assert got == [w for w in oracle[v] if w in members], (d, v)
 
 
+def _closing_node(witness, d) -> int:
+    """The pair-graph node a witness's cycle closes at, numbered as in
+    brute.pair_graph: the last d-1 cells of each word, repeated."""
+    reps = -(-(d - 1) // len(witness[0]))
+    p, q = (int((c * reps)[len(c) * reps - (d - 1):], 2) for c in witness)
+    return p * (1 << (d - 1)) + q
+
+
+def _off_diagonal_cycle_nodes(bits, d) -> set[int]:
+    """The off-diagonal survivors of brute.peel_survivors with a path of
+    every length through off-diagonal survivors alone: those left after
+    stripping the nodes without a successor among them, until none goes."""
+    graph, size = brute.pair_graph(bits, d), 1 << (d - 1)
+    left = {v for v, alive in enumerate(brute.peel_survivors(bits, d))
+            if alive and v // size != v % size}
+    while True:
+        kept = {v for v in left if any(w in left for w in graph[v])}
+        if kept == left:
+            return left
+        left = kept
+
+
+def _witness_node(bits, d) -> int:
+    """The node a rejected table's witness cycle closes at, by
+    brute.pair_graph: a walk from the smallest node of
+    :func:`_off_diagonal_cycle_nodes` along its first successor among them,
+    in the order of input bits, until a node repeats; or, when there is no
+    such node, the smallest off-diagonal survivor of brute.peel_survivors."""
+    left = _off_diagonal_cycle_nodes(bits, d)
+    if not left:
+        size = 1 << (d - 1)
+        return min(v for v, alive in enumerate(brute.peel_survivors(bits, d))
+                   if alive and v // size != v % size)
+    graph, z, seen = brute.pair_graph(bits, d), min(left), set()
+    while z not in seen:
+        seen.add(z)
+        z = next(w for w in graph[z] if w in left)
+    return z
+
+
 def _assert_witness(rt, verdict):
     w1, w2 = verdict.witness
     assert not verdict.injective and w1 != w2 and len(w1) == len(w2)
@@ -466,6 +484,23 @@ class TestBeyondTheOracle:
         finally:
             tracemalloc.stop()
         assert rt.diameter == 12 and peak < 21 << 20, peak
+
+    def test_witness_memory_at_diameter_12(self):
+        """The reject path of a random table at the decision limit, whose
+        start holds about 3 M of the 4^11 nodes: the witness strips on the
+        peel's successor lists and searches from one node, with no list of
+        every survivor.  Measured: 213 MB traced, set by the peel's passes
+        (474 MB when the witness built lists of every survivor and tried
+        them in turn); the bound is 300 MB."""
+        rt = from_wolfram(12, (random.Random(1).getrandbits(4096) | 1 << 4095) & ~1)
+        tracemalloc.start()
+        try:
+            verdict = debruijn_injective(rt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _assert_witness(rt, verdict)
+        assert peak < 300 << 20, peak
 
 
 def _induced(d, count, rng):
