@@ -5,27 +5,27 @@ are ordered pairs of (D-1)-bit window prefixes, and an edge joins two pairs
 when each side can be advanced by one input bit while producing the same
 output bit.  The global map fails to be injective exactly when some cycle of
 this graph passes through an off-diagonal node (Amoroso & Patt 1972; Sutner
-1991).  Both :func:`debruijn_injective` and :func:`decide` test this one
-table at a time by peeling: strip every node without a live in-edge or
-without a live out-edge until nothing changes; a table is injective iff only
-diagonal nodes survive.  That is exact: every node on a cycle survives, and
-from a surviving off-diagonal node live edges lead forward and backward to
-cycles, one of them through an off-diagonal node, or both in the diagonal (a
-strongly connected copy of the de Bruijn graph), which closes a cycle
-through it.  The peel starts from few nodes: only those with a path of six
-edges out and one in, which a mask per state of the six-output words its
-continuations produce finds with two ANDs per node.  Every surviving node
-has paths of every length both ways, so that start holds all of them.  The
-start's nodes, each with its successors and predecessors among them, are
-the one graph of a table: the peel gathers over those lists.  For a
-rejected table the same strip, on the successor lists alone with the
-diagonal left out, finds an off-diagonal node on a cycle: one on a cycle
-of off-diagonal nodes if any node remains, else any off-diagonal survivor,
-whose paths both ways reach the diagonal.  A shortest cycle through it,
-searched on the same successor lists, yields two distinct periodic
-configurations with equal images, returned as the witness.  The whole
-graph has 4^(D-1) nodes, so ``MAX_DECISION_DIAMETER`` (12) is the largest
-diameter decided.
+1991).  :func:`debruijn_injective` tests this one table at a time by
+peeling: strip every node without a live in-edge or without a live out-edge
+until nothing changes; a table is injective iff only diagonal nodes survive.
+That is exact: every node on a cycle survives, and from a surviving
+off-diagonal node live edges lead forward and backward to cycles, one of
+them through an off-diagonal node, or both in the diagonal (a strongly
+connected copy of the de Bruijn graph), which closes a cycle through it.
+The peel starts from few nodes: only those with a path of six edges out and
+one of six edges in, which two masks per state, of the six-output words
+that the windows after it and before it produce, find with two ANDs per
+node.  Every surviving node has paths of every length both ways, so that
+start holds all of them.  The start's nodes, each with its successors and
+predecessors among them, are the one graph of a table: the peel gathers
+over those lists.  For a rejected table the same strip, on the successor
+lists alone with the diagonal left out, finds an off-diagonal node on a
+cycle: one on a cycle of off-diagonal nodes if any node remains, else any
+off-diagonal survivor, whose paths both ways reach the diagonal.  A
+shortest cycle through it, searched on the same successor lists, yields two
+distinct periodic configurations with equal images, returned as the
+witness.  The whole graph has 4^(D-1) nodes, so ``MAX_DECISION_DIAMETER``
+(12) is the largest diameter decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
 chain of necessary conditions for injectivity before the exact decision, on
@@ -69,7 +69,8 @@ MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
 # diameter ``induce --verify`` peaks at about 51 MB, and ``verify`` of a
-# random table, whose start holds most nodes, at about 0.26 GB (the peel).
+# random table, whose start holds most nodes, at 0.16-0.23 GB (the peel's
+# edge lists, or the witness's search where it meets most of them).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -142,7 +143,7 @@ def _reach_masks(d: int, bits: np.ndarray,
 def _start(d: int, bits: np.ndarray) -> np.ndarray:
     """The nodes the peel of one table (2^d output bits) starts from, as a
     (2^(d-1), 2^(d-1)) bool array: the nodes (p1, p2) with a path of
-    ``_WORD_STEPS`` edges out and one in.
+    ``_WORD_STEPS`` edges out and one of ``_WORD_STEPS`` edges in.
 
     A path of k edges out is a k-output word that both states' continuations
     produce, so it exists iff their forward masks of :func:`_reach_masks`
@@ -212,11 +213,15 @@ def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray,
 def _strip(alive: np.ndarray, lists: tuple[np.ndarray, ...], floor: int) -> None:
     """Strip from alive, as :class:`_Graph` holds it, the nodes without a
     live entry in each of the (4, n) lists of positions, pass by pass, until
-    a pass strips none or at most floor nodes remain."""
-    count = np.count_nonzero(alive)
+    a pass strips none or at most floor nodes remain.  A pass gathers and
+    strips in column slices of ``_EDGE_NODES`` nodes (a 2 MB intp index
+    each); stripping is monotone, so the order does not change the end."""
+    count, nodes = np.count_nonzero(alive), alive[:-1]
     while count > floor:
         for edges in lists:
-            alive[:-1] &= np.logical_or.reduce(alive.take(edges))
+            for lo in range(0, len(nodes), _EDGE_NODES):
+                hi = lo + _EDGE_NODES
+                nodes[lo:hi] &= np.logical_or.reduce(alive.take(edges[:, lo:hi]))
         count, before = np.count_nonzero(alive), count
         if count == before:
             break
@@ -251,31 +256,6 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
     del position
     _strip(alive, (succ, pred), half)
     return _Graph(nodes, succ, alive)
-
-
-def decide(d: int, tables) -> np.ndarray:
-    """Injectivity of the global map of each row of a (T, 2^d) 0/1 array.
-
-    Rows with f(0^d) = f(1^d) are settled as not injective before the pair
-    graph, as in :func:`debruijn_injective`.  The others are peeled one at a
-    time by :func:`_peel`, and a row is injective iff only its 2^(d-1)
-    diagonal nodes survive (see the module docstring).  A diameter above
-    ``MAX_DECISION_DIAMETER`` raises ``InputError``.
-    """
-    _check_decision_diameter(d)
-    bits = np.asarray(tables, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[1] != 1 << d:
-        raise InputError(f"need a (T, {1 << d}) array of output bits, got shape {bits.shape}")
-    out = bits[:, 0] != bits[:, -1]
-    for row in np.flatnonzero(out).tolist():
-        out[row] = np.count_nonzero(_peel(d, bits[row]).alive) == 1 << (d - 1)
-    return out
-
-
-def _wolfram_bits(d: int, tables: np.ndarray) -> np.ndarray:
-    """(T, 2^d) output bits of an array of Wolfram numbers (d <= 6)."""
-    octets = tables.astype("<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, bitorder="little")[:, :1 << d]
 
 
 def _shortest_cycle(d: int, graph: _Graph, z: int) -> tuple[str, str]:
@@ -341,7 +321,7 @@ def debruijn_injective(rt: RuleTable) -> InjectivityVerdict:
     node (0^(D-1), 1^(D-1)) loops to itself, so it is not injective, with
     the witness ``0``, ``1`` (at D = 1, where that node is the diagonal one,
     this test is the whole decision).  Any other table is peeled by
-    :func:`_peel`, as in :func:`decide`, and a rejection's witness is
+    :func:`_peel`, and a rejection's witness is
     searched on the same graph by :func:`_witness`: a shortest cycle through
     a surviving off-diagonal node on a cycle, two distinct words with equal
     images, no longer than the pair graph has nodes.  The verdict covers
@@ -714,11 +694,10 @@ def _chain(diameter: int, lower: _Halves, upper: _Halves,
 
 
 def _decide_tables(diameter: int, tables: np.ndarray) -> list[int]:
-    """The injective ones of an array of Wolfram numbers, by the exact
-    pair-graph decision, in the same order."""
-    if not tables.size:
-        return []
-    return tables[decide(diameter, _wolfram_bits(diameter, tables))].tolist()
+    """The injective ones of an array of Wolfram numbers, each decided by
+    :func:`debruijn_injective`, in the same order."""
+    return [w for w in tables.tolist()
+            if debruijn_injective(from_wolfram(diameter, w)).injective]
 
 
 @functools.cache

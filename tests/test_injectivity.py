@@ -19,7 +19,6 @@ from revca.injectivity import (
     _permutes_period,
     balanced_sweep_blocks,
     debruijn_injective,
-    decide,
     exhaustive_injective,
     periodic_bijective,
     scan_unit,
@@ -63,10 +62,8 @@ class TestVerdicts:
         assert debruijn_injective(induce(build_mixture(["0X011"]))).injective
 
     def test_diameter_one(self):
-        """All 4 D = 1 tables through both entries: f(0) = f(1), the self-loop
-        test, is the whole decision, and its witness is 0, 1."""
-        bits = np.array([[w & 1, w >> 1] for w in range(4)], dtype=np.uint8)
-        assert decide(1, bits).tolist() == [False, True, True, False]
+        """All 4 D = 1 tables: f(0) = f(1), the self-loop test, is the whole
+        decision, and its witness is 0, 1."""
         for w in range(4):
             v = debruijn_injective(from_wolfram(1, w))
             assert v == (InjectivityVerdict(True) if w in (1, 2)
@@ -155,13 +152,10 @@ class TestVerdicts:
         """Above MAX_DECISION_DIAMETER (12) the pair graph's 4^(D-1) nodes
         are refused before numpy allocates anything."""
         rt = from_wolfram(13, 0)
-        batch = np.zeros((1, 1 << 13), dtype=np.uint8)
         monkeypatch.setattr(np, "meshgrid", None)
         monkeypatch.setattr(np, "arange", None)
         with pytest.raises(ValueError, match="limit of the injectivity decision"):
             debruijn_injective(rt)
-        with pytest.raises(ValueError, match="limit of the injectivity decision"):
-            decide(13, batch)
 
     def test_anchor_invariance(self):
         rng = random.Random(405)
@@ -208,15 +202,23 @@ class TestDecide:
                            for v, succ in graph.items()), (d, w)
 
     def test_matches_tarjan_oracle(self):
-        """decide against the SCC oracle of tests/brute.py on every table of
-        diameter <= 4, on the 1,364 induced tables of diameters 3..8 and on
-        one-swap perturbations of them; accepted tables must also permute
-        all short periodic words, and a mixed batch must be decided as each
-        of its tables alone."""
+        """debruijn_injective against the SCC oracle of tests/brute.py on
+        every table of diameter <= 4, each rejection's witness confirmed by
+        the brute stepper, and on the 1,364 induced tables of diameters 3..8
+        and one-swap perturbations of them; accepted tables must also
+        permute all short periodic words."""
         for d in range(1, 5):
-            tables = [[(w >> v) & 1 for v in range(1 << d)] for w in range(1 << (1 << d))]
-            got = decide(d, np.array(tables)).tolist()
-            assert got == [brute.tarjan_injective(t, d) for t in tables]
+            got = []
+            for w in range(1 << (1 << d)):
+                rt = from_wolfram(d, w)
+                bits, verdict = rt.bits.tolist(), debruijn_injective(rt)
+                assert verdict.injective == brute.tarjan_injective(bits, d), (d, w)
+                if not verdict.injective:
+                    w1, w2 = verdict.witness
+                    assert w1 != w2 and len(w1) == len(w2), (d, w)
+                    assert (brute.naive_step(bits, d, rt.anchor, w1)
+                            == brute.naive_step(bits, d, rt.anchor, w2)), (d, w)
+                got.append(verdict.injective)
         assert sum(got) == len(INJECTIVE_D4)
 
         induced = {d: [induce(build_mixture([p])).bits.tolist()
@@ -234,28 +236,21 @@ class TestDecide:
             perturbed[d].append(bits)
 
         for d, tables in induced.items():
-            mixed = [(bits, True) for bits in tables] + [(bits, False) for bits in perturbed[d]]
-            rng.shuffle(mixed)
-            batch = np.array([bits for bits, _ in mixed], dtype=np.uint8).reshape(-1, 1 << d)
-            verdicts = decide(d, batch).tolist()
-            assert verdicts == [bool(decide(d, row[None])[0]) for row in batch]
             n_max = 12 if d <= 4 else 8
-            for (bits, is_induced), injective in zip(mixed, verdicts):
+            mixed = [(bits, True) for bits in tables] + [(bits, False) for bits in perturbed[d]]
+            for bits, is_induced in mixed:
+                rt = from_wolfram(d, sum(b << v for v, b in enumerate(bits)))
+                injective = debruijn_injective(rt).injective
                 assert injective == brute.tarjan_injective(bits, d), (d, bits)
                 assert injective or not is_induced, (d, bits)
                 if injective:
                     assert all(brute.is_permutation(bits, d, 0, n)
                                for n in range(1, n_max + 1)), (d, bits)
-        with pytest.raises(InputError):
-            decide(3, np.zeros((2, 16), dtype=np.uint8))
-        with pytest.raises(InputError):
-            decide(3, np.zeros(8, dtype=np.uint8))   # a row, not a (1, 8) batch
 
     def test_only_loop_free_rows_are_peeled(self, monkeypatch):
-        """Of the 65,536 D = 4 tables, decide peels only the 32,768 with
-        f(0000) != f(1111), each alone, as debruijn_injective does; the rest
-        are settled as not injective before the pair graph, and every
-        verdict is that of debruijn_injective."""
+        """Of the 65,536 D = 4 tables, debruijn_injective peels only the
+        32,768 with f(0000) != f(1111), each alone; the rest are settled as
+        not injective before the pair graph."""
         peel, peeled = injectivity._peel, []
 
         def spy(d, bits):
@@ -263,38 +258,33 @@ class TestDecide:
             return peel(d, bits)
 
         monkeypatch.setattr(injectivity, "_peel", spy)
-        bits = ((np.arange(1 << 16)[:, None] >> np.arange(16)) & 1).astype(np.uint8)
-        verdicts = decide(4, bits).tolist()
+        verdicts = [debruijn_injective(from_wolfram(4, w)).injective for w in range(1 << 16)]
         assert len(peeled) == 1 << 15
         assert all(len(row) == 16 and row[0] != row[-1] for row in peeled)
-        monkeypatch.setattr(injectivity, "_peel", peel)
-        assert verdicts == [debruijn_injective(from_wolfram(4, w)).injective
-                            for w in range(1 << 16)]
         assert [w for w, v in enumerate(verdicts) if v] == INJECTIVE_D4
 
     def test_peel_leaves_the_diagonals_of_injective_tables(self):
         """The peel stops once only diagonal nodes (u, u) are left: on the
         16 injective D=4 tables and the 62 injective D=5 tables of
-        perfbench/reference.json, decided in one batch and peeled alone
-        from the start set, it leaves exactly the diagonal of each."""
+        perfbench/reference.json, decided and peeled from the start set, it
+        leaves exactly the diagonal of each."""
         for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
-            bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
             diagonal = np.zeros(1 << (2 * d - 2), dtype=bool)
             diagonal[::(1 << (d - 1)) + 1] = True
-            assert decide(d, bits).all()
-            for row in bits:
-                assert np.array_equal(_survivors(d, row), diagonal)
+            for w in tables:
+                rt = from_wolfram(d, w)
+                assert debruijn_injective(rt).injective, (d, w)
+                assert np.array_equal(_survivors(d, rt.bits), diagonal), (d, w)
 
     def test_peel_survivors_match_the_strip_oracle(self):
         """The survivors themselves, which the witness search of a rejected
-        table runs on, against brute.peel_survivors at D=2..7, decided in
-        one batch and peeled alone from the start set, which holds every
-        survivor: random tables, induced tables (the projections and
-        complements below D=4, which has the first stable cores) and one-swap
-        near misses of them.  Some starts lie strictly between the survivors
-        and all nodes, so that the peel from them has nodes to strip, and
-        the edge lists of the start's nodes are those of brute.pair_graph
-        among them."""
+        table runs on, against brute.peel_survivors at D=2..7, decided and
+        peeled from the start set, which holds every survivor: random
+        tables, induced tables (the projections and complements below D=4,
+        which has the first stable cores) and one-swap near misses of them.
+        Some starts lie strictly between the survivors and all nodes, so
+        that the peel from them has nodes to strip, and the edge lists of
+        the start's nodes are those of brute.pair_graph among them."""
         rng = random.Random(2072)
         partial = between = 0
         for d in range(2, 8):
@@ -305,9 +295,9 @@ class TestDecide:
                       + [rng.getrandbits(1 << d) for _ in range(4)])
             bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
             want = np.array([brute.peel_survivors(row.tolist(), d) for row in bits]).T
-            assert decide(d, bits).tolist() == [row[0] != row[-1] and want[:, k].sum() == 1 << (d - 1)
-                                                for k, row in enumerate(bits)], d
             for k, row in enumerate(bits):
+                expected = row[0] != row[-1] and want[:, k].sum() == 1 << (d - 1)
+                assert debruijn_injective(from_wolfram(d, tables[k])).injective == expected, (d, k)
                 start = injectivity._start(d, row)
                 assert not (want[:, k] & ~start.ravel()).any(), (d, k)
                 between += want[:, k].sum() < start.sum() < start.size
@@ -339,17 +329,14 @@ class TestDecide:
         assert sliced >= 8, sliced
 
     def test_injective_tables_batched_with_near_misses(self):
-        """A batch mixing the reference tables of D=4 and D=5 with one-swap
-        near misses of them, shuffled, so that slices hold both verdicts:
-        the verdicts of one-table decide calls and of the Tarjan oracle."""
+        """The reference tables of D=4 and D=5 mixed with one-swap near
+        misses of them: the verdicts of the Tarjan oracle."""
         rng = random.Random(4562)
         for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
             mixed = tables + _near_misses(tables, d, 3 * len(tables), rng)
-            rng.shuffle(mixed)
-            batch = np.array([[w >> v & 1 for v in range(1 << d)] for w in mixed], dtype=np.uint8)
-            verdicts = decide(d, batch).tolist()
-            assert verdicts == [bool(decide(d, row[None])[0]) for row in batch]
-            assert verdicts == [brute.tarjan_injective(row.tolist(), d) for row in batch]
+            verdicts = [debruijn_injective(from_wolfram(d, w)).injective for w in mixed]
+            assert verdicts == [brute.tarjan_injective(from_wolfram(d, w).bits.tolist(), d)
+                                for w in mixed]
             assert verdicts.count(True) >= len(tables) and False in verdicts
 
 
@@ -429,16 +416,16 @@ class TestBeyondTheOracle:
     D = 9..11, beyond the diameters the Tarjan oracle is run at."""
 
     def test_every_diameter_2_table(self):
+        injective = []
         for w in range(16):
             rt = from_wolfram(2, w)
-            expected = brute.tarjan_injective(rt.bits.tolist(), 2)
-            assert decide(2, rt.bits[None]).tolist() == [expected]
             verdict = debruijn_injective(rt)
-            assert verdict.injective == expected
-            if not expected:
+            assert verdict.injective == brute.tarjan_injective(rt.bits.tolist(), 2)
+            if verdict.injective:
+                injective.append(w)
+            else:
                 _assert_witness(rt, verdict)
-        bits = np.array([from_wolfram(2, w).bits for w in range(16)])
-        assert np.flatnonzero(decide(2, bits)).tolist() == [3, 5, 10, 12]
+        assert injective == [3, 5, 10, 12]
 
     def test_induced_and_near_misses_at_9_to_11(self):
         """Induced tables are accepted; one-swap perturbations of them are
@@ -489,9 +476,11 @@ class TestBeyondTheOracle:
         """The reject path of a random table at the decision limit, whose
         start holds about 3 M of the 4^11 nodes: the witness strips on the
         peel's successor lists and searches from one node, with no list of
-        every survivor.  Measured: 213 MB traced, set by the peel's passes
-        (474 MB when the witness built lists of every survivor and tried
-        them in turn); the bound is 300 MB."""
+        every survivor, and every strip gathers in slices of nodes.
+        Measured: 130.5 MB traced, most of it the peel's edge lists (213 MB
+        when a pass gathered over every node at once, 474 MB when the
+        witness built lists of every survivor and tried them in turn); the
+        bound is 160 MB."""
         rt = from_wolfram(12, (random.Random(1).getrandbits(4096) | 1 << 4095) & ~1)
         tracemalloc.start()
         try:
@@ -500,7 +489,7 @@ class TestBeyondTheOracle:
         finally:
             tracemalloc.stop()
         _assert_witness(rt, verdict)
-        assert peak < 300 << 20, peak
+        assert peak < 160 << 20, peak
 
 
 def _induced(d, count, rng):
@@ -870,16 +859,17 @@ class TestBitTests:
         survivors below D = 5 are cached per diameter, so the cache is
         cleared: a chain that ran before the spies would not be counted."""
         keyed, decided, passed = [], [], {n: 0 for n in injectivity._FILTER_PERIODS}
-        tail, decide_, covers = (injectivity._chain, injectivity.decide, injectivity._covers)
+        tail, decide, covers = (injectivity._chain, injectivity.debruijn_injective,
+                                injectivity._covers)
 
         def spy_tail(d, lower, upper, pairs):
             keyed.extend(((upper.values[pairs[1]] << np.uint64(1 << (d - 1)))
                           | lower.values[pairs[0]]).tolist())
             return tail(d, lower, upper, pairs)
 
-        def spy_decide(d, bits):
-            decided.extend(sum(int(b) << v for v, b in enumerate(row)) for row in bits)
-            return decide_(d, bits)
+        def spy_decide(rt):
+            decided.append(rt.wolfram)
+            return decide(rt)
 
         def spy_covers(d, n, rows):
             mask = covers(d, n, rows)
@@ -888,7 +878,7 @@ class TestBitTests:
             return mask
 
         monkeypatch.setattr(injectivity, "_chain", spy_tail)
-        monkeypatch.setattr(injectivity, "decide", spy_decide)
+        monkeypatch.setattr(injectivity, "debruijn_injective", spy_decide)
         monkeypatch.setattr(injectivity, "_covers", spy_covers)
         injectivity._chain_survivors.cache_clear()
         return keyed, decided, passed
@@ -961,9 +951,9 @@ class TestBitTests:
         range, built first from an unaligned range, and each decides its
         survivors anew, the second time as the first."""
         calls = []
-        decide_ = injectivity.decide
-        monkeypatch.setattr(injectivity, "decide",
-                            lambda d, bits: calls.append(len(bits)) or decide_(d, bits))
+        decide = injectivity.debruijn_injective
+        monkeypatch.setattr(injectivity, "debruijn_injective",
+                            lambda rt: calls.append(rt.wolfram) or decide(rt))
         injectivity._chain_survivors.cache_clear()
         ranges = [(0, 64), (100, 5000), (65000, 65536), (250, 260), (3800, 3920), (255, 256),
                   (256, 512), (13000, 14700), (0, 1 << 16), (42, 42)]
@@ -971,9 +961,9 @@ class TestBitTests:
             for lo, hi in ranges:
                 expected = [w for w in INJECTIVE_D4 if lo <= w < hi]
                 assert scan_unit(4, (lo, hi)) == expected, (lo, hi)
-        inside = [sum(lo <= w < hi for w in INJECTIVE_D4) for lo, hi in ranges]
-        assert calls == 2 * [n for n in inside if n]
-        assert inside == [0, 3, 1, 1, 2, 1, 0, 3, 16, 0]
+        inside = [[w for w in INJECTIVE_D4 if lo <= w < hi] for lo, hi in ranges]
+        assert calls == 2 * [w for ws in inside for w in ws]
+        assert list(map(len, inside)) == [0, 3, 1, 1, 2, 1, 0, 3, 16, 0]
 
     def test_diameter_5_funnel(self, monkeypatch, capsys):
         """Tables left after each stage of the chain on benchmark-shaped D=5

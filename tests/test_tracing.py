@@ -30,8 +30,9 @@ def test_tracer_sees_every_request_kind(capsys):
     assert found == [255, 3855, 3915]
     counts = tracer.counts
     assert counts["cli.main.calls"] == 2
-    assert counts["injectivity.debruijn_injective.calls"] == 2
-    assert counts["injectivity.debruijn_injective.accepted"] == 1
+    # induce and verify decide one table each, and the sweep unit the 3 it finds
+    assert counts["injectivity.debruijn_injective.calls"] == 5
+    assert counts["injectivity.debruijn_injective.accepted"] == 4
     assert counts["injectivity.debruijn_injective.rejected"] == 1
     assert counts["injectivity.periodic_bijective.calls"] == 12
     assert counts["engine.all_configs.calls"] == 12
