@@ -96,8 +96,7 @@ def periodic_images(rt: RuleTable, n: int) -> np.ndarray:
         raise InputError("period must be >= 1")
     if n > EXHAUSTIVE_BOUND:
         raise InputError(
-            f"2^{n} configurations exceed the exhaustive bound {EXHAUSTIVE_BOUND}; "
-            "use random sampling for long periods")
+            f"2^{n} configurations exceed the exhaustive bound {EXHAUSTIVE_BOUND}")
     cells = all_configs(n)
     per = max(1, _SLICE_CELLS // n)
     return np.concatenate([pack_configs(batch_step(rt, cells[lo:lo + per]))

@@ -43,10 +43,11 @@ are lookups too: the map commutes with rotation, so it permutes the words
 of length n iff the images of one word per necklace (rotation class) fall
 in pairwise distinct necklaces.  The images' codes are the OR of one
 tabulated row per byte of a table (a limb), and so of one row per half.
-Per popcount class, the lower halves keep their period-5 rows and limb
-indices and the upper halves their keys and limb indices; periods 6 and 7
-run on the few survivors' limb indices.  Wolfram numbers are built only
-for the tables left for the decision.  D >= 6 is refused outright.
+Per popcount class, the halves keep their limb indices and period-5 rows,
+the lower ones sorted by key, the upper ones with their keys, of which a
+block takes a slice; periods 6 and 7 run on the few survivors' limb
+indices.  Wolfram numbers are built only for the tables left for the
+decision.  D >= 6 is refused outright.
 :func:`sweep_units` lists the work units of a diameter and :func:`scan_unit`
 scans one; the library and the command line both scan them in order, in the
 calling process.
@@ -55,7 +56,7 @@ calling process.
 from __future__ import annotations
 
 import functools
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,8 +70,8 @@ MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
 # diameter ``induce --verify`` peaks at about 51 MB, and ``verify`` of a
-# random table, whose start holds most nodes, at 0.16-0.23 GB (the peel's
-# edge lists, or the witness's search where it meets most of them).
+# random table, whose start holds most nodes, at 0.16-0.17 GB (the peel's
+# edge lists).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -263,19 +264,21 @@ def _shortest_cycle(d: int, graph: _Graph, z: int) -> tuple[str, str]:
     node z (a position in graph.nodes) of a rejected table's graph, by a
     breadth-first search over the survivors and their live successors, each
     node's in the order of their input bits.  z is not marked, so the
-    search ends when it meets z again."""
+    search ends when it meets z again.  The parents (-1 unmet) are an int32
+    array over the graph's nodes and the frontier an ``array`` of the nodes
+    met, so a search that meets most nodes stays below the peel's peak."""
     n = len(graph.nodes)
     succ, alive = memoryview(graph.succ.reshape(-1)), memoryview(graph.alive)
-    parent: dict[int, int] = {}
-    frontier = deque([z])
-    while z not in parent:
-        if not frontier:
-            raise AssertionError("rejected table without a cycle through its witness node")
-        u = frontier.popleft()
+    parent, frontier = memoryview(np.full(n, -1, dtype=np.int32)), array("i", [z])
+    for u in frontier:   # the loop reads the nodes appended while it runs
         for w in succ[u::n]:
-            if alive[w] and w not in parent:
+            if alive[w] and parent[w] < 0:
                 parent[w] = u
                 frontier.append(w)
+        if parent[z] >= 0:
+            break
+    else:
+        raise AssertionError("rejected table without a cycle through its witness node")
     path, u = [z], parent[z]
     while u != z:
         path.append(u)
@@ -591,37 +594,34 @@ class _Halves(NamedTuple):
     codes: np.ndarray
 
 
-def _halves(diameter: int, values: np.ndarray, index: np.ndarray) -> _Halves:
+def _halves(diameter: int, values: np.ndarray, first: int) -> _Halves:
+    index = _limb_index(diameter, values[None], first)
     return _Halves(values, index, _rows(diameter, _FILTER_PERIODS[0], index))
 
 
 @functools.cache
-def _lower_halves(diameter: int, ones: int) -> tuple[_Halves, np.ndarray, np.ndarray,
-                                                    np.ndarray]:
-    """(halves, starts, runs, nonempty): the lower halves with ``ones`` set
-    bits ordered by key, with their limb index (4 bytes a half at D = 5) and
-    period-5 rows (8 bytes a half); where the run of each key begins in them
-    (one more entry than keys, for the end: 1,025 at D = 5); the length of
-    each run; and whether it is not empty."""
+def _lower_halves(diameter: int, ones: int) -> tuple[_Halves, np.ndarray, np.ndarray]:
+    """(halves, starts, runs): the lower halves with ``ones`` set bits
+    ordered by key, as :class:`_Halves` (limb index 4 bytes and period-5 row
+    8 bytes a half at D = 5); where the run of each key begins in them (one
+    more entry than keys, for the end: 1,025 at D = 5); and the length of
+    each run."""
     values = _masks_by_popcount(1 << (diameter - 1))[ones]
     lower = _half_keys(diameter)[0]
     keys = _pack(values, lower)
     order = np.argsort(keys, kind="stable")
     starts = np.searchsorted(keys[order], np.arange((1 << lower.size) + 1))
-    values = values[order]
-    runs = np.diff(starts)
-    return _halves(diameter, values, _limb_index(diameter, values[None])), starts, runs, runs > 0
+    return _halves(diameter, values[order], 0), starts, np.diff(starts)
 
 
 @functools.cache
-def _upper_halves(diameter: int, ones: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, index): the key (uint16) and the limb index (uint16, 4 bytes a
-    half at D = 5) of each upper half with ``ones`` set bits, in ascending
-    order of value, as the blocks of :func:`balanced_sweep_blocks` slice
-    them."""
+def _upper_halves(diameter: int, ones: int) -> tuple[np.ndarray, _Halves]:
+    """(keys, halves): the key (uint16) of each upper half with ``ones`` set
+    bits, and those halves as :class:`_Halves`, in ascending order of value,
+    as the blocks of :func:`balanced_sweep_blocks` slice them."""
     values = _masks_by_popcount(1 << (diameter - 1))[ones]
     return (_pack(values, _half_keys(diameter)[1]).astype(np.uint16),
-            _limb_index(diameter, values[None], 1))
+            _halves(diameter, values, 1))
 
 
 def _block_pairs(diameter: int, block: tuple[int, int, int]):
@@ -634,23 +634,22 @@ def _block_pairs(diameter: int, block: tuple[int, int, int]):
     those of :func:`_lower_halves`.  Whether a product passes is
     passes[upper key, lower key] of :func:`_half_keys`, so only the passing
     pairs are listed: each upper half is paired with the runs of lower
-    halves whose keys pass with its own, by one ragged ``repeat``/``arange``.
-    The upper halves' keys and limb index are slices of the per-class
-    :func:`_upper_halves`, and their period-5 rows are one ``take`` and one
-    OR of that index.  No table is built.
+    halves whose keys pass with its own, by one ragged ``repeat``/``arange``
+    (a key with an empty run repeats nothing).  The upper halves are slices
+    of the per-class :func:`_upper_halves`.  No table is built.
     """
     width = 1 << (diameter - 1)
     j, s, e = block
-    lower, starts, runs, nonempty = _lower_halves(diameter, width - j)
-    keys, index = (a[..., s:e] for a in _upper_halves(diameter, j))
+    lower, starts, runs = _lower_halves(diameter, width - j)
+    keys, upper = _upper_halves(diameter, j)
+    upper = _Halves(upper.values[s:e], upper.index[:, s:e], upper.codes[s:e])
     # flatnonzero, not nonzero: numpy finds 2-D indices several times slower
-    passing = np.flatnonzero(_half_keys(diameter)[2][keys] & nonempty)
+    passing = np.flatnonzero(_half_keys(diameter)[2][keys[s:e]])
     up, key = np.divmod(passing, runs.size)
     size = runs[key]
     ends = np.cumsum(size)
     lo = np.repeat(starts[key] - (ends - size), size)
     lo += np.arange(lo.size)
-    upper = _halves(diameter, _masks_by_popcount(width)[j][s:e], index)
     return lower, upper, (lo, np.repeat(up, size))
 
 
