@@ -16,16 +16,17 @@ The peel starts from few nodes: only those with a path of six edges out and
 one of six edges in, which two masks per state, of the six-output words
 that the windows after it and before it produce, find with two ANDs per
 node.  Every surviving node has paths of every length both ways, so that
-start holds all of them.  The start's nodes, each with its successors and
-predecessors among them, are the one graph of a table: the peel gathers
-over those lists.  For a rejected table the same strip, on the successor
-lists alone with the diagonal left out, finds an off-diagonal node on a
-cycle: one on a cycle of off-diagonal nodes if any node remains, else any
-off-diagonal survivor, whose paths both ways reach the diagonal.  A
-shortest cycle through it, searched on the same successor lists, yields two
-distinct periodic configurations with equal images, returned as the
-witness.  The whole graph has 4^(D-1) nodes, so ``MAX_DECISION_DIAMETER``
-(12) is the largest diameter decided.
+start holds all of them.  The start's nodes, each with its successors
+among them (successors only), are the one graph of a table: the peel
+gathers over those lists for the out-edges and scatters from them for the
+in-edges.  For a rejected table the same strip, on out-edges alone with
+the diagonal left out, finds an off-diagonal node on a cycle: one on a
+cycle of off-diagonal nodes if any node remains, else any off-diagonal
+survivor, whose paths both ways reach the diagonal.  A shortest cycle
+through it, searched on the same successor lists, yields two distinct
+periodic configurations with equal images, returned as the witness.  The
+whole graph has 4^(D-1) nodes, so ``MAX_DECISION_DIAMETER`` (12) is the
+largest diameter decided.
 
 Exhaustive rule-space sweeps provide ground truth.  Every sweep unit runs one
 chain of necessary conditions for injectivity before the exact decision, on
@@ -70,8 +71,8 @@ MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
 # Largest diameter the pair-graph decision takes: 4^(D-1) nodes.  At this
 # diameter ``induce --verify`` peaks at about 51 MB, and ``verify`` of a
-# random table, whose start holds most nodes, at 0.16-0.17 GB (the peel's
-# edge lists).
+# random table, whose start holds most nodes, at 0.13 GB (the peel's
+# successor lists).
 MAX_DECISION_DIAMETER = 12
 
 
@@ -96,9 +97,10 @@ def _check_decision_diameter(d: int) -> None:
 # set of k-output words is a 2^k-bit mask, one uint64 at k = 6.
 _WORD_STEPS = 6
 
-# Pair-graph nodes whose masks :func:`_start` compares at once: 512 kB of
-# uint64 words, all the nodes up to D = 9.
-_START_NODES = 1 << 16
+# Pair-graph nodes that :func:`_start` compares, and :func:`_peel` lists
+# and strips, at once: 512 kB of uint64 masks, all the nodes up to D = 9;
+# about 90 bytes a node, near 6 MB, of temporaries of :func:`_edges`.
+_EDGE_NODES = 1 << 16
 
 
 @functools.cache
@@ -152,12 +154,12 @@ def _start(d: int, bits: np.ndarray) -> np.ndarray:
     largest set of nodes that each have an edge in and one out, so paths of
     every length both ways: it lies in this set, and the peel from here ends
     on the same survivors.  A diagonal node meets its own masks.  The masks
-    are compared in slices of ``_START_NODES`` nodes.
+    are compared in slices of ``_EDGE_NODES`` nodes.
     """
     forward, backward = _reach_masks(d, bits)
     half = len(forward)
     alive = np.empty((half, half), dtype=bool)
-    rows = max(1, _START_NODES >> (d - 1))
+    rows = max(1, _EDGE_NODES >> (d - 1))
     meet = np.empty((min(rows, half), half), dtype=np.uint64)
     for lo in range(0, half, rows):
         block, part = alive[lo:lo + rows], meet[:min(rows, half - lo)]
@@ -186,43 +188,42 @@ class _Graph(NamedTuple):
 # The input bit b of the two windows that step from a state, as a column.
 _BIT = np.array([[0], [1]], dtype=np.int32)
 
-# Nodes whose edges :func:`_peel` lists at once: the temporaries of
-# :func:`_edges`, about 100 bytes a node, stay near 6 MB at any diameter.
-_EDGE_NODES = 1 << 16
 
-
-def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray,
-           forward: bool) -> np.ndarray:
-    """(4, len(nodes)) positions, as :class:`_Graph` holds them, of the nodes
-    one edge after each node (forward) or before it; position[v] is that of
-    node v, or -1.  A state p steps by its windows p·b to (p·b) mod 2^(d-1),
-    or back by b·p from (b·p) >> 1; the four edges pair a step of p1 with
-    one of p2."""
+def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """(4, len(nodes)) positions, as :class:`_Graph` holds them, of the
+    successors of each node, the only edges listed; position[v] is that of
+    node v, or -1.  A state p steps by its windows p·b to (p·b) mod
+    2^(d-1); the four edges pair a step of p1 with one of p2."""
     half = 1 << (d - 1)
     p1, p2 = nodes >> (d - 1), nodes & (half - 1)
-    if forward:
-        w1, w2 = (p1 << 1) | _BIT, (p2 << 1) | _BIT
-        s1, s2 = w1 & (half - 1), w2 & (half - 1)
-    else:
-        w1, w2 = p1 | _BIT << (d - 1), p2 | _BIT << (d - 1)
-        s1, s2 = w1 >> 1, w2 >> 1
-    edges = position.take((s1 * half)[:, None] + s2)
+    w1, w2 = (p1 << 1) | _BIT, (p2 << 1) | _BIT
+    edges = position.take(((w1 & (half - 1)) * half)[:, None] + (w2 & (half - 1)))
     edges[bits.take(w1)[:, None] != bits.take(w2)] = -1
     return edges.reshape(4, -1)
 
 
-def _strip(alive: np.ndarray, lists: tuple[np.ndarray, ...], floor: int) -> None:
+def _strip(alive: np.ndarray, succ: np.ndarray, floor: int, inward: bool) -> None:
     """Strip from alive, as :class:`_Graph` holds it, the nodes without a
-    live entry in each of the (4, n) lists of positions, pass by pass, until
-    a pass strips none or at most floor nodes remain.  A pass gathers and
-    strips in column slices of ``_EDGE_NODES`` nodes (a 2 MB intp index
-    each); stripping is monotone, so the order does not change the end."""
+    live successor in succ (successors only, (4, n) positions) and, if
+    inward, those that no live node reaches, pass by pass, until a pass
+    strips none or at most floor nodes remain.  A pass gathers the
+    successors' flags and strips in column slices of ``_EDGE_NODES`` nodes
+    (a 2 MB intp index each); inward, each slice then scatters its live
+    nodes' successors into a reached flag per node, slot n taking the -1
+    entries, and the pass strips the unreached after the slices.
+    Stripping is monotone, so the order does not change the end."""
     count, nodes = np.count_nonzero(alive), alive[:-1]
+    reached = np.empty_like(alive) if inward else None
     while count > floor:
-        for edges in lists:
-            for lo in range(0, len(nodes), _EDGE_NODES):
-                hi = lo + _EDGE_NODES
-                nodes[lo:hi] &= np.logical_or.reduce(alive.take(edges[:, lo:hi]))
+        if inward:
+            reached.fill(False)
+        for lo in range(0, len(nodes), _EDGE_NODES):
+            edges, live = succ[:, lo:lo + _EDGE_NODES], nodes[lo:lo + _EDGE_NODES]
+            live &= np.logical_or.reduce(alive.take(edges))
+            if inward:
+                reached[np.where(live, edges, -1)] = True
+        if inward:
+            nodes &= reached[:-1]
         count, before = np.count_nonzero(alive), count
         if count == before:
             break
@@ -232,11 +233,11 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
     """The pair graph of one table (2^d output bits) on the nodes of
     :func:`_start`, peeled.
 
-    Successors and, for the peel alone, predecessors are listed as in
-    :class:`_Graph`, in slices of ``_EDGE_NODES`` nodes.  :func:`_strip`
-    strips the nodes without a live successor or predecessor until a pass
-    strips none or leaves only the diagonal, whose nodes keep their diagonal
-    edges.  A start of the diagonal alone (always at d = 1) lists no edge.
+    Successors only are listed, as in :class:`_Graph`, in slices of
+    ``_EDGE_NODES`` nodes.  :func:`_strip` strips the nodes without a live
+    successor or without a live node reaching them until a pass strips none
+    or leaves only the diagonal, whose nodes keep their diagonal edges.  A
+    start of the diagonal alone (always at d = 1) lists no edge.
     """
     half = 1 << (d - 1)
     start = _start(d, bits)
@@ -249,13 +250,12 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
     position = np.full(start.size, -1, dtype=np.int32)
     position[nodes] = np.arange(n, dtype=np.int32)
     del start
-    succ, pred = np.empty((4, n), dtype=np.int32), np.empty((4, n), dtype=np.int32)
+    succ = np.empty((4, n), dtype=np.int32)
     for lo in range(0, n, _EDGE_NODES):
         part = slice(lo, lo + _EDGE_NODES)
-        succ[:, part] = _edges(d, bits, nodes[part], position, True)
-        pred[:, part] = _edges(d, bits, nodes[part], position, False)
+        succ[:, part] = _edges(d, bits, nodes[part], position)
     del position
-    _strip(alive, (succ, pred), half)
+    _strip(alive, succ, half, True)
     return _Graph(nodes, succ, alive)
 
 
@@ -305,7 +305,7 @@ def _witness(d: int, graph: _Graph) -> tuple[str, str]:
     u1, u2 = np.divmod(graph.nodes, 1 << (d - 1))
     alive = graph.alive.copy()
     alive[:-1][u1 == u2] = False
-    _strip(alive, (graph.succ,), 0)
+    _strip(alive, graph.succ, 0, False)
     if alive.any():
         succ, left = memoryview(graph.succ.reshape(-1)), memoryview(alive)
         z, seen = int(alive.argmax()), set()

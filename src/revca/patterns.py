@@ -128,11 +128,6 @@ def _interfering_shift(a: tuple[int, int, int, int],
     return _first_fit(a, b, range(-max(a[2], b[3]), max(a[3], b[2]) + 1))
 
 
-def is_injective_pattern(p: str) -> bool:
-    """True when the core is stable under all self-overlaps (see module doc)."""
-    return _unstable_shift(_core(p)) is None
-
-
 def independent(p: str, q: str) -> bool:
     """Pairwise non-interference of two cores (self-pair reduces to stability):
     every placement that puts one flip cell on the other core clashes."""

@@ -201,25 +201,39 @@ class TestDecide:
                 assert all(targets[indptr[v]:indptr[v + 1]] == succ
                            for v, succ in graph.items()), (d, w)
 
-    def test_matches_tarjan_oracle(self):
+    def test_matches_tarjan_oracle(self, monkeypatch):
         """debruijn_injective against the SCC oracle of tests/brute.py on
         every table of diameter <= 4, each rejection's witness confirmed by
         the brute stepper, and on the 1,364 induced tables of diameters 3..8
         and one-swap perturbations of them; accepted tables must also
-        permute all short periodic words."""
-        for d in range(1, 5):
-            got = []
-            for w in range(1 << (1 << d)):
-                rt = from_wolfram(d, w)
-                bits, verdict = rt.bits.tolist(), debruijn_injective(rt)
-                assert verdict.injective == brute.tarjan_injective(bits, d), (d, w)
-                if not verdict.injective:
-                    w1, w2 = verdict.witness
-                    assert w1 != w2 and len(w1) == len(w2), (d, w)
-                    assert (brute.naive_step(bits, d, rt.anchor, w1)
-                            == brute.naive_step(bits, d, rt.anchor, w2)), (d, w)
-                got.append(verdict.injective)
-        assert sum(got) == len(INJECTIVE_D4)
+        permute all short periodic words.  Of the tables of each diameter
+        <= 4 (65,536 at D = 4), debruijn_injective peels only the half with
+        f(0^D) != f(1^D) (32,768), each alone; the rest are settled as not
+        injective before the pair graph."""
+        peel, peeled = injectivity._peel, []
+
+        def spy(d, bits):
+            peeled.append(bits.tolist())
+            return peel(d, bits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(injectivity, "_peel", spy)
+            for d in range(1, 5):
+                got, peeled[:] = [], []
+                for w in range(1 << (1 << d)):
+                    rt = from_wolfram(d, w)
+                    bits, verdict = rt.bits.tolist(), debruijn_injective(rt)
+                    assert verdict.injective == brute.tarjan_injective(bits, d), (d, w)
+                    if not verdict.injective:
+                        w1, w2 = verdict.witness
+                        assert w1 != w2 and len(w1) == len(w2), (d, w)
+                        assert (brute.naive_step(bits, d, rt.anchor, w1)
+                                == brute.naive_step(bits, d, rt.anchor, w2)), (d, w)
+                    got.append(verdict.injective)
+                assert len(peeled) == 1 << ((1 << d) - 1), d
+                assert all(len(row) == 1 << d and row[0] != row[-1] for row in peeled), d
+        assert len(peeled) == 1 << 15
+        assert [w for w, v in enumerate(got) if v] == INJECTIVE_D4
 
         induced = {d: [induce(build_mixture([p])).bits.tolist()
                        for p in list(generate_all_patterns(d)) + list(enumerate_extended(d))]
@@ -247,22 +261,6 @@ class TestDecide:
                     assert all(brute.is_permutation(bits, d, 0, n)
                                for n in range(1, n_max + 1)), (d, bits)
 
-    def test_only_loop_free_rows_are_peeled(self, monkeypatch):
-        """Of the 65,536 D = 4 tables, debruijn_injective peels only the
-        32,768 with f(0000) != f(1111), each alone; the rest are settled as
-        not injective before the pair graph."""
-        peel, peeled = injectivity._peel, []
-
-        def spy(d, bits):
-            peeled.append(bits.tolist())
-            return peel(d, bits)
-
-        monkeypatch.setattr(injectivity, "_peel", spy)
-        verdicts = [debruijn_injective(from_wolfram(4, w)).injective for w in range(1 << 16)]
-        assert len(peeled) == 1 << 15
-        assert all(len(row) == 16 and row[0] != row[-1] for row in peeled)
-        assert [w for w, v in enumerate(verdicts) if v] == INJECTIVE_D4
-
     def test_peel_leaves_the_diagonals_of_injective_tables(self):
         """The peel stops once only diagonal nodes (u, u) are left: on the
         16 injective D=4 tables and the 62 injective D=5 tables of
@@ -284,9 +282,10 @@ class TestDecide:
         which has the first stable cores) and one-swap near misses of them.
         Some starts lie strictly between the survivors and all nodes, so
         that the peel from them has nodes to strip, and the edge lists of
-        the start's nodes are those of brute.pair_graph among them."""
+        the start's nodes are those of brute.pair_graph among them.  A start
+        of the diagonal alone lists no edge."""
         rng = random.Random(2072)
-        partial = between = 0
+        partial = between = diagonal = 0
         for d in range(2, 8):
             cores = list(generate_all_patterns(d)) + list(enumerate_extended(d))
             injective = ([induce(build_mixture([p])).wolfram for p in rng.sample(cores, 4)]
@@ -302,10 +301,18 @@ class TestDecide:
                 assert not (want[:, k] & ~start.ravel()).any(), (d, k)
                 between += want[:, k].sum() < start.sum() < start.size
                 assert np.array_equal(_survivors(d, row), want[:, k]), (d, k)
-                _assert_edges(d, row, injectivity._peel(d, row))
+                graph = injectivity._peel(d, row)
+                if start.sum() == 1 << (d - 1):
+                    assert graph.succ is None, (d, k)
+                    assert graph.nodes.tolist() == [u * ((1 << (d - 1)) + 1)
+                                                    for u in range(1 << (d - 1))], (d, k)
+                    diagonal += 1
+                else:
+                    _assert_edges(d, row, graph)
             partial += sum(1 << (d - 1) < n < 1 << (2 * d - 2) for n in want.sum(axis=0))
         assert partial >= 20, partial
         assert between >= 10, between
+        assert diagonal >= 10, diagonal
 
     def test_edge_slices_list_the_same_graph(self, monkeypatch):
         """The edge lists built in slices of 16 nodes equal those built at
@@ -352,12 +359,8 @@ def _survivors(d, bits):
 def _assert_edges(d, bits, graph):
     """The successors that a graph of injectivity._peel lists for each node
     of the start, as node numbers, are those of brute.pair_graph among the
-    start's nodes, in the same order; it lists none when the start holds
-    only the diagonal."""
+    start's nodes, in the same order."""
     nodes = graph.nodes.tolist()
-    if graph.succ is None:
-        assert nodes == [u * ((1 << (d - 1)) + 1) for u in range(1 << (d - 1))]
-        return
     oracle, members = brute.pair_graph(bits.tolist(), d), set(nodes)
     for i, v in enumerate(nodes):
         got = [nodes[j] for j in graph.succ[:, i].tolist() if j >= 0]
@@ -476,14 +479,16 @@ class TestBeyondTheOracle:
         """The reject path of random tables at the decision limit, whose
         starts hold about 3 M of the 4^11 nodes: the witness strips on the
         peel's successor lists and searches from one node, with no list of
-        every survivor, and every strip gathers in slices of nodes.  Seed 4's
-        search meets 1.2 M nodes, so it keeps its parents in one int32 array
-        and its frontier in an ``array``.  Measured: 130.5 MB traced on seed
-        1 and 127.8 MB on seed 4, most of it the peel's edge lists (169.2 MB
-        on seed 4 with a dict of parents and a deque, 213 MB on seed 1 when
-        a pass gathered over every node at once, 474 MB when the witness
-        built lists of every survivor and tried them in turn); the bound is
-        160 MB."""
+        every survivor, and every strip gathers in slices of nodes.  The peel
+        lists successors only and finds in-edges by scattering from them.
+        Seed 4's search meets 1.2 M nodes, so it keeps its parents in one
+        int32 array and its frontier in an ``array``.  Measured: 100.9 MB
+        traced on seed 1 and 101.5 MB on seed 4, most of it the peel's edge
+        lists (130.5 and 127.8 MB when the peel also listed predecessors,
+        169.2 MB on seed 4 with a dict of parents and a deque, 213 MB on seed
+        1 when a pass gathered over every node at once, 474 MB when the
+        witness built lists of every survivor and tried them in turn); the
+        bound is 115 MB."""
         for seed in (1, 4):
             rt = from_wolfram(12, (random.Random(seed).getrandbits(4096) | 1 << 4095) & ~1)
             tracemalloc.start()
@@ -493,7 +498,7 @@ class TestBeyondTheOracle:
             finally:
                 tracemalloc.stop()
             _assert_witness(rt, verdict)
-            assert peak < 160 << 20, (seed, peak)
+            assert peak < 115 << 20, (seed, peak)
 
 
 def _induced(d, count, rng):
@@ -533,7 +538,7 @@ class TestStart:
         comparison is written: random tables, induced tables and one-swap
         near misses."""
         if nodes is not None:
-            monkeypatch.setattr(injectivity, "_START_NODES", nodes)
+            monkeypatch.setattr(injectivity, "_EDGE_NODES", nodes)
         rng = random.Random(6402)
         for d in range(2, 8):
             induced = _induced(d, 2, rng)

@@ -15,7 +15,6 @@ from revca.patterns import (
     generate_all_patterns,
     generate_injective_patterns,
     independent,
-    is_injective_pattern,
     template,
 )
 
@@ -62,21 +61,21 @@ class TestTemplate:
 class TestInjectivePattern:
     def test_known_patterns(self):
         for core in ("0X011", "0X110", "1X001", "1X100", "10X1"):
-            assert is_injective_pattern(core)
+            assert independent(core, core)
 
     def test_counterexample_with_witness(self):
-        assert not is_injective_pattern("0X0")
+        assert not independent("0X0", "0X0")
         with pytest.raises(MixtureError, match="at shift 1$"):
             build_mixture(["0X0"])
         # the witness shift is genuinely realizable
         assert 1 in brute.interference_offsets("0X0", "0X0")
 
     def test_vacuous_single_flip(self):
-        assert is_injective_pattern("X")
+        assert independent("X", "X")
 
     def test_rejects_wildcards(self):
         with pytest.raises(InputError):
-            is_injective_pattern("a0X011")
+            independent("a0X011", "a0X011")
 
     def test_matches_brute_force(self):
         import itertools
@@ -85,7 +84,7 @@ class TestInjectivePattern:
                 right = d - 1 - left
                 for fill in itertools.product("01", repeat=d - 1):
                     core = "".join(fill[:left]) + "X" + "".join(fill[left:])
-                    assert is_injective_pattern(core) == \
+                    assert independent(core, core) == \
                         (not brute.interference_offsets(core, core)), core
 
 
@@ -127,7 +126,7 @@ class TestGeneration:
     def test_all_generated_are_injective(self):
         for d in range(1, 8):
             for p in generate_all_patterns(d):
-                assert is_injective_pattern(p)
+                assert independent(p, p)
 
     def test_mirror_symmetry(self):
         for left, right in ((1, 3), (2, 2), (1, 4), (3, 2)):

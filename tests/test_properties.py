@@ -10,7 +10,6 @@ from revca.patterns import (
     build_mixture,
     generate_all_patterns,
     independent,
-    is_injective_pattern,
     template,
 )
 from revca.rules import from_wolfram, induce, rule_from_json, rule_to_json
@@ -66,7 +65,7 @@ def test_json_round_trip(rt):
 
 @given(pattern_texts(max_core=8, max_pad=0))
 def test_injectivity_matches_interference_search(text):
-    assert is_injective_pattern(text) == (not brute.interference_offsets(text, text))
+    assert independent(text, text) == (not brute.interference_offsets(text, text))
 
 
 def test_independence_matches_brute_on_random_pairs():
