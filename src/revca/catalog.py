@@ -65,8 +65,8 @@ class SweepCheckpoint:
 
     diameter: int
     exclude_trivial: bool
-    next_unit: int = 0
-    total_units: int = 0
+    next_unit: int
+    total_units: int
 
 
 def save_checkpoint(path: str | Path, cp: SweepCheckpoint) -> None:

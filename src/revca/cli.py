@@ -183,7 +183,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.diameter
     units = injectivity.sweep_units(d)
     total = len(units)
-    start = 0
+    start, held = 0, set()
     if args.checkpoint:
         cp = catalog.load_checkpoint(args.checkpoint)
         if cp is None:
@@ -196,6 +196,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                              f"this sweep has {total}")
         else:
             start = cp.next_unit
+            # a unit appended but not checkpointed before a crash is in the catalog
+            if args.catalog and Path(args.catalog).exists():
+                held = {(r["diameter"], r["wolfram_decimal"])
+                        for r in catalog.read_catalog(args.catalog)}
 
     for i, unit in enumerate(units[start:], start):
         records = []
@@ -206,8 +210,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             record = rules.rule_to_json(rt)
             record["verified_debruijn"] = True
             records.append(record)
-        if args.catalog and records:
-            catalog.append_entries(args.catalog, records)
+        new = [r for r in records if (r["diameter"], r["wolfram_decimal"]) not in held]
+        if args.catalog and new:
+            catalog.append_entries(args.catalog, new)
         for record in records:
             _emit(record)
         if args.checkpoint:

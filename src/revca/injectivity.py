@@ -119,11 +119,10 @@ def _step_windows(d: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate((after % half, half + (before >> 1))).astype(np.uint16))
 
 
-def _reach_masks(d: int, bits: np.ndarray,
-                 steps: int = _WORD_STEPS) -> tuple[np.ndarray, np.ndarray]:
+def _reach_masks(d: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(forward, backward): for each (d-1)-cell state p, as a uint64 mask,
-    the words of ``steps`` (at most ``_WORD_STEPS``) outputs that the
-    windows after p, and the windows before p, can produce; word w is bit w.
+    the words of ``_WORD_STEPS`` outputs that the windows after p, and the
+    windows before p, can produce; word w is bit w.
 
     Step j puts one more window in front of the words: the masks of the
     state it leads to, shifted by its output times 2^j, so the window next
@@ -133,7 +132,7 @@ def _reach_masks(d: int, bits: np.ndarray,
     """
     windows, states_next = _step_windows(d)
     shifts = (bits.take(windows).astype(np.uint64)
-              << np.arange(steps, dtype=np.uint64)[:, None, None])
+              << np.arange(_WORD_STEPS, dtype=np.uint64)[:, None, None])
     mask = np.ones(len(windows), dtype=np.uint64)
     words = np.empty(windows.shape, dtype=np.uint64)
     for shift in shifts:
@@ -202,19 +201,20 @@ def _edges(d: int, bits: np.ndarray, nodes: np.ndarray, position: np.ndarray) ->
     return edges.reshape(4, -1)
 
 
-def _strip(alive: np.ndarray, succ: np.ndarray, floor: int, inward: bool) -> None:
+def _strip(alive: np.ndarray, succ: np.ndarray, inward: bool) -> None:
     """Strip from alive, as :class:`_Graph` holds it, the nodes without a
     live successor in succ (successors only, (4, n) positions) and, if
     inward, those that no live node reaches, pass by pass, until a pass
-    strips none or at most floor nodes remain.  A pass gathers the
-    successors' flags and strips in column slices of ``_EDGE_NODES`` nodes
-    (a 2 MB intp index each); inward, each slice then scatters its live
-    nodes' successors into a reached flag per node, slot n taking the -1
-    entries, and the pass strips the unreached after the slices.
-    Stripping is monotone, so the order does not change the end."""
-    count, nodes = np.count_nonzero(alive), alive[:-1]
+    strips none.  A pass gathers the successors' flags and strips in column
+    slices of ``_EDGE_NODES`` nodes (a 2 MB intp index each); inward, each
+    slice then scatters its live nodes' successors into a reached flag per
+    node, slot n taking the -1 entries, and the pass strips the unreached
+    after the slices.  Stripping is monotone, so the order does not change
+    the end."""
+    before, nodes = None, alive[:-1]
     reached = np.empty_like(alive) if inward else None
-    while count > floor:
+    while (count := np.count_nonzero(alive)) != before:
+        before = count
         if inward:
             reached.fill(False)
         for lo in range(0, len(nodes), _EDGE_NODES):
@@ -224,9 +224,6 @@ def _strip(alive: np.ndarray, succ: np.ndarray, floor: int, inward: bool) -> Non
                 reached[np.where(live, edges, -1)] = True
         if inward:
             nodes &= reached[:-1]
-        count, before = np.count_nonzero(alive), count
-        if count == before:
-            break
 
 
 def _peel(d: int, bits: np.ndarray) -> _Graph:
@@ -235,9 +232,9 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
 
     Successors only are listed, as in :class:`_Graph`, in slices of
     ``_EDGE_NODES`` nodes.  :func:`_strip` strips the nodes without a live
-    successor or without a live node reaching them until a pass strips none
-    or leaves only the diagonal, whose nodes keep their diagonal edges.  A
-    start of the diagonal alone (always at d = 1) lists no edge.
+    successor or without a live node reaching them until a pass strips
+    none; the diagonal's nodes keep their diagonal edges.  A start of the
+    diagonal alone (always at d = 1) lists no edge.
     """
     half = 1 << (d - 1)
     start = _start(d, bits)
@@ -255,7 +252,7 @@ def _peel(d: int, bits: np.ndarray) -> _Graph:
         part = slice(lo, lo + _EDGE_NODES)
         succ[:, part] = _edges(d, bits, nodes[part], position)
     del position
-    _strip(alive, succ, half, True)
+    _strip(alive, succ, True)
     return _Graph(nodes, succ, alive)
 
 
@@ -305,7 +302,7 @@ def _witness(d: int, graph: _Graph) -> tuple[str, str]:
     u1, u2 = np.divmod(graph.nodes, 1 << (d - 1))
     alive = graph.alive.copy()
     alive[:-1][u1 == u2] = False
-    _strip(alive, graph.succ, 0, False)
+    _strip(alive, graph.succ, False)
     if alive.any():
         succ, left = memoryview(graph.succ.reshape(-1)), memoryview(alive)
         z, seen = int(alive.argmax()), set()

@@ -37,7 +37,7 @@ class RuleTable:
 
     diameter: int
     wolfram: WolframNumber
-    anchor: int = field(default=0, compare=False)
+    anchor: int = field(compare=False)
 
     def __post_init__(self) -> None:
         _check_diameter(self.diameter)   # first: 1 << (1 << 64) is no bound to build
@@ -67,10 +67,6 @@ def _wolfram_of(bits: np.ndarray) -> WolframNumber:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _default_anchor(diameter: int) -> int:
-    return (diameter - 1) // 2
-
-
 def projection_table(diameter: int, j: int) -> RuleTable:
     """Rule that copies window cell j; its global map is a pure shift."""
     if not 0 <= j < diameter:
@@ -95,11 +91,11 @@ def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
 
 
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
-    """The table of a Wolfram number; a diameter outside
-    1..``patterns.MAX_DIAMETER`` raises ``InputError`` before the table is
-    built."""
+    """The table of a Wolfram number, anchored at cell (D-1)//2 unless
+    ``anchor`` is given; a diameter outside 1..``patterns.MAX_DIAMETER``
+    raises ``InputError`` before the table is built."""
     _check_diameter(diameter)
-    return RuleTable(diameter, w, _default_anchor(diameter) if anchor is None else anchor)
+    return RuleTable(diameter, w, (diameter - 1) // 2 if anchor is None else anchor)
 
 
 def is_balanced(rt: RuleTable) -> bool:

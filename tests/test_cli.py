@@ -397,6 +397,43 @@ class TestEnumerate:
         assert [e["wolfram_decimal"] for e in read_catalog(cat)] == expected
         assert load_checkpoint(ckpt) == SweepCheckpoint(4, False, 16, 16)
 
+    def test_resume_after_a_crash_between_append_and_checkpoint(self, capsys, tmp_path,
+                                                                monkeypatch):
+        """A crash after unit 0's records reach the catalog, before the
+        checkpoint moves past the unit: the resumed run prints every record
+        and appends only those the catalog lacks, so each of the 16 D=4
+        tables is in the catalog once."""
+        ckpt, cat = tmp_path / "sweep.ckpt", tmp_path / "found.jsonl"
+        argv = ("enumerate", "-d", "4", "--checkpoint", str(ckpt), "--catalog", str(cat))
+        expected = [str(w) for w in _reference("d4_injective")]
+        save = catalog.save_checkpoint
+
+        def crash_past_unit_0(path, cp):
+            if cp.next_unit == 1:
+                raise OSError("no space left on device")
+            save(path, cp)
+
+        monkeypatch.setattr(catalog, "save_checkpoint", crash_past_unit_0)
+        code, _, _ = run(capsys, *argv)
+        unit_0 = [w for w in expected if int(w) < injectivity.sweep_units(4)[0][1]]
+        assert code == 2 and load_checkpoint(ckpt).next_unit == 0 and len(unit_0) == 3
+        assert [e["wolfram_decimal"] for e in read_catalog(cat)] == unit_0
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [json.loads(line)["wolfram_decimal"] for line in out.splitlines()] == expected
+        assert [e["wolfram_decimal"] for e in read_catalog(cat)] == expected
+        assert load_checkpoint(ckpt) == SweepCheckpoint(4, False, 16, 16)
+
+    def test_resume_refuses_a_catalog_line_that_is_no_record(self, capsys, tmp_path):
+        ckpt, cat = tmp_path / "sweep.ckpt", tmp_path / "found.jsonl"
+        save_checkpoint(ckpt, SweepCheckpoint(4, False, 8, 16))
+        cat.write_text('{"diameter": 4}\n')
+        code, out, err = run(capsys, "enumerate", "-d", "4",
+                             "--checkpoint", str(ckpt), "--catalog", str(cat))
+        assert code == 2 and out == "" and "line 1" in err
+        assert cat.read_text() == '{"diameter": 4}\n'
+
     def test_checkpoint_parameter_mismatch(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
         save_checkpoint(ckpt, SweepCheckpoint(3, True, 0, 1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import brute
+from revca.engine import space_time
 from revca.patterns import MixtureSet, build_mixture, generate_all_patterns
 from revca.rules import (
     FlipCollisionError,
@@ -88,7 +89,7 @@ class TestWolfram:
         record of each table reads back as the table."""
         n = 1 << d
         for w in (0, (1 << n) - 1, 1 << (n - 1), random.Random(d).getrandbits(n)):
-            rt = RuleTable(d, w)
+            rt = RuleTable(d, w, 0)
             bits = rt.bits
             assert bits.dtype == np.uint8 and bits.shape == (n,)
             assert bits.tolist() == [(w >> v) & 1 for v in range(n)]
@@ -153,24 +154,34 @@ class TestRuleTable:
         assert a == b and hash(a) == hash(b)
         assert a != from_wolfram(4, 61621)
 
+    def test_anchor_has_no_default(self):
+        """Equal tables at anchors 0 and 1 step 0001000 apart, so a table is
+        built with its anchor; from_wolfram's default is (D-1)//2."""
+        with pytest.raises(TypeError):
+            RuleTable(3, 110)
+        at_0, at_1 = RuleTable(3, 110, 0), from_wolfram(3, 110)
+        assert at_0 == at_1 and at_1.anchor == 1
+        assert space_time(at_0, "0001000", 1)[1] == "0110000"
+        assert space_time(at_1, "0001000", 1)[1] == "0011000"
+
     def test_validation(self):
         RuleTable(3, 255, anchor=2)
         for w in (256, -1):
             with pytest.raises(ValueError, match="not an int in range"):
-                RuleTable(3, w)
+                RuleTable(3, w, 0)
         with pytest.raises(ValueError, match="anchor 3 out of range"):
             RuleTable(3, 240, anchor=3)
         # an int subtype or a numpy scalar is no Wolfram number
         for w in (np.uint8(1), np.uint64(240), True):
             with pytest.raises(ValueError, match="not an int in range"):
-                RuleTable(3, w)
+                RuleTable(3, w, 0)
         # the diameter is checked before the number: at D = 64 the bound
         # 1 << (1 << 64) could not be built
         for d in (0, 17, 64):
             tracemalloc.start()
             try:
                 with pytest.raises(ValueError, match=r"outside 1\.\.16"):
-                    RuleTable(d, 1)
+                    RuleTable(d, 1, 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
