@@ -140,6 +140,8 @@ def _cmd_induce(args: argparse.Namespace) -> int:
         except UnicodeDecodeError as exc:
             raise InputError(str(exc)) from exc
         lines = _read_pattern_lines(text)
+        if args.mixture_file and not lines:
+            raise InputError(f"--mixture-file {args.mixture_file}: no patterns in the file")
         # each stdin line is induced on its own (pipe-friendly)
         groups = [[t] for t in lines] if args.stdin else [lines]
     if args.pattern:

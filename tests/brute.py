@@ -1,10 +1,13 @@
 """Independent brute-force reference implementations.
 
 Everything here is deliberately written from first principles (template
-expansion, direct window matching, doubled-string stepping, strongly
-connected components of a pair graph built by its definition, as a dict
-and, for speed, as numpy arrays) so it shares no code path with the
-package and can serve as an oracle for it.
+expansion, direct window matching, doubled-string stepping, a pair graph
+built by its definition, as a dict and, for speed, as numpy arrays) so it
+shares no code path with the package and can serve as an oracle for it.
+The injectivity oracle, :func:`scc_injective`, decides many tables at once
+from the strongly connected components that scipy finds in their pair
+graphs, built with numpy as one block-diagonal graph; scipy is a test-only
+dependency, imported by that function alone.
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ def is_permutation(bits, diameter: int, anchor: int, n: int) -> bool:
     return len(images) == 1 << n
 
 
-
 def pair_graph(bits, diameter: int) -> dict[int, list[int]]:
     """Equal-output pair graph as a dict from node to successor list.
 
@@ -182,85 +184,68 @@ def walk_ends(bits, diameter: int, k: int) -> list[bool]:
     return [out[v] and into[v] for v in range(len(graph))]
 
 
-def pair_graph_arrays(bits, diameter: int) -> tuple[list[int], list[int]]:
-    """The graph of :func:`pair_graph` as (indptr, targets) lists, built
-    with numpy: the successors of node v are targets[indptr[v]:indptr[v + 1]],
-    in the same order as there.
+def pair_graph_arrays(tables, diameter: int) -> tuple[np.ndarray, np.ndarray]:
+    """The graphs of :func:`pair_graph` of a stack of tables (2^D output
+    bits each) as one block-diagonal graph in (indptr, targets) arrays,
+    built with numpy: node v of table k is node k * 4^(D-1) + v, and its
+    successors are targets[indptr[node]:indptr[node + 1]], in the same
+    order as in :func:`pair_graph`.
 
     A per-word extension table gives, for each word p and appended cell a,
     the next word and the output of the completed window; an outer equality
     of the outputs over all (p, a) and (q, b) marks the edges.
     """
     size = 1 << (diameter - 1)
+    nodes = size * size
     windows = 2 * np.arange(size)[:, None] + np.arange(2)   # [p, a]
-    out = np.asarray(bits, dtype=np.int64)[windows]
+    out = np.asarray(tables).reshape(-1, 2 * size)[:, windows]
     nxt = windows % size
-    # [p, q, a, b]: the cells appended to each word vary fastest, a before b
-    edge = out[:, None, :, None] == out[None, :, None, :]
-    target = nxt[:, None, :, None] * size + nxt[None, :, None, :]
-    edge = edge.reshape(size * size, 4)
-    indptr = np.zeros(size * size + 1, dtype=np.int64)
-    np.cumsum(edge.sum(axis=1), out=indptr[1:])
-    return indptr.tolist(), target.reshape(size * size, 4)[edge].tolist()
+    # slots [k, p, q, a, b]: the cells appended to each word vary fastest, a before b
+    edge = out[:, :, None, :, None] == out[:, None, :, None, :]
+    slot = np.flatnonzero(edge)
+    target = (nxt[:, None, :, None] * size + nxt[None, :, None, :]).reshape(-1)
+    targets = target[slot % (4 * nodes)] + slot // (4 * nodes) * nodes
+    # node v's edges are those of the slots from 4 v on
+    return np.searchsorted(slot, 4 * np.arange(edge.size // 4 + 1)), targets
 
 
-def tarjan_injective(bits, diameter: int) -> bool:
-    """Injectivity by strongly connected components (iterative Tarjan) of
-    the pair graph of :func:`pair_graph_arrays`.
+# Nodes of the pair graphs that scc_injective decides in one batch
+_BATCH_NODES = 1 << 20
+
+
+def scc_injective(tables, diameter: int) -> list[bool]:
+    """Injectivity of each of a stack of tables (2^D output bits each) by
+    the strongly connected components of its pair graph of
+    :func:`pair_graph_arrays`, found by scipy for the graphs of up to
+    ``_BATCH_NODES`` nodes at once.
 
     The map is injective iff no cycle of the pair graph passes through a
     pair p != q, that is, iff every component holding such a pair has one
     node and no self-loop.  At diameter 1 the words are empty, the graph has
     a single node, and the test does not apply: the map is injective iff the
-    two outputs differ.
+    two outputs differ.  scipy is imported here, not with the module, which
+    the benchmark imports too.
     """
     if diameter == 1:
-        return bits[0] != bits[1]
+        return [bool(bits[0] != bits[1]) for bits in tables]
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     size = 1 << (diameter - 1)
-    indptr, targets = pair_graph_arrays(bits, diameter)
-    nodes = len(indptr) - 1
-    index = [-1] * nodes
-    low = [0] * nodes
-    on_stack = [False] * nodes
-    stack = []
-    counter = 0
-    for root in range(nodes):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(targets[indptr[root]:indptr[root + 1]]))]
-        while work:
-            node, succ = work[-1]
-            for nxt in succ:
-                if index[nxt] < 0:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(targets[indptr[nxt]:indptr[nxt + 1]])))
-                    break
-                if on_stack[nxt] and index[nxt] < low[node]:
-                    low[node] = index[nxt]
-            else:
-                work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] != index[node]:
-                    continue
-                if stack[-1] == node:   # one-node component
-                    stack.pop()
-                    on_stack[node] = False
-                    if (node in targets[indptr[node]:indptr[node + 1]]
-                            and node // size != node % size):
-                        return False
-                    continue
-                component = stack[stack.index(node):]
-                del stack[len(stack) - len(component):]
-                for member in component:
-                    on_stack[member] = False
-                if any(m // size != m % size for m in component):
-                    return False
-    return True
+    nodes = size * size
+    per_batch = max(1, _BATCH_NODES // nodes)
+    tables = np.asarray(tables).reshape(-1, 2 * size)
+    verdicts = []
+    for lo in range(0, len(tables), per_batch):
+        indptr, targets = pair_graph_arrays(tables[lo:lo + per_batch], diameter)
+        n = len(indptr) - 1
+        graph = csr_matrix((np.ones(len(targets), dtype=np.int8), targets, indptr),
+                           shape=(n, n))
+        _, label = connected_components(graph, directed=True, connection="strong")
+        v = np.arange(n)
+        looped = np.zeros(n, dtype=bool)
+        looped[targets[np.repeat(v, np.diff(indptr)) == targets]] = True
+        cyclic = (np.bincount(label)[label] > 1) | looped
+        off = v // size % size != v % size
+        verdicts += (~(cyclic & off).reshape(-1, nodes).any(axis=1)).tolist()
+    return verdicts

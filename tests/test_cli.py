@@ -179,6 +179,18 @@ class TestInduce:
         assert sorted(obj["provenance"]) == ["10X111", "a0X10a"]
 
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# a comment\n\n# another\n"])
+    @pytest.mark.parametrize("positional", [[], ["0X011"]])
+    def test_empty_mixture_file_exits_2(self, capsys, tmp_path, monkeypatch, text, positional):
+        # a usage error, not an empty mixture failing validation (exit 3),
+        # and raised before the positional mixture is induced
+        monkeypatch.setattr(rules, "induce", lambda *a: pytest.fail("a mixture was induced"))
+        f = tmp_path / "mix.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "induce", *positional, "--mixture-file", str(f))
+        assert (code, out) == (2, "")
+        assert err == f"error: --mixture-file {f}: no patterns in the file\n"
+
     def test_stdin_with_mixture_file_exits_2(self, capsys, tmp_path, monkeypatch):
         # one source of patterns per run: the file was silently ignored
         f = tmp_path / "mix.txt"

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -188,20 +190,34 @@ class TestVerdicts:
 
 class TestDecide:
     def test_pair_graph_builds_agree(self):
-        """brute.pair_graph_arrays, the numpy build that the Tarjan oracle
-        runs on, against the dict build of brute.pair_graph on every table
-        of diameter <= 4: the same successors of every node, in the same
-        order."""
+        """brute.pair_graph_arrays, the numpy build that the SCC oracle runs
+        on, built for all tables of one diameter at once, against the dict
+        build of brute.pair_graph on every table of diameter <= 4: the same
+        successors of every node, in the same order."""
         for d in range(1, 5):
-            for w in range(1 << (1 << d)):
-                bits = [w >> v & 1 for v in range(1 << d)]
+            nodes = 1 << (2 * d - 2)
+            tables = [[w >> v & 1 for v in range(1 << d)] for w in range(1 << (1 << d))]
+            indptr, targets = brute.pair_graph_arrays(tables, d)
+            assert len(indptr) == len(tables) * nodes + 1
+            for w, bits in enumerate(tables):
                 graph = brute.pair_graph(bits, d)
-                indptr, targets = brute.pair_graph_arrays(bits, d)
-                assert len(indptr) == len(graph) + 1
-                assert all(targets[indptr[v]:indptr[v + 1]] == succ
-                           for v, succ in graph.items()), (d, w)
+                ends = indptr[w * nodes:(w + 1) * nodes + 1]
+                assert np.diff(ends).tolist() == [len(graph[v]) for v in range(nodes)], (d, w)
+                assert ((targets[ends[0]:ends[-1]] - w * nodes).tolist()
+                        == [u for v in range(nodes) for u in graph[v]]), (d, w)
 
-    def test_matches_tarjan_oracle(self):
+    def test_brute_import_leaves_out_scipy(self):
+        """perfbench imports tests/brute.py, with tests/ on sys.path, and
+        measures peak RSS: the import must not load scipy, which
+        brute.scc_injective alone imports (about 33 MB)."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import brute; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        tests = Path(__file__).resolve().parent
+        run = subprocess.run([sys.executable, "-c", code, str(tests)],
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
+
+    def test_matches_scc_oracle(self):
         """debruijn_injective against the SCC oracle of tests/brute.py on
         the 1,364 induced tables of diameters 3..8 and one-swap
         perturbations of them; accepted tables must also permute all short
@@ -224,10 +240,11 @@ class TestDecide:
         for d, tables in induced.items():
             n_max = 12 if d <= 4 else 8
             mixed = [(bits, True) for bits in tables] + [(bits, False) for bits in perturbed[d]]
-            for bits, is_induced in mixed:
+            oracle = brute.scc_injective([bits for bits, _ in mixed], d)
+            for (bits, is_induced), expected in zip(mixed, oracle, strict=True):
                 rt = from_wolfram(d, sum(b << v for v, b in enumerate(bits)))
                 injective = debruijn_injective(rt).injective
-                assert injective == brute.tarjan_injective(bits, d), (d, bits)
+                assert injective == expected, (d, bits)
                 assert injective or not is_induced, (d, bits)
                 if injective:
                     assert all(brute.is_permutation(bits, d, 0, n)
@@ -248,10 +265,12 @@ class TestDecide:
         monkeypatch.setattr(injectivity, "_peel", spy)
         for d in range(1, 5):
             got, peeled[:] = [], []
-            for w in range(1 << (1 << d)):
+            wolframs = np.arange(1 << (1 << d))
+            oracle = brute.scc_injective(wolframs[:, None] >> np.arange(1 << d) & 1, d)
+            for w in wolframs.tolist():
                 rt = from_wolfram(d, w)
                 bits, verdict = rt.bits.tolist(), debruijn_injective(rt)
-                assert verdict.injective == brute.tarjan_injective(bits, d), (d, w)
+                assert verdict.injective == oracle[w], (d, w)
                 if not verdict.injective:
                     w1, w2 = verdict.witness
                     assert w1 != w2 and len(w1) == len(w2), (d, w)
@@ -339,13 +358,12 @@ class TestDecide:
 
     def test_injective_tables_batched_with_near_misses(self):
         """The reference tables of D=4 and D=5 mixed with one-swap near
-        misses of them: the verdicts of the Tarjan oracle."""
+        misses of them: the verdicts of the SCC oracle."""
         rng = random.Random(4562)
         for d, tables in ((4, INJECTIVE_D4), (5, _d5_reference())):
             mixed = tables + _near_misses(tables, d, 3 * len(tables), rng)
             verdicts = [debruijn_injective(from_wolfram(d, w)).injective for w in mixed]
-            assert verdicts == [brute.tarjan_injective(from_wolfram(d, w).bits.tolist(), d)
-                                for w in mixed]
+            assert verdicts == brute.scc_injective([from_wolfram(d, w).bits for w in mixed], d)
             assert verdicts.count(True) >= len(tables) and False in verdicts
 
 
@@ -418,14 +436,16 @@ def _assert_witness(rt, verdict):
 
 class TestBeyondTheOracle:
     """The decision at D = 2, where a window has no middle cells, and at
-    D = 9..11, beyond the diameters the Tarjan oracle is run at."""
+    D = 9..11, where induced tables and their near misses are checked by
+    the brute stepper rather than the SCC oracle."""
 
     def test_every_diameter_2_table(self):
         injective = []
+        oracle = brute.scc_injective([from_wolfram(2, w).bits for w in range(16)], 2)
         for w in range(16):
             rt = from_wolfram(2, w)
             verdict = debruijn_injective(rt)
-            assert verdict.injective == brute.tarjan_injective(rt.bits.tolist(), 2)
+            assert verdict.injective == oracle[w], w
             if verdict.injective:
                 injective.append(w)
             else:
@@ -552,16 +572,18 @@ class TestStart:
 
     def test_verdicts_and_witnesses_at_8_to_10(self):
         """debruijn_injective, which peels from the start set, against the
-        Tarjan oracle, with every witness checked by the brute stepper:
+        SCC oracle, with every witness checked by the brute stepper:
         induced tables and one-swap near misses at D = 8..10."""
         rng = random.Random(8100)
         rejected = 0
         for d in (8, 9, 10):
             induced = _induced(d, 2, rng)
-            for w in induced + _near_misses(induced, d, 4, rng):
+            tables = induced + _near_misses(induced, d, 4, rng)
+            oracle = brute.scc_injective([from_wolfram(d, w).bits for w in tables], d)
+            for w, expected in zip(tables, oracle, strict=True):
                 rt = from_wolfram(d, w)
                 verdict = debruijn_injective(rt)
-                assert verdict.injective == brute.tarjan_injective(rt.bits.tolist(), d), (d, w)
+                assert verdict.injective == expected, (d, w)
                 if not verdict.injective:
                     _assert_witness(rt, verdict)
                     rejected += rt.bits[0] != rt.bits[-1]
