@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import decimal
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
 from revca.catalog import SweepCheckpoint, load_checkpoint, read_catalog, save_checkpoint
 from revca import catalog, cli, engine, injectivity, patterns, rules
 from revca.cli import main
@@ -63,11 +65,12 @@ class TestGenPatterns:
     @pytest.mark.parametrize("argv, found", [
         (["gen-patterns", "-d", "13"], lambda: patterns.generate_all_patterns(13)),
         (["gen-extended", "-d", "12"], lambda: enumerate_extended(12)),
+        (["gen-patterns", "-d", "14"], lambda: patterns.generate_all_patterns(14)),
     ])
     def test_lines_across_write_blocks(self, capsys, argv, found):
         """Listings longer than one block of lines that the CLI writes at
-        once (32,172 and 27,392 patterns) hold each pattern on a line of
-        its own, in order, as one print() each would write them."""
+        once (32,172, 27,392 and 72,372 patterns) hold each pattern on a
+        line of its own, in order, as one print() each would write them."""
         code, out, _ = run(capsys, *argv)
         assert len(found()) > cli._BLOCK_LINES
         assert code == 0 and out == "".join(p + "\n" for p in found())
@@ -121,6 +124,12 @@ class TestInduce:
         assert obj["verified_periodic_to"] == 12
         assert obj["trivial"] == "nontrivial"
         assert obj["provenance"] == ["0X011"]
+
+    def test_verified_at_the_decision_limit(self, capsys):
+        code, out, _ = run(capsys, "induce", "0X011aaaaaaa", "--verify")
+        obj = json.loads(out)
+        assert code == 0 and obj["diameter"] == 12
+        assert obj["verified_debruijn"] is True and obj["verified_periodic_to"] == 12
 
     def test_single_flip_flagged_trivial(self, capsys):
         code, out, _ = run(capsys, "induce", "X")
@@ -247,6 +256,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "-d", "5", "-w", "90")
         assert code == 1 and out.splitlines()[:2] == ["NotInjective", "witness: 0 1"]
 
+    @pytest.mark.parametrize("d, w, code, head", [
+        ("12", "0", 1, ["NotInjective", "witness: 0 1"]),
+        ("1", "0", 1, ["NotInjective", "witness: 0 1"]),
+        ("1", "1", 0, ["Injective"]),
+    ], ids=["d12-w0", "d1-w0", "d1-w1"])
+    def test_equal_ends_at_the_decision_limit_and_at_diameter_1(self, capsys, d, w, code,
+                                                                 head):
+        # at D = 1 the test f(0^D) = f(1^D) is the whole decision
+        got, out, _ = run(capsys, "verify", "-d", d, "-w", w)
+        assert got == code and out.splitlines()[:len(head)] == head
+
+    def test_near_miss_at_the_decision_limit(self, capsys):
+        """The D = 12 table of 0X011aaaaaaa with the outputs of windows 1 and
+        384 exchanged keeps f(0^D) != f(1^D), so the pair graph rejects it;
+        its witness words have equal images under the brute stepper (at any
+        anchor, so at 0)."""
+        w = rules.induce(patterns.build_mixture(["0X011aaaaaaa"])).wolfram
+        near = w ^ (1 << 1) ^ (1 << 384)
+        assert near >> 1 & 1 != near >> 384 & 1 and near & 1 != near >> 4095 & 1
+        code, out, _ = run(capsys, "verify", "-d", "12", "-w", str(near))
+        lines = out.splitlines()
+        assert code == 1 and lines[0] == "NotInjective" and lines[1].startswith("witness: ")
+        w1, w2 = lines[1].removeprefix("witness: ").split()
+        bits = [near >> v & 1 for v in range(1 << 12)]
+        assert w1 != w2 and brute.naive_step(bits, 12, 0, w1) == brute.naive_step(bits, 12, 0, w2)
+
     def test_max_period_over_bound_exits_2(self, capsys):
         # a crash here used to end with exit 1, the NotInjective code
         code, out, err = run(capsys, "verify", "-d", "3", "-w", "204", "--max-period", "25")
@@ -272,7 +307,7 @@ class TestVerify:
         assert periods == list(range(1, 21))
 
     def test_malformed(self, capsys):
-        assert run(capsys, "verify", "-d", "3", "-w", "256")[0] == 2
+        assert run(capsys, "verify", "-d", "3", "-w", "256")[:2] == (2, "")
         assert run(capsys, "verify", "-d", "3", "-w", "porridge")[0] == 2
 
     @pytest.mark.parametrize("value", ["zz", ""])
@@ -316,9 +351,13 @@ class TestDiameterLimits:
     def test_limits_themselves_are_accepted(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "simulate", "-d", "16", "-w", "1", "--init", "0101")
         assert code == 0 and out.splitlines() == ["0101", "0000"]
-        # a D=16 record has a 19,729-digit wolfram_decimal; that crashed
+        # a D=16 record has a 19,729-digit wolfram_decimal; that crashed.  It
+        # is read through decimal.Decimal, as int(str) refuses over 4,300 digits
         code, out, _ = run(capsys, "induce", "0X011" + "a" * 11)
-        assert code == 0 and json.loads(out)["diameter"] == 16
+        record = json.loads(out)
+        h, w = record["table_hex"], record["wolfram_decimal"]
+        assert code == 0 and record["diameter"] == 16
+        assert (len(h), len(w)) == (16384, 19729) and int(decimal.Decimal(w)) == int(h, 16)
         reached = []
 
         def stop(d, bits):
@@ -344,6 +383,12 @@ class TestEnumerate:
         assert got == ["15", "51", "85", "170", "204", "240"]
         assert all("created_at" not in json.loads(l) for l in out.splitlines())
 
+    def test_diameter_4_all_in_wolfram_order(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "-d", "4")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and all(r["diameter"] == 4 for r in records)
+        assert [int(r["wolfram_decimal"]) for r in records] == _reference("d4_injective")
+
     def test_diameter_4_nontrivial(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "4", "--exclude-trivial")
         assert code == 0
@@ -355,10 +400,14 @@ class TestEnumerate:
     def test_diameter_5_nontrivial_in_wolfram_order(self, capsys):
         # ascending although units are balanced blocks, not Wolfram ranges
         code, out, _ = run(capsys, "enumerate", "-d", "5", "--exclude-trivial")
-        trivial = {t.wolfram for t in rules.trivial_tables(5)}
+        # the projections onto one cell of a 5-cell window, and their complements
+        trivial = {sum((v >> k & 1) << v for v in range(32)) for k in range(5)}
+        trivial |= {(1 << 32) - 1 - w for w in trivial}
+        assert trivial == {t.wolfram for t in rules.trivial_tables(5)}
         expected = [w for w in _reference("d5_injective") if w not in trivial]
-        assert code == 0 and len(expected) == 52
-        assert [int(json.loads(line)["wolfram_decimal"]) for line in out.splitlines()] == expected
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(expected) == 52 and all(r["diameter"] == 5 for r in records)
+        assert [int(r["wolfram_decimal"]) for r in records] == expected
 
     def test_refuses_big_diameters(self, capsys):
         for d in ("6", "0", "-1"):
@@ -437,6 +486,20 @@ class TestEnumerate:
         assert [e["wolfram_decimal"] for e in read_catalog(cat)] == expected
         assert load_checkpoint(ckpt) == SweepCheckpoint(4, False, 16, 16)
 
+    def test_finished_sweep_rewound_to_unit_0(self, capsys, tmp_path):
+        """A checkpoint behind its whole catalog: the finished D=4 sweep's
+        checkpoint is rewound to unit 0 and the sweep run again, and the
+        catalog still holds each of the 16 tables once, in Wolfram order."""
+        ckpt, cat = tmp_path / "sweep.ckpt", tmp_path / "found.jsonl"
+        argv = ("enumerate", "-d", "4", "--checkpoint", str(ckpt), "--catalog", str(cat))
+        assert run(capsys, *argv)[0] == 0
+        cp = json.loads(ckpt.read_text())
+        cp["next_unit"] = 0
+        ckpt.write_text(json.dumps(cp))
+        assert run(capsys, *argv)[0] == 0
+        assert [int(e["wolfram_decimal"]) for e in read_catalog(cat)] == \
+            _reference("d4_injective")
+
     def test_resume_refuses_a_catalog_line_that_is_no_record(self, capsys, tmp_path):
         ckpt, cat = tmp_path / "sweep.ckpt", tmp_path / "found.jsonl"
         save_checkpoint(ckpt, SweepCheckpoint(4, False, 8, 16))
@@ -498,6 +561,22 @@ class TestEnumerate:
         monkeypatch.setenv("REVCA_THREADS", "abc")
         assert run(capsys, "enumerate", "-d", "3") == plain
         assert plain[0] == 0 and len(plain[1].splitlines()) == 6
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "-d", "3", "-w", "240"], 0),
+    (["verify", "-d", "3", "-w", "90"], 1),
+    (["verify", "-d", "13", "-w", "1"], 2),
+    (["enumerate", "-d", "6"], 2),
+    (["induce", "0X011", "0X110"], 3),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_exit_status_of_the_process(argv, code):
+    """main()'s return value is the exit status of ``python -m revca``; a
+    refusal (2) or a dependent pattern pair (3) prints nothing on stdout."""
+    proc = subprocess.run([sys.executable, "-m", "revca", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert code < 2 or proc.stdout == ""
 
 
 def test_cli_import_leaves_out_multiprocessing():
@@ -678,6 +757,7 @@ class TestSimulate:
     def test_rejects_bad_init(self, capsys):
         assert run(capsys, "simulate", "--pattern", "0X011", "--init", "")[0] == 2
         assert run(capsys, "simulate", "--pattern", "0X011", "--init", "002")[0] == 2
+        assert run(capsys, "simulate", "-d", "3", "-w", "90", "--init", "012")[:2] == (2, "")
 
     @pytest.mark.parametrize("flags", [["-w", "240"], ["--anchor", "1"],
                                        ["-d", "5", "-w", "240", "--anchor", "1"]])

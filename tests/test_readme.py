@@ -1,7 +1,7 @@
 """The library example in the README must run as written.
 
-It pins the names the package root exports.  CI runs the same block against
-an installed wheel, from outside the checkout.
+It pins the names the package root exports.  In CI it runs, like the rest of
+Tier-1, against a plain (not editable) install of the package.
 """
 
 import re
