@@ -221,8 +221,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             catalog.save_checkpoint(args.checkpoint, catalog.SweepCheckpoint(
                 d, args.exclude_trivial, i + 1, total))
     if start >= total:
-        print("sweep already complete per checkpoint; results are in the catalog",
-              file=sys.stderr)
+        print("sweep already complete per checkpoint"
+              + ("; results are in the catalog" if args.catalog else ""), file=sys.stderr)
     return EXIT_OK
 
 

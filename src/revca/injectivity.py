@@ -44,11 +44,13 @@ are lookups too: the map commutes with rotation, so it permutes the words
 of length n iff the images of one word per necklace (rotation class) fall
 in pairwise distinct necklaces.  The images' codes are the OR of one
 tabulated row per byte of a table (a limb), and so of one row per half.
-Per popcount class, the halves keep their limb indices and period-5 rows,
-the lower ones sorted by key, the upper ones with their keys, of which a
-block takes a slice; periods 6 and 7 run on the few survivors' limb
-indices.  Wolfram numbers are built only for the tables left for the
-decision.  D >= 6 is refused outright.
+One function, :func:`_permutes_pairs`, tests a period on pairs of half
+rows: it tabulates the half keys, and it is the period-5 stage.  Per
+popcount class, the halves keep their limb indices and period-5 rows, the
+lower ones sorted by key, the upper ones with their keys, of which a block
+takes a slice; periods 6 and 7 OR the limb rows of the few survivors'
+cached limb indices.  Wolfram numbers are built only for the tables left
+for the decision.  D >= 6 is refused outright.
 :func:`sweep_units` lists the work units of a diameter and :func:`scan_unit`
 scans one; the library and the command line both scan them in order, in the
 calling process.
@@ -65,7 +67,7 @@ import numpy as np
 
 from . import engine
 from .patterns import InputError
-from .rules import RuleTable, classify_trivial, from_wolfram
+from .rules import RuleTable, from_wolfram
 
 MAX_SWEEP_DIAMETER = 5
 LONG_SWEEP_DIAMETER = MAX_SWEEP_DIAMETER   # the old name, read by perfbench/tracing.py
@@ -455,20 +457,17 @@ def _period_lookups(d: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return groups, codes.reshape(-1, cell.shape[1]).view(np.uint64), necklaces
 
 
-def _limb_index(d: int, halves: np.ndarray, first: int = 0) -> np.ndarray:
-    """Rows into the limb lookups of :func:`_period_lookups` for tables at
-    diameter d, from the halves in an (H, T) uint64 array, which are halves
-    number first .. first + H - 1 of each table (0 lower, 1 upper): one row
-    per limb, a byte of a half, and one column per table, as uint16 (the
-    largest row, 2,047 at D = 6, fits)."""
+def _limb_index(d: int, halves: np.ndarray, first: int) -> np.ndarray:
+    """Rows into the limb lookups of :func:`_period_lookups` for halves
+    number ``first`` (0 lower, 1 upper) of tables at diameter d, from their
+    values (a 1-D uint64 array): one row per limb, a byte of a half, and one
+    column per half, as uint16 (the largest row, 2,047 at D = 6, fits)."""
     limbs = max(1, (1 << (d - 1)) // _LIMB_BITS)
     width = min(1 << (d - 1), _LIMB_BITS)
-    octets = halves.astype("<u8", copy=False).view(np.uint8).reshape(*halves.shape, 8)
+    octets = halves.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     # copied before the cast: numpy casts strided bytes several times slower
-    index = np.ascontiguousarray(octets[..., :limbs].transpose(0, 2, 1)).astype(np.uint16)
-    index = index.reshape(len(halves) * limbs, halves.shape[1])
-    index += (np.arange(first * limbs, (first + len(halves)) * limbs, dtype=np.uint16)
-              << width)[:, None]
+    index = np.ascontiguousarray(octets[:, :limbs].T).astype(np.uint16)
+    index += (np.arange(first * limbs, (first + 1) * limbs, dtype=np.uint16) << width)[:, None]
     return index
 
 
@@ -485,8 +484,12 @@ def _covers(d: int, n: int, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(necklaces.take(lanes), axis=0) == (1 << len(_necklaces(n)[0])) - 1
 
 
-def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words.
+def _permutes_pairs(d: int, n: int, lower_rows: np.ndarray, upper_rows: np.ndarray,
+                    lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Mask of the tables, table i with the lower half of row lo[i] of
+    lower_rows and the upper half of row up[i] of upper_rows, that permute
+    all length-n words; the rows are each half's packed period-n codes (see
+    :func:`_rows`).
 
     A necessary-condition filter ahead of the exact decision, on bits, never
     on a cell matrix.  The map commutes with rotation, so it sends necklaces
@@ -494,19 +497,19 @@ def _permutes_period(tables: np.ndarray, d: int, n: int) -> np.ndarray:
     It therefore permutes the 2^n words iff the images of the necklace
     representatives lie in pairwise distinct necklaces: then the necklace
     map is a bijection, the sizes add up to 2^n on both sides, and each
-    necklace maps onto one of its own size.  The images' codes are the OR of
-    the rows of the limbs of the tables' halves (see :func:`_rows`), their
-    necklaces one lookup per lane, and the table permutes the words iff the
-    ORed necklaces are all of them.  Slices hold ``engine._SLICE_CELLS``
-    (group, table) pairs.  The anchor does not matter here, so the windows
-    are those of anchor 0.
+    necklace maps onto one of its own size.  A table's codes are the OR of
+    its halves' rows, their necklaces one lookup per lane, and the table
+    permutes the words iff the ORed necklaces are all of them
+    (:func:`_covers`).  Slices hold ``engine._SLICE_CELLS`` (group, table)
+    pairs.  The anchor does not matter here, so the windows are those of
+    anchor 0.
     """
-    width = 1 << (d - 1)
-    halves = np.stack((tables & np.uint64((1 << width) - 1), tables >> np.uint64(width)))
     per = max(1, engine._SLICE_CELLS // _period_lookups(d, n)[0])
-    out = np.empty(len(tables), dtype=bool)
-    for lo in range(0, len(out), per):
-        out[lo:lo + per] = _covers(d, n, _rows(d, n, _limb_index(d, halves[:, lo:lo + per])))
+    out = np.empty(lo.size, dtype=bool)
+    for s in range(0, lo.size, per):
+        rows = lower_rows.take(lo[s:s + per], axis=0)
+        rows |= upper_rows.take(up[s:s + per], axis=0)
+        out[s:s + per] = _covers(d, n, rows)
     return out
 
 
@@ -564,20 +567,23 @@ def _half_keys(diameter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the words of each of those periods.
 
     The filters read nothing else.  Each period's test is a function of its
-    own window bits alone, so its matrix is tabulated from one probe table
-    per pair of its own keys (16 x 16 for period 3 and 256 x 256 for period
-    4 at D = 5), spread over the combined keys by a ``take`` on each axis,
+    own window bits alone, so its matrix is tabulated by
+    :func:`_permutes_pairs` on every pair of the halves that hold its own
+    keys, other bits 0 (16 x 16 for period 3 and 256 x 256 for period 4 at
+    D = 5), spread over the combined keys by a ``take`` on each axis,
     and passes is the AND of the periods' matrices: 1024 x 1024 at D = 5,
     and at D = 4, where the length-4 words read every window, 256 x 256.
     """
-    width = 1 << (diameter - 1)
     lower, upper = _window_bits(diameter, _KEY_PERIODS)
     ups, los = _unpack(upper), _unpack(lower)
     passes = np.ones((ups.size, los.size), dtype=bool)
     for n in _KEY_PERIODS:
         own_lower, own_upper = _window_bits(diameter, (n,))
-        probes = (_unpack(own_upper)[:, None] << np.uint64(width)) | _unpack(own_lower)[None, :]
-        own = _permutes_period(probes.ravel(), diameter, n).reshape(probes.shape)
+        rows = [_rows(diameter, n, _limb_index(diameter, _unpack(bits), first))
+                for first, bits in enumerate((own_lower, own_upper))]
+        shape = (len(rows[1]), len(rows[0]))
+        up, lo = (a.ravel() for a in np.indices(shape))
+        own = _permutes_pairs(diameter, n, *rows, lo, up).reshape(shape)
         passes &= own.take(_pack(ups, own_upper), axis=0).take(_pack(los, own_lower), axis=1)
     return lower, upper, passes
 
@@ -592,7 +598,7 @@ class _Halves(NamedTuple):
 
 
 def _halves(diameter: int, values: np.ndarray, first: int) -> _Halves:
-    index = _limb_index(diameter, values[None], first)
+    index = _limb_index(diameter, values, first)
     return _Halves(values, index, _rows(diameter, _FILTER_PERIODS[0], index))
 
 
@@ -657,24 +663,18 @@ def _chain(diameter: int, lower: _Halves, upper: _Halves,
     those of periods 1 to 4: the tail of every sweep unit's filter chain.
 
     Table i has the lower half lower.values[pairs[0][i]] and the upper half
-    upper.values[pairs[1][i]].  The period-5 filter ORs one gathered row of
-    codes of each half, in slices of ``engine._SLICE_CELLS`` (group, table)
-    pairs.  The later filters carry the pair indices of the survivors and
-    gather their limb-index columns once, for the test of
-    :func:`_permutes_period`.  Permutation of the words of these periods is,
+    upper.values[pairs[1][i]].  The period-5 filter is :func:`_permutes_pairs`
+    on the halves' cached rows of codes.  The later filters carry the pair
+    indices of the survivors and gather their limb-index columns once: a
+    survivor's row is the OR of its limbs' rows, tested by :func:`_covers`.
+    Permutation of the words of these periods is,
     like the rest, a necessary condition, so no filter drops an injective
     table.  Only the tables left at the end are built as Wolfram numbers,
     and a stage that leaves nothing ends the chain.
     """
     first, *rest = _FILTER_PERIODS
     lo, up = pairs
-    per = max(1, engine._SLICE_CELLS // _period_lookups(diameter, first)[0])
-    passed = np.empty(lo.size, dtype=bool)
-    for s in range(0, lo.size, per):
-        rows = lower.codes.take(lo[s:s + per], axis=0)
-        rows |= upper.codes.take(up[s:s + per], axis=0)
-        passed[s:s + per] = _covers(diameter, first, rows)
-    keep = np.flatnonzero(passed)
+    keep = np.flatnonzero(_permutes_pairs(diameter, first, lower.codes, upper.codes, lo, up))
     if not keep.size:
         return np.empty(0, dtype=np.uint64)
     lo, up = lo.take(keep), up.take(keep)
@@ -752,13 +752,9 @@ def scan_unit(diameter: int, unit) -> list[int]:
     return _decide_tables(diameter, _chain(diameter, *_block_pairs(diameter, unit)))
 
 
-def exhaustive_injective(diameter: int, exclude_trivial: bool = False) -> list[RuleTable]:
+def exhaustive_injective(diameter: int) -> list[RuleTable]:
     """Every rule table of one diameter whose global map is injective, in
-    ascending Wolfram order, without the projection and complement tables if
-    asked.  Diameter 5 scans the 601M balanced tables; a diameter outside
-    1..``MAX_SWEEP_DIAMETER`` raises ``InputError``."""
+    ascending Wolfram order.  Diameter 5 scans the 601M balanced tables; a
+    diameter outside 1..``MAX_SWEEP_DIAMETER`` raises ``InputError``."""
     found = sorted(w for unit in sweep_units(diameter) for w in scan_unit(diameter, unit))
-    tables = [from_wolfram(diameter, w) for w in found]
-    if exclude_trivial:
-        tables = [t for t in tables if classify_trivial(t) == "nontrivial"]
-    return tables
+    return [from_wolfram(diameter, w) for w in found]

@@ -137,14 +137,6 @@ def independent(p: str, q: str) -> bool:
     return _interfering_shift(a, b) is None
 
 
-def extend(p: str, k: int, h: int) -> str:
-    """Pad a core with k leading and h trailing wildcards."""
-    _core(p)  # rejects anything but a core
-    if k < 0 or h < 0:
-        raise InputError("wildcard counts must be >= 0")
-    return WILD * k + p + WILD * h
-
-
 def _stable_values(left: int, right: int) -> np.ndarray:
     """The values, X read as 0, of the stable cores with these radii, ascending.
 

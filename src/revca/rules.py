@@ -81,15 +81,6 @@ def complement_table(diameter: int, j: int) -> RuleTable:
     return RuleTable(diameter, projection ^ ((1 << (1 << diameter)) - 1), anchor=j)
 
 
-def trivial_tables(diameter: int) -> tuple[RuleTable, ...]:
-    """The 2*diameter projection and complement tables."""
-    out = []
-    for j in range(diameter):
-        out.append(projection_table(diameter, j))
-        out.append(complement_table(diameter, j))
-    return tuple(out)
-
-
 def from_wolfram(diameter: int, w: WolframNumber, anchor: int | None = None) -> RuleTable:
     """The table of a Wolfram number, anchored at cell (D-1)//2 unless
     ``anchor`` is given; a diameter outside 1..``patterns.MAX_DIAMETER``

@@ -88,6 +88,18 @@ def induced_bits(members, diameter: int, anchor: int) -> list[int]:
     return bits
 
 
+def trivial_wolframs(diameter: int) -> list[int]:
+    """The Wolfram numbers of the tables whose output is window cell j (cell
+    0 leftmost) and of their complements, for j = 0..diameter-1: one pair
+    per cell, the copy first."""
+    full = (1 << (1 << diameter)) - 1
+    out = []
+    for j in range(diameter):
+        copy = sum((v >> (diameter - 1 - j) & 1) << v for v in range(1 << diameter))
+        out += [copy, full ^ copy]
+    return out
+
+
 def naive_step(bits, diameter: int, anchor: int, c: str) -> str:
     """Global map via doubled-string window slicing."""
     n = len(c)

@@ -9,5 +9,7 @@ settings.load_profile("default")
 def d5_nontrivial_sweep():
     """Shared result of the diameter-5 balanced sweep, run once per session."""
     from revca.injectivity import exhaustive_injective
+    from revca.rules import classify_trivial
 
-    return sorted(t.wolfram for t in exhaustive_injective(5, exclude_trivial=True))
+    return sorted(t.wolfram for t in exhaustive_injective(5)
+                  if classify_trivial(t) == "nontrivial")

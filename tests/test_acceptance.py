@@ -11,21 +11,22 @@ import pytest
 from revca.engine import check_involution, step
 from revca.injectivity import debruijn_injective, exhaustive_injective, periodic_bijective
 from revca.patterns import (
+    WILD,
     MixtureError,
     build_mixture,
     enumerate_extended,
-    extend,
     generate_all_patterns,
     generate_injective_patterns,
 )
 from revca.rules import (
     classify_trivial,
+    complement_table,
     from_wolfram,
     induce,
     is_balanced,
+    projection_table,
     rule_from_json,
     rule_to_json,
-    trivial_tables,
 )
 
 PATTERN_COUNTS = (0, 4, 14, 52, 148, 408, 1040, 2556)      # diameters 3..10
@@ -78,7 +79,7 @@ def _mixture_pool(diameter: int, anchor: int):
             k = anchor - core.index("X")
             h = diameter - d - k
             if k >= 0 and h >= 0:
-                pool.append(extend(core, k, h))
+                pool.append(WILD * k + core + WILD * h)
     return pool
 
 
@@ -157,7 +158,7 @@ def test_criterion_5_ground_truth_completeness_d4():
     elapsed = time.time() - t0
     assert elapsed < 60
     found = [t.wolfram for t in tables]
-    triv = {t.wolfram for t in trivial_tables(4)}
+    triv = set(brute.trivial_wolframs(4))
     nontrivial = set(found) - triv
     induced = {induce(build_mixture([p])).wolfram for p in generate_all_patterns(4)}
     complements = {(1 << 16) - 1 - w for w in induced}
@@ -268,7 +269,7 @@ def test_involution_classes_are_induced_classes(diameter, request):
     are both."""
     full = (1 << (1 << diameter)) - 1
     if diameter == 4:
-        triv = {t.wolfram for t in trivial_tables(4)}
+        triv = set(brute.trivial_wolframs(4))
         found = {t.wolfram for t in exhaustive_injective(4)} - triv
     else:
         found = set(request.getfixturevalue("d5_nontrivial_sweep"))
@@ -298,7 +299,8 @@ def test_involution_classes_are_induced_classes(diameter, request):
 def test_criterion_7_trivial_rules_injective():
     checked = 0
     for d in range(1, 7):
-        for rt in trivial_tables(d):
+        for rt in (t for j in range(d) for t in (projection_table(d, j),
+                                                  complement_table(d, j))):
             assert debruijn_injective(rt).injective, rt
             checked += 1
     report(7, True, f"{checked} shift/complement tables all injective")

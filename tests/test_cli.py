@@ -403,7 +403,8 @@ class TestEnumerate:
         # the projections onto one cell of a 5-cell window, and their complements
         trivial = {sum((v >> k & 1) << v for v in range(32)) for k in range(5)}
         trivial |= {(1 << 32) - 1 - w for w in trivial}
-        assert trivial == {t.wolfram for t in rules.trivial_tables(5)}
+        assert trivial == {t.wolfram for j in range(5)
+                           for t in (rules.projection_table(5, j), rules.complement_table(5, j))}
         expected = [w for w in _reference("d5_injective") if w not in trivial]
         records = [json.loads(line) for line in out.splitlines()]
         assert code == 0 and len(expected) == 52 and all(r["diameter"] == 5 for r in records)
@@ -437,6 +438,19 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert len(read_catalog(cat)) == 6
         assert "complete" in err
+
+    @pytest.mark.parametrize("with_catalog", [False, True])
+    def test_finished_sweep_names_a_catalog_only_when_given(self, capsys, tmp_path,
+                                                            with_catalog):
+        """A rerun of a finished sweep exits 0 with empty stdout, and its
+        stderr mentions a catalog only when --catalog is given."""
+        argv = ["enumerate", "-d", "2", "--checkpoint", str(tmp_path / "k.ckpt")]
+        if with_catalog:
+            argv += ["--catalog", str(tmp_path / "found.jsonl")]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (0, "")
+        assert "complete" in err and ("catalog" in err) == with_catalog
 
     def test_checkpoint_partial_resume(self, capsys, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

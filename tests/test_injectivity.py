@@ -18,7 +18,7 @@ from revca.injectivity import (
     _half_keys,
     _masks_by_popcount,
     _necklaces,
-    _permutes_period,
+    _permutes_pairs,
     balanced_sweep_blocks,
     debruijn_injective,
     exhaustive_injective,
@@ -29,9 +29,11 @@ from revca.injectivity import (
 )
 from revca.patterns import InputError, build_mixture, enumerate_extended, generate_all_patterns
 from revca.rules import (
+    classify_trivial,
+    complement_table,
     from_wolfram,
     induce,
-    trivial_tables,
+    projection_table,
 )
 
 # ground truth established by three independent routes (pair graph, direct
@@ -310,7 +312,7 @@ class TestDecide:
         for d in range(2, 8):
             cores = list(generate_all_patterns(d)) + list(enumerate_extended(d))
             injective = ([induce(build_mixture([p])).wolfram for p in rng.sample(cores, 4)]
-                         if cores else [rt.wolfram for rt in trivial_tables(d)])
+                         if cores else brute.trivial_wolframs(d))
             tables = (injective[:4] + _near_misses(injective, d, 8, rng)
                       + [rng.getrandbits(1 << d) for _ in range(4)])
             bits = np.array([[w >> v & 1 for v in range(1 << d)] for w in tables], dtype=np.uint8)
@@ -528,7 +530,7 @@ def _induced(d, count, rng):
     projections and complements where the diameter has no cores."""
     cores = list(generate_all_patterns(d))
     if not cores:
-        return [rt.wolfram for rt in trivial_tables(d)][:count]
+        return brute.trivial_wolframs(d)[:count]
     return [induce(build_mixture([p])).wolfram for p in rng.sample(cores, count)]
 
 
@@ -644,6 +646,17 @@ def _near_misses(tables, d, count, rng):
     return out
 
 
+def _permutes_period(tables, d, n):
+    """Mask of the Wolfram numbers (D <= 6) that permute all length-n words:
+    injectivity._permutes_pairs on the rows of each table's two halves."""
+    width = 1 << (d - 1)
+    halves = (tables & np.uint64((1 << width) - 1), tables >> np.uint64(width))
+    rows = [injectivity._rows(d, n, injectivity._limb_index(d, values, first))
+            for first, values in enumerate(halves)]
+    pairs = np.arange(tables.size)
+    return _permutes_pairs(d, n, *rows, pairs, pairs)
+
+
 class TestPeriodFilter:
     """The sweeps' period filter against brute.is_permutation, one period at
     a time, so that a wrong reject at one period cannot hide behind another
@@ -703,6 +716,30 @@ class TestPeriodFilter:
             assert np.array_equal(got, np.concatenate(pieces)), n
             assert got.any() and not got.all(), n
 
+    def test_pairs_of_halves(self, monkeypatch):
+        """_permutes_pairs on unequal sets of lower and upper half rows,
+        paired by shuffled and repeated lo and up indices, as _chain pairs
+        them, in slices of 64 cells: each pair against brute.is_permutation
+        on the table it makes.  The halves include those of 12 D = 5
+        reference tables, and every reference pair is listed twice."""
+        rng = random.Random(2024)
+        reference = rng.sample(_d5_reference(), 12)
+        lower = [w & 0xFFFF for w in reference] + [rng.getrandbits(16) for _ in range(9)]
+        upper = [w >> 16 for w in reference] + [rng.getrandbits(16) for _ in range(4)]
+        order = [rng.sample(range(len(h)), len(h)) for h in (lower, upper)]
+        lower, upper = ([h[i] for i in o] for h, o in zip((lower, upper), order))
+        pairs = [(order[0].index(k), order[1].index(k)) for k in range(12)] * 2
+        pairs += [(rng.randrange(len(lower)), rng.randrange(len(upper))) for _ in range(100)]
+        rng.shuffle(pairs)
+        lo, up = (np.array(column) for column in zip(*pairs))
+        monkeypatch.setattr(injectivity.engine, "_SLICE_CELLS", 64)
+        for n in range(1, 9):
+            rows = [injectivity._rows(5, n, injectivity._limb_index(5, np.array(h, np.uint64), k))
+                    for k, h in enumerate((lower, upper))]
+            expected = [_brute_permutes(5, upper[u] << 16 | lower[l], (n,)) for l, u in pairs]
+            assert True in expected and False in expected, n
+            assert _permutes_pairs(5, n, *rows, lo, up).tolist() == expected, n
+
     def test_necklace_representatives(self):
         """One representative per rotation class: the smallest code of each,
         and each code's one-hot class found by rotating it."""
@@ -728,9 +765,6 @@ class TestCrossValidation:
         """Every diameter-4 table: the pair-graph verdict must coincide with
         direct permutation checks over all periods 1..8 (no borderline cases
         exist at this diameter, which the assertion also pins down)."""
-        import numpy as np
-        from revca.injectivity import _permutes_period
-
         tables = np.arange(1 << 16, dtype=np.uint64)
         mask = np.ones(tables.size, dtype=bool)
         for n in range(1, 9):
@@ -744,20 +778,21 @@ class TestCrossValidation:
 class TestTrivialRules:
     def test_all_trivial_rules_injective(self):
         for d in range(1, 7):
-            for rt in trivial_tables(d):
-                assert debruijn_injective(rt).injective, rt
+            for j in range(d):
+                for rt in (projection_table(d, j), complement_table(d, j)):
+                    assert debruijn_injective(rt).injective, rt
 
 
 class TestExhaustive:
     def test_diameter_3(self):
         got = [t.wolfram for t in exhaustive_injective(3)]
         assert got == INJECTIVE_D3
-        assert list(exhaustive_injective(3, exclude_trivial=True)) == []
+        assert [w for w in got if classify_trivial(from_wolfram(3, w)) == "nontrivial"] == []
 
     def test_diameter_4_ground_truth(self):
         got = [t.wolfram for t in exhaustive_injective(4)]
         assert got == INJECTIVE_D4
-        triv = {t.wolfram for t in trivial_tables(4)}
+        triv = set(brute.trivial_wolframs(4))
         nontriv = set(got) - triv
         assert len(triv) == 8 and len(nontriv) == 8
         # the induced rules and their output complements partition the rest
@@ -765,7 +800,7 @@ class TestExhaustive:
         assert nontriv == INDUCED_D4 | comp
 
     def test_diameter_4_excluding_trivial(self):
-        got = {t.wolfram for t in exhaustive_injective(4, exclude_trivial=True)}
+        got = {t.wolfram for t in exhaustive_injective(4) if classify_trivial(t) == "nontrivial"}
         assert len(got) == 8 and INDUCED_D4 <= got
 
     def test_pattern_induced_matches_sweep_subset(self):

@@ -11,7 +11,6 @@ from revca.patterns import (
     MixtureError,
     build_mixture,
     enumerate_extended,
-    extend,
     generate_all_patterns,
     generate_injective_patterns,
     independent,
@@ -147,14 +146,11 @@ class TestGeneration:
 
 
 class TestExtend:
-    def test_examples(self):
-        assert str(extend("10X1", 0, 1)) == "10X1a"
-        assert str(extend("0X011", 1, 2)) == "a0X011aa"
-        assert extend("0X011", 0, 0) == "0X011"
-
     def test_anchor_shift(self):
-        p = extend("0X011", 3, 1)
-        assert template(p)[2] == 4 and len(p) == 9
+        # a core padded with 3 leading and 1 trailing wildcards: the anchor
+        # moves 3 cells right, and value and care gain one free low cell
+        value, care, anchor = template("0X011")
+        assert template("aaa0X011a") == (value << 1, care << 1, anchor + 3) == (6, 46, 4)
 
     def test_counts(self):
         for d, n in EXTENDED_COUNTS.items():

@@ -20,7 +20,6 @@ from revca.rules import (
     rule_from_json,
     rule_to_json,
     table_hex,
-    trivial_tables,
 )
 
 # size-3 neighborhood rows of the rule numbered 240: output equals the left cell
@@ -57,9 +56,11 @@ class TestTrivialTables:
 
     def test_count_and_distinctness(self):
         for d in range(1, 7):
-            tables = trivial_tables(d)
+            tables = [t for j in range(d) for t in (projection_table(d, j),
+                                                     complement_table(d, j))]
             assert len(tables) == 2 * d
             assert len(set(tables)) == 2 * d
+            assert [t.wolfram for t in tables] == brute.trivial_wolframs(d)
 
     def test_range_checks(self):
         with pytest.raises(ValueError):
